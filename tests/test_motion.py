@@ -233,3 +233,38 @@ class TestCompareEstimators:
         report = compare_estimators(sin_poly, [0.0], sched, samples=200)
         assert set(report) == {"y", "box", "torus", "diff", "tolerance", "pass"}
         assert report["box"]["plus"]["total_lines"] == 64
+
+
+# Both routes' numbers for two seeded reports, recorded before the estimators
+# were folded into pair-returning functions; refactors must reproduce them.
+GOLDEN = {
+    "sin": {
+        "box": {"plus": (-0.7853981633974483, 0, 64),
+                "minus": (0.7853981633974483, 0, 64)},
+        "torus": {"plus": (-0.9110618695410401, 0.10105353440130867, 0),
+                  "minus": (0.9110618695410401, 0.10105353440130867, 0)},
+    },
+    "random": {
+        "box": {"plus": (0.6364436541615917, 0, 64),
+                "minus": (0.6364436541615917, 0, 64)},
+        "torus": {"plus": (0.7287893603471304, 0.04656617317229568, 0),
+                  "minus": (0.7287893603471304, 0.04656617317229568, 0)},
+    },
+}
+
+
+def test_golden_reports(sin_poly):
+    sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=32)
+    P = random_poly(np.random.default_rng(31), 2, 3)
+    reports = {
+        "sin": compare_estimators(sin_poly, [0.0], sched, samples=200, seed=0),
+        "random": compare_estimators(P, [0.2, -0.1], sched, samples=400),
+    }
+    for name, want in GOLDEN.items():
+        rep = reports[name]
+        for conv in ("plus", "minus"):
+            box, tor = rep["box"][conv], rep["torus"][conv]
+            got_box = (box["value"], box["skipped"], box["total_lines"])
+            got_tor = (tor["value"], tor["stderr"], tor["skipped"])
+            assert got_box == pytest.approx(want["box"][conv], abs=1e-9)
+            assert got_tor == pytest.approx(want["torus"][conv], abs=1e-9)
