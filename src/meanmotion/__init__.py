@@ -13,10 +13,7 @@ from .core import (
     LiftedPolynomial,
     Rational,
     UnivariateExpSum,
-    evaluate,
-    is_identically_zero,
     lift,
-    restrict_line,
 )
 from .errors import (
     DegenerateInputError,
@@ -42,13 +39,13 @@ from .motion import (
     BoxSpec,
     MeanMotionEstimate,
     SkippedLine,
+    TorusMean,
     WindowSchedule,
     box_mean_motion,
     compare_estimators,
     direct_mean_motion,
     torus_mean,
     weyl_average,
-    windowed_increment,
 )
 from .tracker import (
     ArgTrace,

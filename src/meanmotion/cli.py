@@ -259,16 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MeanMotionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        json.dump(
-            {"error": type(e).__name__, "message": str(e)},
-            sys.stdout,
-            sort_keys=True,
-        )
-        sys.stdout.write("\n")
-        return EXIT_INPUT_ERROR
-    except (ValueError, OSError) as e:
+    except (MeanMotionError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         json.dump(
             {"error": type(e).__name__, "message": str(e)},

@@ -85,6 +85,8 @@ class ExpTerm:
     def __post_init__(self):
         if self.coefficient == 0:
             raise DegenerateInputError("term coefficient must be nonzero")
+        if not cmath.isfinite(self.coefficient):
+            raise DegenerateInputError("term coefficient must be finite")
 
 
 @dataclass(frozen=True)
@@ -171,21 +173,6 @@ class ExpPolynomial:
             pairs.append((complex(amps[k]), gamma))
         return UnivariateExpSum.from_terms(pairs)
 
-    def modulate(self, shift: FrequencyVector) -> "ExpPolynomial":
-        """Multiply by exp(i <z, shift>): shift every exponent by `shift`."""
-        if len(shift) != self.dimension:
-            raise DimensionError("shift length mismatch")
-        terms = tuple(
-            ExpTerm(
-                t.coefficient,
-                FrequencyVector(
-                    tuple(a + b for a, b in zip(t.exponent, shift))
-                ),
-            )
-            for t in self.terms
-        )
-        return ExpPolynomial(self.dimension, terms)
-
 
 @dataclass(frozen=True)
 class UnivariateExpSum:
@@ -198,16 +185,11 @@ class UnivariateExpSum:
     terms: tuple[tuple[complex, Union[Fraction, float]], ...]
 
     @classmethod
-    def from_terms(cls, pairs, merge_tolerance: float | None = None) -> "UnivariateExpSum":
+    def from_terms(cls, pairs) -> "UnivariateExpSum":
         pairs = [(complex(a), g) for a, g in pairs]
         if not pairs:
             return cls(())
-        max_amp = max(abs(a) for a, _ in pairs)
-        tol = (
-            merge_tolerance
-            if merge_tolerance is not None
-            else MERGE_TOLERANCE * max_amp
-        )
+        tol = MERGE_TOLERANCE * max(abs(a) for a, _ in pairs)
         exact = all(isinstance(g, (int, Fraction)) for _, g in pairs)
         merged: list[tuple[complex, Union[Fraction, float]]] = []
         if exact:
@@ -275,22 +257,6 @@ class UnivariateExpSum:
         return complex(
             np.exp(1j * self._freqs * z) @ ((1j * self._freqs) ** m * self._amps)
         ) / math.factorial(m)
-
-    def modulate(self, gamma) -> "UnivariateExpSum":
-        """Multiply by exp(i gamma s)."""
-        return UnivariateExpSum(tuple((a, g + gamma) for a, g in self.terms))
-
-
-def evaluate(P: ExpPolynomial, z: Sequence[complex]) -> complex:
-    return P.evaluate(z)
-
-
-def restrict_line(P, base, direction=None) -> UnivariateExpSum:
-    return P.restrict_line(base, direction)
-
-
-def is_identically_zero(U: UnivariateExpSum) -> bool:
-    return U.is_identically_zero
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,8 @@ def parse_polynomial(obj: dict) -> ExpPolynomial:
             )
         if coeff == 0:
             raise PolynomialLoadError(f"term {k}: zero coefficient")
+        if not cmath.isfinite(coeff):
+            raise PolynomialLoadError(f"term {k}: non-finite coefficient")
         if comps in seen:
             raise PolynomialLoadError(
                 f"terms {seen[comps]} and {k} share exponent "

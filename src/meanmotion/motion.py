@@ -14,13 +14,12 @@ artifact's core property.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ExpPolynomial, UnivariateExpSum, lift, restrict_line
+from .core import ExpPolynomial, UnivariateExpSum, lift
 from .errors import (
     DegenerateInputError,
     DependenceError,
@@ -29,7 +28,7 @@ from .errors import (
     TrackingError,
 )
 from .lattice import LatticeBasis, check_independence, group_basis
-from .tracker import TrackerConfig, arg_increment, arg_increment_pair
+from .tracker import TrackerConfig, arg_increment_pair
 
 _RETRIES = 8
 _PERTURB = 1e-6
@@ -86,7 +85,7 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     base = [1j * y[0]]
     base.extend(x + 1j * yy for x, yy in zip(xperp, y[1:]))
     e1 = [1] + [0] * (P.dimension - 1)
-    return restrict_line(P, base, e1)
+    return P.restrict_line(base, e1)
 
 
 def _pair_with_retries(U, center, width, rng, cfg):
@@ -106,20 +105,8 @@ def _pair_with_retries(U, center, width, rng, cfg):
     raise SkippedLine
 
 
-def windowed_increment(
-    P: ExpPolynomial,
-    y: Sequence[float],
-    x: Sequence[float],
-    convention: str,
-    config: TrackerConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Unit-window increment of arg+- P along the line through x + iy."""
-    tp, tm = windowed_increment_pair(P, y, x, config, rng)
-    return tp if convention == "plus" else tm
-
-
 def windowed_increment_pair(P, y, x, config=None, rng=None):
+    """(plus, minus) unit-window increments of arg P along the line x + iy."""
     if rng is None:
         rng = np.random.default_rng(0)
     U = _line_sum(P, y, x[1:])
@@ -128,22 +115,35 @@ def windowed_increment_pair(P, y, x, config=None, rng=None):
     return _pair_with_retries(U, float(x[0]), 1.0, rng, config)
 
 
+def _spread(per_window) -> float:
+    tail = [v for _, v in per_window[-3:]]
+    return float(max(tail) - min(tail)) if tail else 0.0
+
+
+def _estimate_pair(y, per_p, per_m, skipped, total):
+    yv = tuple(float(v) for v in y)
+    return tuple(
+        MeanMotionEstimate(
+            conv, yv, tuple(per), per[-1][1], _spread(per), skipped, total
+        )
+        for conv, per in (("plus", per_p), ("minus", per_m))
+    )
+
+
 def direct_mean_motion(
     P: ExpPolynomial,
     y: Sequence[float],
     box: BoxSpec,
-    convention: str,
     lines: int = 64,
     seed: int = 0,
     config: TrackerConfig | None = None,
-) -> float:
-    """The literal boxed average of the full-interval increment.
+) -> tuple[MeanMotionEstimate, MeanMotionEstimate]:
+    """The literal boxed average of the full-interval increment, (plus, minus).
 
     Monte-Carlo over uniform 'x in the (p-1)-box; for p = 1 the 'x
-    average degenerates to a single full-interval trace.
+    average degenerates to a single full-interval trace. The one window
+    of each estimate is the box's first-axis edge.
     """
-    if convention not in ("plus", "minus"):
-        raise ValueError("convention must be 'plus' or 'minus'")
     p = P.dimension
     if len(box.alpha) != p:
         raise ValueError("box dimension mismatch")
@@ -155,7 +155,7 @@ def direct_mean_motion(
         lo = np.array(box.alpha[1:])
         hi = np.array(box.beta[1:])
         perps = [rng.uniform(lo, hi) for _ in range(lines)]
-    vals = []
+    vp, vm = [], []
     skipped = 0
     for xp in perps:
         U = _line_sum(P, y, xp)
@@ -168,23 +168,23 @@ def direct_mean_motion(
         except SkippedLine:
             skipped += 1
             continue
-        vals.append(tp if convention == "plus" else tm)
-    if not vals:
+        vp.append(tp)
+        vm.append(tm)
+    if not vp:
         raise DegenerateInputError("every sampled line was skipped")
-    if skipped > 0.01 * len(perps):
-        warnings.warn(
-            f"{skipped}/{len(perps)} lines skipped; estimate is unreliable",
-            stacklevel=2,
-        )
-    return float(np.mean(vals)) / (b1 - a1)
+    w = float(b1 - a1)
+    per_p = [(w, float(np.mean(vp)) / w)]
+    per_m = [(w, float(np.mean(vm)) / w)]
+    return _estimate_pair(y, per_p, per_m, skipped, len(perps))
 
 
-def _spread(per_window) -> float:
-    tail = [v for _, v in per_window[-3:]]
-    return float(max(tail) - min(tail)) if tail else 0.0
-
-
-def _box_pair(P, y, schedule, config=None):
+def box_mean_motion(
+    P: ExpPolynomial,
+    y: Sequence[float],
+    schedule: WindowSchedule,
+    config: TrackerConfig | None = None,
+) -> tuple[MeanMotionEstimate, MeanMotionEstimate]:
+    """(plus, minus) averages of unit-window increments over growing boxes."""
     rng = np.random.default_rng(schedule.seed)
     p = P.dimension
     per_p, per_m = [], []
@@ -204,28 +204,7 @@ def _box_pair(P, y, schedule, config=None):
             vm.append(tm)
         per_p.append((float(L), float(np.mean(vp)) if vp else math.nan))
         per_m.append((float(L), float(np.mean(vm)) if vm else math.nan))
-    yv = tuple(float(v) for v in y)
-    est_p = MeanMotionEstimate(
-        "plus", yv, tuple(per_p), per_p[-1][1], _spread(per_p), skipped, total
-    )
-    est_m = MeanMotionEstimate(
-        "minus", yv, tuple(per_m), per_m[-1][1], _spread(per_m), skipped, total
-    )
-    return est_p, est_m
-
-
-def box_mean_motion(
-    P: ExpPolynomial,
-    y: Sequence[float],
-    schedule: WindowSchedule,
-    convention: str,
-    config: TrackerConfig | None = None,
-) -> MeanMotionEstimate:
-    """Averages of unit-window increments over boxes of growing edge."""
-    if convention not in ("plus", "minus"):
-        raise ValueError("convention must be 'plus' or 'minus'")
-    est_p, est_m = _box_pair(P, y, schedule, config)
-    return est_p if convention == "plus" else est_m
+    return _estimate_pair(y, per_p, per_m, skipped, total)
 
 
 def _torus_points(rank, samples, seed, method):
@@ -240,7 +219,30 @@ def _torus_points(rank, samples, seed, method):
     raise ValueError("method must be 'random' or 'grid'")
 
 
-def _torus_pair(P, y, basis, samples, seed, config=None, method="random"):
+class TorusMean(NamedTuple):
+    """Torus averages of both branches with their standard errors.
+
+    `samples` counts the averaged points, `skipped` the untrackable ones.
+    """
+
+    plus: float
+    plus_stderr: float
+    minus: float
+    minus_stderr: float
+    samples: int
+    skipped: int
+
+
+def torus_mean(
+    P: ExpPolynomial,
+    y: Sequence[float],
+    basis: LatticeBasis,
+    samples: int = 2000,
+    seed: int = 0,
+    config: TrackerConfig | None = None,
+    method: str = "random",
+) -> TorusMean:
+    """Average of the unit-window increment of the lifted sum over the torus."""
     lifted = lift(P, basis)
     rng = np.random.default_rng(seed)
     us = _torus_points(basis.rank, samples, seed, method)
@@ -264,37 +266,13 @@ def _torus_pair(P, y, basis, samples, seed, config=None, method="random"):
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")
     ap, am = np.array(vp), np.array(vm)
-    stats = (
-        float(ap.mean()),
-        float(ap.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-        float(am.mean()),
-        float(am.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-    )
-    return stats, skipped, n
 
+    def stderr(a):
+        return float(a.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
-def torus_mean(
-    P: ExpPolynomial,
-    y: Sequence[float],
-    basis: LatticeBasis,
-    convention: str,
-    samples: int = 2000,
-    seed: int = 0,
-    config: TrackerConfig | None = None,
-    method: str = "random",
-) -> float:
-    """Average of the unit-window increment of the lifted sum over the torus."""
-    if convention not in ("plus", "minus"):
-        raise ValueError("convention must be 'plus' or 'minus'")
-    (mp, _, mm, _), skipped, n = _torus_pair(
-        P, y, basis, samples, seed, config, method
+    return TorusMean(
+        float(ap.mean()), stderr(ap), float(am.mean()), stderr(am), n, skipped
     )
-    if skipped > 0.01 * (n + skipped):
-        warnings.warn(
-            f"{skipped} torus samples skipped; estimate is unreliable",
-            stacklevel=2,
-        )
-    return mp if convention == "plus" else mm
 
 
 def _default_points_per_axis(L: float, p: int) -> int:
@@ -357,8 +335,8 @@ def compare_estimators(
     if schedule is None:
         schedule = WindowSchedule(seed=seed)
     basis = group_basis([t.exponent for t in P.terms])
-    box_p, box_m = _box_pair(P, y, schedule, config)
-    (tp, sp, tm, sm), t_skipped, t_n = _torus_pair(
+    box_p, box_m = box_mean_motion(P, y, schedule, config)
+    tp, sp, tm, sm, t_n, t_skipped = torus_mean(
         P, y, basis, samples, seed + 1, config
     )
     report = {

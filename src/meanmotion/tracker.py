@@ -38,13 +38,12 @@ _MULTIPLICITY_CAP = 50
 @dataclass(frozen=True)
 class TrackerConfig:
     zero_threshold: float = 1e-9
-    circle_radius_factor: float = 0.25
     max_refinement_depth: int = 24
     quadrature_points_per_turn: int = 64
 
     def __post_init__(self):
-        if min(self.zero_threshold, self.circle_radius_factor) <= 0:
-            raise ValueError("thresholds must be positive")
+        if self.zero_threshold <= 0:
+            raise ValueError("zero_threshold must be positive")
         if self.max_refinement_depth < 20:
             raise ValueError("max_refinement_depth must be >= 20")
         if self.quadrature_points_per_turn < 1:
@@ -81,7 +80,7 @@ class _Span:
 
 
 def _wrap(x: float) -> float:
-    """Reduce to (-pi, pi]."""
+    """Reduce to [-pi, pi)."""
     return x - TWO_PI * math.floor((x + math.pi) / TWO_PI)
 
 
@@ -274,22 +273,6 @@ def _resolve_cluster(U, lo, hi, cnt, cfg, depth=0):
     return out
 
 
-def _confirm_multiplicity(U, loc, gap, expected, cfg) -> int:
-    r = min(cfg.circle_radius_factor * gap, 0.02)
-    for _ in range(3):
-        if r < 1e-9:
-            break
-        try:
-            m = winding_number(U, complex(loc), r, cfg)
-        except (SingularContourError, TrackingError):
-            r *= 0.1
-            continue
-        if m == expected:
-            return m
-        r *= 0.1
-    return expected
-
-
 def locate_zeros(
     U: UnivariateExpSum,
     interval: tuple[float, float],
@@ -298,9 +281,9 @@ def locate_zeros(
     """All real zeros of U in the open interval, with multiplicities.
 
     Zeros are isolated by recursive subdivision with rectangle winding
-    counts, polished by Newton iteration, and their multiplicities
-    confirmed on small certified circles. A zero at either endpoint is an
-    EndpointZeroError; the caller is expected to perturb the window.
+    counts and polished by Newton iteration; a zero's multiplicity is the
+    winding count of its isolating rectangle. A zero at either endpoint is
+    an EndpointZeroError; the caller is expected to perturb the window.
     """
     cfg = config or DEFAULT_CONFIG
     if U.is_identically_zero:
@@ -318,18 +301,10 @@ def locate_zeros(
         candidates.extend(_resolve_cluster(U, lo, hi, cnt, cfg))
     candidates.sort()
     end_tol = max(1e-9, 1e-7 * min(1.0, b - a))
-    zeros: list[Zero] = []
-    for i, (loc, cnt) in enumerate(candidates):
+    for loc, _ in candidates:
         if loc - a < end_tol or b - loc < end_tol:
             raise EndpointZeroError(f"zero at {loc} abuts the window")
-        gap = min(
-            loc - a,
-            b - loc,
-            loc - candidates[i - 1][0] if i > 0 else math.inf,
-            candidates[i + 1][0] - loc if i + 1 < len(candidates) else math.inf,
-        )
-        zeros.append(Zero(loc, _confirm_multiplicity(U, loc, gap, cnt, cfg)))
-    return zeros
+    return [Zero(loc, cnt) for loc, cnt in candidates]
 
 
 def _endpoint_offset(U, z, gap, scale):

@@ -7,7 +7,6 @@ regimes, characters) or derived from an independent counting oracle.
 
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -47,11 +46,10 @@ def test_01_pure_exponential():
         t0 = time.perf_counter()
         P = ExpPolynomial.from_pairs(1, [(1.0, [lam])])
         basis = group_basis(P.exponents)
-        for conv in ("plus", "minus"):
-            box = box_mean_motion(P, [0.0], sched, conv).value
-            tor = torus_mean(P, [0.0], basis, conv, samples=32)
-            ok = ok and abs(box - float(lam)) < 1e-6
-            ok = ok and abs(tor - float(lam)) < 1e-6
+        box_p, box_m = box_mean_motion(P, [0.0], sched)
+        tor = torus_mean(P, [0.0], basis, samples=32)
+        for v in (box_p.value, box_m.value, tor.plus, tor.minus):
+            ok = ok and abs(v - float(lam)) < 1e-6
         ok = ok and (time.perf_counter() - t0) < 1.0
     report(1, "pure exponential", ok)
 
@@ -61,19 +59,17 @@ def test_02_sin_at_zero_height():
     sin = ExpPolynomial.from_pairs(1, [(-0.5j, ["1"]), (0.5j, ["-1"])])
     basis = group_basis(sin.exponents)
     sched = WindowSchedule(sizes=(50.0, 100.0, 200.0), lines_per_box=1024)
-    box_p = box_mean_motion(sin, [0.0], sched, "plus")
-    box_m = box_mean_motion(sin, [0.0], sched, "minus")
+    box_p, box_m = box_mean_motion(sin, [0.0], sched)
     # pool the three window means: 3072 lines, standard error ~ 0.026
     pool_p = float(np.mean([v for _, v in box_p.per_window]))
     pool_m = float(np.mean([v for _, v in box_m.per_window]))
-    tor_p = torus_mean(sin, [0.0], basis, "plus", samples=2000)
-    tor_m = torus_mean(sin, [0.0], basis, "minus", samples=2000)
+    tor = torus_mean(sin, [0.0], basis, samples=2000)
     ok = abs(pool_p + 1.0) < 0.05 and abs(pool_m - 1.0) < 0.05
-    ok = ok and abs(tor_p + 1.0) < 0.05 and abs(tor_m - 1.0) < 0.05
+    ok = ok and abs(tor.plus + 1.0) < 0.05 and abs(tor.minus - 1.0) < 0.05
     # the unit window sees the zero on a u-set of measure 2, jump -pi,
     # so the torus mean is -pi * 2 / (2 pi) = -1; deterministic grid
-    grid = torus_mean(sin, [0.0], basis, "plus", samples=4000, method="grid")
-    ok = ok and abs(grid + 1.0) <= 0.01
+    grid = torus_mean(sin, [0.0], basis, samples=4000, method="grid")
+    ok = ok and abs(grid.plus + 1.0) <= 0.01 and abs(grid.minus - 1.0) <= 0.01
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     report(2, f"sin at y=0 ({elapsed:.1f}s)", ok)
@@ -110,12 +106,14 @@ def test_03_dominant_coefficient():
     for _ in range(10):
         P, lam1 = _dominant_poly(rng)
         basis = group_basis(P.exponents)
-        vals = {}
-        for conv in ("plus", "minus"):
-            vals[("box", conv)] = box_mean_motion(P, [0.0, 0.0], sched, conv).value
-            vals[("torus", conv)] = torus_mean(
-                P, [0.0, 0.0], basis, conv, samples=300
-            )
+        box_p, box_m = box_mean_motion(P, [0.0, 0.0], sched)
+        tor = torus_mean(P, [0.0, 0.0], basis, samples=300)
+        vals = {
+            ("box", "plus"): box_p.value,
+            ("box", "minus"): box_m.value,
+            ("torus", "plus"): tor.plus,
+            ("torus", "minus"): tor.minus,
+        }
         for v in vals.values():
             ok = ok and abs(v - lam1) < 0.05
         for route in ("box", "torus"):
@@ -135,9 +133,7 @@ def test_04_estimator_cross_agreement():
         s = int(rng.integers(3, 6))
         P = random_poly(rng, p, s)
         y = [float(v) for v in rng.uniform(-0.5, 0.5, p)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = compare_estimators(P, y, sched, samples=1000, seed=1)
+        rep = compare_estimators(P, y, sched, samples=1000, seed=1)
         for conv in ("plus", "minus"):
             ok = ok and rep["diff"][conv] <= rep["tolerance"][conv]
     elapsed = time.perf_counter() - t0
@@ -268,10 +264,10 @@ def test_09_deep_strip_limit():
     basis = group_basis(sin.exponents)
     sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=32)
     ok = True
-    for conv in ("plus", "minus"):
-        box = box_mean_motion(sin, [3.0], sched, conv).value
-        tor = torus_mean(sin, [3.0], basis, conv, samples=200)
-        ok = ok and abs(box + 1.0) < 0.02 and abs(tor + 1.0) < 0.02
+    box_p, box_m = box_mean_motion(sin, [3.0], sched)
+    tor = torus_mean(sin, [3.0], basis, samples=200)
+    for v in (box_p.value, box_m.value, tor.plus, tor.minus):
+        ok = ok and abs(v + 1.0) < 0.02
 
     # seeded 3-term p=1 polynomial; strip amplitudes |c_j| e^{-y lam_j}
     rng = np.random.default_rng(99)
@@ -284,9 +280,8 @@ def test_09_deep_strip_limit():
         j = int(np.argmax(amps))
         # analytic dominance check before trusting the estimators
         assert amps[j] > sum(a for i, a in enumerate(amps) if i != j)
-        for conv in ("plus", "minus"):
-            box = box_mean_motion(P, [y], sched, conv).value
-            tor = torus_mean(P, [y], pbasis, conv, samples=200)
-            ok = ok and abs(box - lams[j]) < 0.05
-            ok = ok and abs(tor - lams[j]) < 0.05
+        box_p, box_m = box_mean_motion(P, [y], sched)
+        tor = torus_mean(P, [y], pbasis, samples=200)
+        for v in (box_p.value, box_m.value, tor.plus, tor.minus):
+            ok = ok and abs(v - lams[j]) < 0.05
     report(9, "deep-strip limit", ok)

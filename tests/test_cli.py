@@ -106,6 +106,18 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "PolynomialLoadError"
 
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"dimension": 1, "terms": [{"re": NaN, "im": 0, "exponent": ["1"]},'
+            ' {"re": 1, "im": 0, "exponent": ["-1"]}]}'
+        )
+        code = main(["mm", "--poly", str(path), "--torus-samples", "20"])
+        assert code == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "PolynomialLoadError"
+        assert "term 0" in out["message"]
+
 
 class TestBasis:
     def test_sin_basis(self, sin_file, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from meanmotion.core import (
     ExpPolynomial,
+    ExpTerm,
     FrequencyVector,
     UnivariateExpSum,
     lift,
@@ -41,6 +42,11 @@ class TestEvaluate:
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(DegenerateInputError):
             ExpPolynomial.from_pairs(1, [(1.0, ["1"]), (-1.0, ["1"])])
+
+    def test_non_finite_coefficient_rejected(self):
+        for c in (complex("nan"), complex("inf"), complex(0, float("-inf"))):
+            with pytest.raises(DegenerateInputError):
+                ExpTerm(c, FrequencyVector.of(1))
 
     @settings(max_examples=25, deadline=None)
     @given(
