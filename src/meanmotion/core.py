@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -173,6 +173,52 @@ class ExpPolynomial:
             pairs.append((complex(amps[k]), gamma))
         return UnivariateExpSum.from_terms(pairs)
 
+    @cached_property
+    def _first_merge(self) -> tuple[tuple[Fraction, ...], np.ndarray]:
+        """Distinct first exponent components, ascending, and the S x S'
+        0/1 matrix that adds each term's amplitude into its component."""
+        firsts = [t.exponent[0] for t in self.terms]
+        freqs = tuple(sorted(set(firsts)))
+        merge = np.array([[f == g for g in freqs] for f in firsts], dtype=complex)
+        return freqs, merge
+
+    def line_rows(self, y: Sequence[float], phases: np.ndarray) -> "LineRows":
+        """Restrictions to lines along the first axis at height y, one per
+        row of the B x S phase array.
+
+        Row b has the amplitudes c_j * exp(w_j - max w) * exp(i phases[b, j])
+        with w_j = -<l_j, y>, merged over equal first components. Dividing
+        every amplitude by exp(max w) keeps them finite at any |y| and
+        leaves the argument unchanged.
+        """
+        yv = np.asarray(y, dtype=float)
+        if yv.shape != (self.dimension,):
+            raise DimensionError("y length mismatch")
+        w = -(self._lam @ yv)
+        mags = self._coeffs * np.exp(w - w.max())
+        freqs, merge = self._first_merge
+        floor = MERGE_TOLERANCE * float(np.abs(mags).max())
+        return LineRows((mags * np.exp(1j * phases)) @ merge, freqs, floor)
+
+
+class LineRows(NamedTuple):
+    """Merged line restrictions: row b is s -> sum_k amps[b, k] exp(i freqs[k] s).
+
+    An amplitude at or below `floor` (the merge tolerance times the largest
+    unmerged amplitude) is dropped, as UnivariateExpSum.from_terms does.
+    """
+
+    amps: np.ndarray  # B x S' complex
+    freqs: tuple[Fraction, ...]  # distinct first exponent components, ascending
+    floor: float
+
+    def restriction(self, b: int) -> "UnivariateExpSum":
+        return UnivariateExpSum(tuple(
+            (complex(a), g)
+            for a, g in zip(self.amps[b], self.freqs)
+            if abs(a) > self.floor
+        ))
+
 
 @dataclass(frozen=True)
 class UnivariateExpSum:
@@ -290,23 +336,14 @@ class LiftedPolynomial:
         return complex(self.base._coeffs @ np.exp(1j * phases))
 
     def line_restriction(self, y: Sequence[float], u: Sequence[float]) -> UnivariateExpSum:
-        """Univariate sum s -> F(s + i y_1, i 'y, u) along the first axis.
+        """Univariate sum s -> F(s + i y_1, i 'y, u) along the first axis,
+        divided by a positive constant.
 
         Amplitudes c_j * exp(-<y, l_j>) * exp(i K_j . u), frequencies the
         first exponent components; equal first components merge.
         """
-        if len(y) != self.base.dimension:
-            raise DimensionError("y length mismatch")
-        yv = np.asarray(y, dtype=float)
-        uv = np.asarray(u, dtype=float)
-        amps = self.base._coeffs * np.exp(
-            -(self.base._lam @ yv) + 1j * (self._K @ uv)
-        )
-        pairs = [
-            (complex(a), t.exponent[0])
-            for a, t in zip(amps, self.base.terms)
-        ]
-        return UnivariateExpSum.from_terms(pairs)
+        phases = self._K @ np.asarray(u, dtype=float)
+        return self.base.line_rows(y, phases[None]).restriction(0)
 
 
 def lift(P: ExpPolynomial, basis) -> LiftedPolynomial:

@@ -1,12 +1,15 @@
 """Mean motion estimators: expanding-box averages and the torus oracle.
 
-Two independent routes to c+(y), c-(y):
+Two routes to c+(y), c-(y) that sample separately:
 
 * box route - average unit-window argument increments of P along lines
   parallel to the first axis, over boxes of growing edge length;
 * torus route - average the unit-window increment of the lifted sum
   F(s + i y_1, i 'y, u) over uniform torus points u in [0, 2pi]^N.
 
+Both build their line restrictions with ExpPolynomial.line_rows and track
+them with one window engine: a batched zero-free pass over up to _BATCH
+windows, then the scalar tracker for the windows it does not certify.
 Agreement of the two within the dispersion-aware tolerance is the
 artifact's core property.
 """
@@ -23,15 +26,17 @@ from .core import ExpPolynomial, UnivariateExpSum, lift
 from .errors import (
     DegenerateInputError,
     DependenceError,
+    DimensionError,
     EndpointZeroError,
     SingularContourError,
     TrackingError,
 )
 from .lattice import LatticeBasis, check_independence, group_basis
-from .tracker import TrackerConfig, arg_increment_pair
+from .tracker import TrackerConfig, arg_increment_pair, zero_free_increments
 
 _RETRIES = 8
 _PERTURB = 1e-6
+_BATCH = 64  # windows per batched pass; bounds its sample arrays
 
 
 class SkippedLine(Exception):
@@ -80,12 +85,18 @@ class MeanMotionEstimate:
         return self.skipped_lines < 0.01 * max(self.total_lines, 1)
 
 
+def _perp_phases(P: ExpPolynomial, xperp: np.ndarray) -> np.ndarray:
+    """B x S phases <l_j', x'> of the lines with transverse coordinates xperp."""
+    return xperp @ P._lam[:, 1:].T
+
+
 def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
-    """Restriction of P to s -> P((s, xperp) + iy) along the first axis."""
-    base = [1j * y[0]]
-    base.extend(x + 1j * yy for x, yy in zip(xperp, y[1:]))
-    e1 = [1] + [0] * (P.dimension - 1)
-    return P.restrict_line(base, e1)
+    """Restriction of P to s -> P((s, xperp) + iy) along the first axis,
+    divided by a positive constant."""
+    if len(xperp) != P.dimension - 1:
+        raise DimensionError("xperp length mismatch")
+    xperp = np.asarray(xperp, dtype=float)[None]
+    return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 
 
 def _pair_with_retries(U, center, width, rng, cfg):
@@ -113,6 +124,43 @@ def windowed_increment_pair(P, y, x, config=None, rng=None):
     if U.is_identically_zero:
         raise SkippedLine
     return _pair_with_retries(U, float(x[0]), 1.0, rng, config)
+
+
+def _unit_windows(P, y, centers, phases, rng, cfg, on_zero):
+    """Unit-window increments of the lines with the given window centres and
+    B x S phases (see ExpPolynomial.line_rows): plus values, minus values
+    and the number of untrackable lines, in line order.
+
+    Windows that zero_free_increments certifies, _BATCH at a time and with
+    no amplitude dropped, take its increment and draw nothing from rng.
+    Every other window goes through _pair_with_retries, as all of them
+    would without the batched pass, so rng is drawn in the same order. An
+    identically-zero line contributes the pair on_zero, or is skipped when
+    on_zero is None.
+    """
+    vp, vm, skipped = [], [], 0
+    for k in range(0, len(centers), _BATCH):
+        rows = P.line_rows(y, phases[k : k + _BATCH])
+        batch = centers[k : k + _BATCH]
+        inc, certified = zero_free_increments(rows.amps, rows.freqs, batch, cfg)
+        certified &= (np.abs(rows.amps) > rows.floor).all(axis=1)
+        for b, center in enumerate(batch):
+            U = None if certified[b] else rows.restriction(b)
+            if U is None:
+                pair = (float(inc[b]), float(inc[b]))
+            elif U.is_identically_zero:
+                pair = on_zero
+            else:
+                try:
+                    pair = _pair_with_retries(U, float(center), 1.0, rng, cfg)
+                except SkippedLine:
+                    pair = None
+            if pair is None:
+                skipped += 1
+            else:
+                vp.append(pair[0])
+                vm.append(pair[1])
+    return vp, vm, skipped
 
 
 def _spread(per_window) -> float:
@@ -147,6 +195,11 @@ def direct_mean_motion(
     p = P.dimension
     if len(box.alpha) != p:
         raise ValueError("box dimension mismatch")
+    for name, value in (("lines", lines), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, not {value!r}")
+    if lines < 1:
+        raise ValueError("lines must be >= 1")
     rng = np.random.default_rng(seed)
     a1, b1 = box.alpha[0], box.beta[0]
     if p == 1:
@@ -192,16 +245,11 @@ def box_mean_motion(
     total = 0
     for L in schedule.sizes:
         xs = rng.uniform(-L / 2, L / 2, size=(schedule.lines_per_box, p))
-        vp, vm = [], []
-        for x in xs:
-            total += 1
-            try:
-                tp, tm = windowed_increment_pair(P, y, x, config, rng)
-            except SkippedLine:
-                skipped += 1
-                continue
-            vp.append(tp)
-            vm.append(tm)
+        total += len(xs)
+        vp, vm, skip = _unit_windows(
+            P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), rng, config, None
+        )
+        skipped += skip
         per_p.append((float(L), float(np.mean(vp)) if vp else math.nan))
         per_m.append((float(L), float(np.mean(vm)) if vm else math.nan))
     return _estimate_pair(y, per_p, per_m, skipped, total)
@@ -246,22 +294,10 @@ def torus_mean(
     lifted = lift(P, basis)
     rng = np.random.default_rng(seed)
     us = _torus_points(basis.rank, samples, seed, method)
-    vp, vm = [], []
-    skipped = 0
-    for u in us:
-        U = lifted.line_restriction(y, u)
-        if U.is_identically_zero:
-            # exceptional torus points (fully cancelled sum): I+- := 0
-            vp.append(0.0)
-            vm.append(0.0)
-            continue
-        try:
-            tp, tm = _pair_with_retries(U, 0.0, 1.0, rng, config)
-        except SkippedLine:
-            skipped += 1
-            continue
-        vp.append(tp)
-        vm.append(tm)
+    # exceptional torus points (fully cancelled sum): I+- := 0
+    vp, vm, skipped = _unit_windows(
+        P, y, np.zeros(len(us)), us @ lifted._K.T, rng, config, (0.0, 0.0)
+    )
     n = len(vp)
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")

@@ -162,7 +162,9 @@ def winding_number(
     ) from last
 
 
-def _rect_boundary_change(U, rect, cfg) -> float:
+def _rect_path(rect, t):
+    """Points at parameters t in [0, 4] on the boundary of rect, one side
+    per unit of t, counter-clockwise from the corner (s0, t0)."""
     s0, s1, t0, t1 = rect
     corners = np.array(
         [
@@ -173,15 +175,18 @@ def _rect_boundary_change(U, rect, cfg) -> float:
             s0 + 1j * t0,
         ]
     )
+    k = np.minimum(np.floor(t).astype(int), 3)
+    frac = t - k
+    return corners[k] * (1 - frac) + corners[k + 1] * frac
 
-    def path(t):
-        k = np.minimum(np.floor(t).astype(int), 3)
-        frac = t - k
-        return corners[k] * (1 - frac) + corners[k + 1] * frac
 
+def _rect_boundary_change(U, rect, cfg) -> float:
+    s0, s1, t0, t1 = rect
     perimeter = 2 * ((s1 - s0) + (t1 - t0))
     n0 = max(128, int(8 * U.frequency_scale * perimeter / TWO_PI) + 16)
-    total, _, _ = _refined_track(lambda t: U(path(t)), 0.0, 4.0, n0, cfg)
+    total, _, _ = _refined_track(
+        lambda t: U(_rect_path(rect, t)), 0.0, 4.0, n0, cfg
+    )
     return total
 
 
@@ -291,9 +296,8 @@ def locate_zeros(
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("empty interval")
-    grid = np.linspace(a, b, 513)
-    scale = max(float(np.abs(U(grid)).max()), 1e-300)
-    if min(abs(U(a)), abs(U(b))) <= cfg.zero_threshold * scale:
+    ends = np.abs(U(np.array([a, b])))
+    if ends.min() <= cfg.zero_threshold * U.amplitude_scale:
         raise EndpointZeroError("window endpoint sits on a zero")
     clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH, cfg)
     candidates: list[tuple[float, int]] = []
@@ -414,3 +418,58 @@ def arg_increment_pair(
         _assemble_trace("plus", interval, smooth, zeros, spans),
         _assemble_trace("minus", interval, smooth, zeros, spans),
     )
+
+
+def _track_rows(amps, freqs, path, cfg, floor_scale=None):
+    """_refined_track for many rows at its first sampling, without refinement.
+
+    Row b is sum_k amps[b, k] exp(i freqs[k] s) sampled at the points of
+    path. Returns each row's total phase change and whether the row passed
+    the modulus rule and had every step below pi/2.
+    """
+    v = amps @ np.exp(1j * np.multiply.outer(freqs, path))
+    mods = np.abs(v)
+    scale = mods.max(axis=1) if floor_scale is None else floor_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.angle(v[:, 1:] / v[:, :-1])
+    ok = (mods.min(axis=1) > cfg.zero_threshold * scale) & (
+        np.abs(steps) < HALF_PI
+    ).all(axis=1)
+    return steps.sum(axis=1), ok
+
+
+def zero_free_increments(
+    amps: np.ndarray,
+    freqs,
+    centers: np.ndarray,
+    config: TrackerConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-window increments of B sums at once: (increments, certified).
+
+    Row b is q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) on the window
+    (centers[b] - 1/2, centers[b] + 1/2). It is certified when the checks
+    of arg_increment_pair's first pass all succeed with no refinement: the
+    rectangle count at height 1/2 (the first one _isolate makes) passes the
+    modulus, step and residual rules and is 0, and the real segment passes
+    the modulus rule against sum |a_k|, which covers the endpoint rule of
+    locate_zeros, and the step rule. Such a window holds no zero, so both
+    branches gain increments[b]. Every other row is left to
+    arg_increment_pair, and its entry of increments means nothing.
+
+    Each row is shifted to its window by a phase on its amplitudes, so the
+    samples of all rows come from two (B x S) @ (S x n) products.
+    """
+    cfg = config or DEFAULT_CONFIG
+    g = np.array([float(f) for f in freqs])
+    fs = float(np.abs(g).sum())
+    shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
+    n_rect = max(128, int(8 * fs * 4.0 / TWO_PI) + 16)
+    rect = _rect_path((-0.5, 0.5, -0.5, 0.5), np.linspace(0.0, 4.0, n_rect + 1))
+    winding, rect_ok = _track_rows(shifted, g, rect, cfg)
+    n_seg = max(64, math.ceil(8 * fs / TWO_PI))
+    segment = np.linspace(-0.5, 0.5, n_seg + 1)
+    increments, seg_ok = _track_rows(
+        shifted, g, segment, cfg, np.abs(amps).sum(axis=1)
+    )
+    certified = rect_ok & (np.abs(winding / TWO_PI) <= 0.1) & seg_ok
+    return increments, certified

@@ -149,6 +149,33 @@ class TestRestrictLine:
             assert not sin_poly.restrict_line([1j * y]).is_identically_zero
 
 
+class TestLineRows:
+    def test_rows_are_scaled_restrictions(self, rng=np.random.default_rng(12)):
+        # each row is restrict_line along e1 divided by one positive constant,
+        # with the same merged frequencies and the same dropped terms
+        P = ExpPolynomial.from_pairs(
+            3,
+            [(1 - 0.5j, ["1/2", "2", "0"]), (0.7j, ["1/2", "1/3", "1"]),
+             (2.0, ["3", "0", "-1"]), (-2.0, ["3", "0", "0"])],
+        )
+        y = [0.4, -0.3, 0.0]
+        xperp = rng.uniform(-5, 5, (6, 2))
+        xperp[0] = 0.0  # the last two terms cancel on this line
+        rows = P.line_rows(y, xperp @ P._lam[:, 1:].T)
+        scales = set()
+        for b, (x2, x3) in enumerate(xperp):
+            want = P.restrict_line([1j * y[0], x2 + 1j * y[1], x3 + 1j * y[2]])
+            got = rows.restriction(b)
+            assert [g for _, g in got.terms] == [g for _, g in want.terms]
+            ratio = np.array([a for a, _ in want.terms]) / np.array(
+                [a for a, _ in got.terms]
+            )
+            assert np.allclose(ratio, ratio[0].real, rtol=1e-12, atol=0)
+            scales.add(round(ratio[0].real, 9))
+        assert len(scales) == 1 and scales.pop() > 0
+        assert len(rows.restriction(0).terms) == 1
+
+
 class TestLift:
     def test_sin_shift_identity(self, sin_poly):
         basis = group_basis(sin_poly.exponents)

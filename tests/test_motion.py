@@ -19,6 +19,7 @@ from meanmotion.motion import (
     weyl_average,
     windowed_increment_pair,
 )
+from meanmotion.tracker import TrackerConfig
 from conftest import random_poly
 
 PI = math.pi
@@ -97,6 +98,17 @@ class TestDirectMeanMotion:
         with pytest.raises(ValueError):
             direct_mean_motion(sin_poly, [0.0], BoxSpec((0, 0), (1, 1)))
 
+    def test_non_integer_lines_or_seed(self, sin_poly):
+        box = BoxSpec((0.0,), (10.0,))
+        with pytest.raises(TypeError):
+            direct_mean_motion(sin_poly, [0.0], box, "plus", 16)
+        with pytest.raises(TypeError):
+            direct_mean_motion(sin_poly, [0.0], box, 16, 0.5)
+
+    def test_lines_must_be_positive(self, sin_poly):
+        with pytest.raises(ValueError):
+            direct_mean_motion(sin_poly, [0.0], BoxSpec((0.0,), (10.0,)), 0)
+
 
 class TestBoxMeanMotion:
     def test_sin_converges(self, sin_poly):
@@ -121,6 +133,39 @@ class TestBoxMeanMotion:
         # subdominant term is e^{-6}-small; residual wiggle ~ 5e-3
         assert est_p.value == pytest.approx(-1.0, abs=0.01)
         assert est_m.value == pytest.approx(-1.0, abs=0.01)
+
+    @pytest.mark.parametrize("case", ["sin", "random"])
+    def test_rng_drawn_as_on_scalar_path(self, case, sin_poly, monkeypatch):
+        # a coarse zero threshold makes windows near zeros fail and retry,
+        # drawing perturbations from the box's rng; 80 lines span two batches
+        P = sin_poly if case == "sin" else random_poly(np.random.default_rng(1), 2, 3)
+        y = [0.0] * P.dimension
+        cfg = TrackerConfig(zero_threshold=0.05)
+        sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=80, seed=5)
+
+        rng = np.random.default_rng(sched.seed)
+        want, skipped = [], 0
+        for L in sched.sizes:
+            pairs = []
+            xs = rng.uniform(-L / 2, L / 2, size=(sched.lines_per_box, P.dimension))
+            for x in xs:
+                try:
+                    pairs.append(windowed_increment_pair(P, y, x, cfg, rng))
+                except SkippedLine:
+                    skipped += 1
+            want.append(np.mean(pairs, axis=0))
+
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *a: made.append(default_rng(*a)) or made[-1]
+        )
+        plus, minus = box_mean_motion(P, y, sched, cfg)
+        monkeypatch.undo()
+        assert skipped > 0 and plus.skipped_lines == skipped
+        assert made[0].bit_generator.state == rng.bit_generator.state
+        for (_, vp), (_, vm), w in zip(plus.per_window, minus.per_window, want):
+            assert (vp, vm) == pytest.approx(tuple(w), abs=1e-12)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -168,6 +213,19 @@ class TestTorusMean:
         got = torus_mean(sin_poly, [3.0], basis, samples=200)
         assert got.plus == pytest.approx(-1.0, abs=0.01)
         assert got.minus == pytest.approx(-1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("y, want", [(800.0, -1.0), (-800.0, 1.0)])
+def test_large_height_does_not_overflow(y, want):
+    # exp(+-800) overflows a double; the far-dominant term sets the motion
+    P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (2, ["0"]), (1, ["-1"])])
+    sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=16)
+    for est in box_mean_motion(P, [y], sched):
+        assert est.value == pytest.approx(want, abs=0.05)
+        assert est.skipped_lines == 0
+    got = torus_mean(P, [y], group_basis(P.exponents), samples=64)
+    assert (got.plus, got.minus) == pytest.approx((want, want), abs=0.05)
+    assert got.skipped == 0
 
 
 class TestWeylAverage:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from meanmotion.core import UnivariateExpSum
+from meanmotion.core import ExpPolynomial, UnivariateExpSum
 from meanmotion.errors import (
     DegenerateInputError,
     EndpointZeroError,
@@ -17,7 +17,10 @@ from meanmotion.tracker import (
     count_zeros_rectangle,
     locate_zeros,
     winding_number,
+    zero_free_increments,
 )
+from conftest import random_poly
+
 PI = math.pi
 
 
@@ -195,3 +198,80 @@ class TestArgIncrement:
             TrackerConfig(max_refinement_depth=5)
         with pytest.raises(ValueError):
             TrackerConfig(zero_threshold=-1.0)
+
+
+def _dominant_poly(rng):
+    # one coefficient outweighs the others' sum: no zeros anywhere
+    pairs = [(4.0 * np.exp(1j * rng.uniform(0, 2 * PI)), ["1/2", "-1"])]
+    pairs += [
+        (0.3 * np.exp(1j * rng.uniform(0, 2 * PI)), e)
+        for e in (["3/2", "1"], ["-1", "2/3"])
+    ]
+    return ExpPolynomial.from_pairs(2, pairs)
+
+
+def _row_families(rng):
+    """(name, P, y, B x S phases) of seeded rows, as the routes build them."""
+    sin = ExpPolynomial.from_pairs(1, [(-0.5j, ["1"]), (0.5j, ["-1"])])
+    yield "sin", sin, [0.0], np.zeros((64, 2))
+    for _ in range(3):
+        P = _dominant_poly(rng)
+        yield "dominant", P, [0.0, 0.0], rng.uniform(0, 2 * PI, (64, 3))
+    for p in (2, 3, 2, 3):
+        P = random_poly(rng, p, int(rng.integers(4, 7)), max_num=6)
+        y = rng.uniform(-0.5, 0.5, p)
+        yield "offaxis", P, y, rng.uniform(0, 2 * PI, (64, len(P.terms)))
+
+
+class TestZeroFreeIncrements:
+    def test_matches_scalar_path(self, rng=np.random.default_rng(41)):
+        certified = dict.fromkeys(("sin", "dominant", "offaxis"), 0)
+        flagged = dict(certified)
+        for name, P, y, phases in _row_families(rng):
+            rows = P.line_rows(y, phases)
+            centers = rng.uniform(-50.0, 50.0, len(phases))
+            inc, ok = zero_free_increments(rows.amps, rows.freqs, centers)
+            for b in np.flatnonzero(ok):
+                c = centers[b]
+                plus, minus = arg_increment_pair(
+                    rows.restriction(b), (c - 0.5, c + 0.5)
+                )
+                assert plus.zeros == ()
+                assert abs(plus.total_increment - inc[b]) <= 1e-12
+                assert abs(minus.total_increment - inc[b]) <= 1e-12
+            certified[name] += int(ok.sum())
+            flagged[name] += int((~ok).sum())
+        # every family exercises both outcomes (sin is a third zero windows)
+        assert min(certified.values()) > 0
+        assert flagged["sin"] > 0 and flagged["offaxis"] > 0
+
+    def test_zero_windows_flagged(self, sin_sum, cos_minus_one):
+        rng = np.random.default_rng(8)
+        for U, spacing in ((sin_sum, PI), (cos_minus_one, 2 * PI)):
+            zeros = spacing * rng.integers(-20, 21, 64)
+            amps = np.array([[a for a, _ in U.terms]] * 64)
+            freqs = [g for _, g in U.terms]
+            for centers in (
+                zeros + rng.uniform(-0.49, 0.49, 64),  # a zero inside
+                zeros + rng.choice([-0.5, 0.5], 64),  # a zero at an endpoint
+            ):
+                _, ok = zero_free_increments(amps, freqs, centers)
+                assert not ok.any()
+
+    def test_rows_with_zeros_flagged(self, rng=np.random.default_rng(43)):
+        # the converse, on general rows: a window the scalar path finds a
+        # zero in, or on the edge of, is never certified
+        with_zeros = 0
+        for _, P, y, phases in _row_families(rng):
+            rows = P.line_rows(y, phases)
+            centers = rng.uniform(-50.0, 50.0, len(phases))
+            _, ok = zero_free_increments(rows.amps, rows.freqs, centers)
+            for b, c in enumerate(centers):
+                try:
+                    found = locate_zeros(rows.restriction(b), (c - 0.5, c + 0.5))
+                except EndpointZeroError:
+                    found = True
+                if found:
+                    with_zeros += 1
+                    assert not ok[b]
+        assert with_zeros > 0
