@@ -49,9 +49,7 @@ from .motion import (
 )
 from .tracker import (
     ArgTrace,
-    TrackerConfig,
     Zero,
-    arg_increment,
     arg_increment_pair,
     count_zeros_rectangle,
     locate_zeros,

@@ -22,7 +22,7 @@ from .errors import MeanMotionError
 from .io import parse_polynomial_file, polynomial_to_dict
 from .lattice import group_basis
 from .motion import WindowSchedule, _line_sum, compare_estimators
-from .tracker import arg_increment, locate_zeros
+from .tracker import arg_increment_pair, locate_zeros
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -103,7 +103,8 @@ def cmd_zeros(args) -> int:
 def cmd_track(args) -> int:
     _, U = _line_inputs(args)
     a, b = _parse_floats(args.interval)
-    trace = arg_increment(U, (a, b), args.convention)
+    plus, minus = arg_increment_pair(U, (a, b))
+    trace = plus if args.convention == "plus" else minus
     if args.trace_csv:
         with open(args.trace_csv, "w", newline="") as fh:
             w = csv.writer(fh)

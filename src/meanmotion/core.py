@@ -152,7 +152,8 @@ class ExpPolynomial:
 
         Frequencies stay exact rationals when the direction is rational;
         amplitudes with equal frequency are merged and near-zero merged
-        amplitudes dropped.
+        amplitudes dropped. Amplitudes that overflow raise
+        DegenerateInputError; line_rows builds the same lines normalised.
         """
         if direction is None:
             direction = [1] + [0] * (self.dimension - 1)
@@ -163,7 +164,13 @@ class ExpPolynomial:
             raise DegenerateInputError("direction must be nonzero")
         pairs = []
         zv = np.asarray(base, dtype=complex)
-        amps = self._coeffs * np.exp(1j * (self._lam @ zv))
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = self._coeffs * np.exp(1j * (self._lam @ zv))
+        if not np.isfinite(amps).all():
+            raise DegenerateInputError(
+                f"amplitudes overflow at height y = {zv.imag.tolist()}; "
+                "ExpPolynomial.line_rows builds normalised restrictions"
+            )
         for k, term in enumerate(self.terms):
             if exact:
                 gamma = term.exponent.dot_exact(direction)

@@ -1,8 +1,8 @@
 """Integer lattice basis of the group generated by rational exponent vectors.
 
 Denominators are cleared with their LCM, the resulting integer matrix is
-put in row-style Hermite normal form with an exact unimodular transform,
-and the basis is read off the nonzero rows. All arithmetic uses Python
+put in row-style Hermite normal form by unimodular row operations, and the
+basis is read off the nonzero rows. All arithmetic uses Python
 ints / Fractions, so there is no overflow to guard against.
 """
 
@@ -53,17 +53,13 @@ class LatticeBasis:
     coords: tuple[tuple[int, ...], ...]
 
 
-def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form of an integer matrix.
-
-    Returns (H, U) where H is the list of nonzero HNF rows and U the
-    matching rows of the unimodular transform, i.e. U @ matrix == H.
-    """
+def hnf(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Nonzero rows of the row-style Hermite normal form of an integer
+    matrix; they span the same lattice as its rows."""
     m = [[int(v) for v in row] for row in matrix]
     if not m:
         raise DegenerateInputError("empty matrix")
     rows, cols = len(m), len(m[0])
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     r = 0
     for c in range(cols):
         while True:
@@ -73,28 +69,24 @@ def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
             piv = min(live, key=lambda i: abs(m[i][c]))
             if piv != r:
                 m[r], m[piv] = m[piv], m[r]
-                u[r], u[piv] = u[piv], u[r]
             if len(live) == 1:
                 break
             for i in range(r + 1, rows):
                 if m[i][c]:
                     q = m[i][c] // m[r][c]
                     m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         if m[r][c] == 0:
             continue
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
-            u[r] = [-a for a in u[r]]
         for i in range(r):
             q = m[i][c] // m[r][c]
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         r += 1
         if r == rows:
             break
-    return m[:r], u[:r]
+    return m[:r]
 
 
 def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -134,7 +126,7 @@ def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
     integer_rows = [
         [int(c * denom) for c in e.components] for e in exponents
     ]
-    h, _ = hnf(integer_rows)
+    h = hnf(integer_rows)
     basis = tuple(
         FrequencyVector(tuple(Fraction(v, denom) for v in row)) for row in h
     )

@@ -32,7 +32,7 @@ from .errors import (
     TrackingError,
 )
 from .lattice import LatticeBasis, check_independence, group_basis
-from .tracker import TrackerConfig, arg_increment_pair, zero_free_increments
+from .tracker import arg_increment_pair, zero_free_increments
 
 _RETRIES = 8
 _PERTURB = 1e-6
@@ -99,7 +99,7 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 
 
-def _pair_with_retries(U, center, width, rng, cfg):
+def _pair_with_retries(U, center, width, rng):
     """(plus, minus) increments over (center - w/2, center + w/2).
 
     Endpoint-zero and contour failures retry with the window centre
@@ -109,24 +109,24 @@ def _pair_with_retries(U, center, width, rng, cfg):
     c = center
     for _ in range(_RETRIES):
         try:
-            tp, tm = arg_increment_pair(U, (c - width / 2, c + width / 2), cfg)
+            tp, tm = arg_increment_pair(U, (c - width / 2, c + width / 2))
             return tp.total_increment, tm.total_increment
         except (EndpointZeroError, SingularContourError, TrackingError):
             c = center + rng.uniform(0.0, _PERTURB)
     raise SkippedLine
 
 
-def windowed_increment_pair(P, y, x, config=None, rng=None):
+def windowed_increment_pair(P, y, x, rng=None):
     """(plus, minus) unit-window increments of arg P along the line x + iy."""
     if rng is None:
         rng = np.random.default_rng(0)
     U = _line_sum(P, y, x[1:])
     if U.is_identically_zero:
         raise SkippedLine
-    return _pair_with_retries(U, float(x[0]), 1.0, rng, config)
+    return _pair_with_retries(U, float(x[0]), 1.0, rng)
 
 
-def _unit_windows(P, y, centers, phases, rng, cfg, on_zero):
+def _unit_windows(P, y, centers, phases, rng, on_zero):
     """Unit-window increments of the lines with the given window centres and
     B x S phases (see ExpPolynomial.line_rows): plus values, minus values
     and the number of untrackable lines, in line order.
@@ -142,7 +142,7 @@ def _unit_windows(P, y, centers, phases, rng, cfg, on_zero):
     for k in range(0, len(centers), _BATCH):
         rows = P.line_rows(y, phases[k : k + _BATCH])
         batch = centers[k : k + _BATCH]
-        inc, certified = zero_free_increments(rows.amps, rows.freqs, batch, cfg)
+        inc, certified = zero_free_increments(rows.amps, rows.freqs, batch)
         certified &= (np.abs(rows.amps) > rows.floor).all(axis=1)
         for b, center in enumerate(batch):
             U = None if certified[b] else rows.restriction(b)
@@ -152,7 +152,7 @@ def _unit_windows(P, y, centers, phases, rng, cfg, on_zero):
                 pair = on_zero
             else:
                 try:
-                    pair = _pair_with_retries(U, float(center), 1.0, rng, cfg)
+                    pair = _pair_with_retries(U, float(center), 1.0, rng)
                 except SkippedLine:
                     pair = None
             if pair is None:
@@ -184,7 +184,6 @@ def direct_mean_motion(
     box: BoxSpec,
     lines: int = 64,
     seed: int = 0,
-    config: TrackerConfig | None = None,
 ) -> tuple[MeanMotionEstimate, MeanMotionEstimate]:
     """The literal boxed average of the full-interval increment, (plus, minus).
 
@@ -217,7 +216,7 @@ def direct_mean_motion(
             continue
         center = 0.5 * (a1 + b1)
         try:
-            tp, tm = _pair_with_retries(U, center, b1 - a1, rng, config)
+            tp, tm = _pair_with_retries(U, center, b1 - a1, rng)
         except SkippedLine:
             skipped += 1
             continue
@@ -235,7 +234,6 @@ def box_mean_motion(
     P: ExpPolynomial,
     y: Sequence[float],
     schedule: WindowSchedule,
-    config: TrackerConfig | None = None,
 ) -> tuple[MeanMotionEstimate, MeanMotionEstimate]:
     """(plus, minus) averages of unit-window increments over growing boxes."""
     rng = np.random.default_rng(schedule.seed)
@@ -247,7 +245,7 @@ def box_mean_motion(
         xs = rng.uniform(-L / 2, L / 2, size=(schedule.lines_per_box, p))
         total += len(xs)
         vp, vm, skip = _unit_windows(
-            P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), rng, config, None
+            P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), rng, None
         )
         skipped += skip
         per_p.append((float(L), float(np.mean(vp)) if vp else math.nan))
@@ -287,7 +285,6 @@ def torus_mean(
     basis: LatticeBasis,
     samples: int = 2000,
     seed: int = 0,
-    config: TrackerConfig | None = None,
     method: str = "random",
 ) -> TorusMean:
     """Average of the unit-window increment of the lifted sum over the torus."""
@@ -296,7 +293,7 @@ def torus_mean(
     us = _torus_points(basis.rank, samples, seed, method)
     # exceptional torus points (fully cancelled sum): I+- := 0
     vp, vm, skipped = _unit_windows(
-        P, y, np.zeros(len(us)), us @ lifted._K.T, rng, config, (0.0, 0.0)
+        P, y, np.zeros(len(us)), us @ lifted._K.T, rng, (0.0, 0.0)
     )
     n = len(vp)
     if n == 0:
@@ -361,7 +358,6 @@ def compare_estimators(
     schedule: WindowSchedule | None = None,
     samples: int = 2000,
     seed: int = 0,
-    config: TrackerConfig | None = None,
 ) -> dict:
     """Box vs torus cross-validation report for both conventions.
 
@@ -371,10 +367,8 @@ def compare_estimators(
     if schedule is None:
         schedule = WindowSchedule(seed=seed)
     basis = group_basis([t.exponent for t in P.terms])
-    box_p, box_m = box_mean_motion(P, y, schedule, config)
-    tp, sp, tm, sm, t_n, t_skipped = torus_mean(
-        P, y, basis, samples, seed + 1, config
-    )
+    box_p, box_m = box_mean_motion(P, y, schedule)
+    tp, sp, tm, sm, t_n, t_skipped = torus_mean(P, y, basis, samples, seed + 1)
     report = {
         "y": [float(v) for v in y],
         "box": {},

@@ -33,24 +33,12 @@ _FINE_WIDTH = 1e-8
 _H_FACTORS = (1.0, 0.87, 0.71, 0.55, 0.41, 0.26, 0.17, 0.11)
 _SPLIT_OFFSETS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.51, 0.61, 0.39, 0.55)
 _MULTIPLICITY_CAP = 50
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    zero_threshold: float = 1e-9
-    max_refinement_depth: int = 24
-    quadrature_points_per_turn: int = 64
-
-    def __post_init__(self):
-        if self.zero_threshold <= 0:
-            raise ValueError("zero_threshold must be positive")
-        if self.max_refinement_depth < 20:
-            raise ValueError("max_refinement_depth must be >= 20")
-        if self.quadrature_points_per_turn < 1:
-            raise ValueError("quadrature_points_per_turn must be positive")
-
-
-DEFAULT_CONFIG = TrackerConfig()
+# A sample whose modulus is at or below ZERO_THRESHOLD times the scale
+# counts as a zero. Read at call time, never bound as a default argument.
+ZERO_THRESHOLD = 1e-9
+# Phase-step bisection rounds, and radius perturbations in winding_number.
+_MAX_REFINEMENTS = 24
+_POINTS_PER_TURN = 64  # least samples on a winding circle
 
 
 @dataclass(frozen=True)
@@ -74,7 +62,6 @@ class ArgTrace:
 class _Span:
     t: np.ndarray
     v: np.ndarray
-    increment: float
     left_correction: float
     right_correction: float
 
@@ -89,22 +76,21 @@ def _refined_track(
     t0: float,
     t1: float,
     n0: int,
-    cfg: TrackerConfig,
     err: type = SingularContourError,
     floor_scale: float | None = None,
 ):
     """Total continuous phase change of fn along [t0, t1].
 
     Adaptively bisects until every step's phase change is below pi/2;
-    raises `err` when the samples come within zero_threshold of zero
+    raises `err` when the samples come within ZERO_THRESHOLD of zero
     relative to the (given or running) modulus scale.
     """
     t = np.linspace(t0, t1, n0 + 1)
     v = fn(t)
-    for _ in range(cfg.max_refinement_depth):
+    for _ in range(_MAX_REFINEMENTS):
         mods = np.abs(v)
         scale = floor_scale if floor_scale is not None else mods.max()
-        if mods.min() <= cfg.zero_threshold * scale:
+        if mods.min() <= ZERO_THRESHOLD * scale:
             raise err("contour passes too close to a zero")
         steps = np.angle(v[1:] / v[:-1])
         bad = np.abs(steps) >= HALF_PI
@@ -120,29 +106,24 @@ def winding_number(
     U: UnivariateExpSum,
     center: complex,
     radius: float,
-    config: TrackerConfig | None = None,
 ) -> int:
     """Winding of U around a circle, certified zero-free; exact integer.
 
     Perturbs the radius when the circle cannot be certified, up to
-    max_refinement_depth attempts.
+    _MAX_REFINEMENTS attempts.
     """
-    cfg = config or DEFAULT_CONFIG
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum has no winding")
     if radius <= 0:
         raise ValueError("radius must be positive")
     last: Exception | None = None
-    for attempt in range(cfg.max_refinement_depth):
+    for attempt in range(_MAX_REFINEMENTS):
         bump = 0.065 * ((attempt + 1) // 2) * (1 if attempt % 2 else -1)
         r = radius * (1.0 + bump)
-        n0 = max(
-            cfg.quadrature_points_per_turn,
-            int(8 * U.frequency_scale * r) + 16,
-        )
+        n0 = max(_POINTS_PER_TURN, int(8 * U.frequency_scale * r) + 16)
         fn = lambda th: U(center + r * np.exp(1j * th))
         try:
-            total, _, _ = _refined_track(fn, 0.0, TWO_PI, n0, cfg)
+            total, _, _ = _refined_track(fn, 0.0, TWO_PI, n0)
         except (SingularContourError, TrackingError) as e:
             last = e
             continue
@@ -180,12 +161,12 @@ def _rect_path(rect, t):
     return corners[k] * (1 - frac) + corners[k + 1] * frac
 
 
-def _rect_boundary_change(U, rect, cfg) -> float:
+def _rect_boundary_change(U, rect) -> float:
     s0, s1, t0, t1 = rect
     perimeter = 2 * ((s1 - s0) + (t1 - t0))
     n0 = max(128, int(8 * U.frequency_scale * perimeter / TWO_PI) + 16)
     total, _, _ = _refined_track(
-        lambda t: U(_rect_path(rect, t)), 0.0, 4.0, n0, cfg
+        lambda t: U(_rect_path(rect, t)), 0.0, 4.0, n0
     )
     return total
 
@@ -193,17 +174,15 @@ def _rect_boundary_change(U, rect, cfg) -> float:
 def count_zeros_rectangle(
     U: UnivariateExpSum,
     rect: tuple[float, float, float, float],
-    config: TrackerConfig | None = None,
 ) -> int:
     """Zeros of the analytic continuation inside the rectangle, with
     multiplicity, by boundary phase tracking."""
-    cfg = config or DEFAULT_CONFIG
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
     s0, s1, t0, t1 = rect
     if not (s0 < s1 and t0 < t1):
         raise ValueError("rectangle must have positive extent")
-    total = _rect_boundary_change(U, rect, cfg)
+    total = _rect_boundary_change(U, rect)
     w = total / TWO_PI
     k = round(w)
     if abs(w - k) > 0.1:
@@ -211,10 +190,10 @@ def count_zeros_rectangle(
     return int(k)
 
 
-def _rect_count_any_height(U, lo, hi, h, cfg) -> int:
+def _rect_count_any_height(U, lo, hi, h) -> int:
     for f in _H_FACTORS:
         try:
-            return count_zeros_rectangle(U, (lo, hi, -h * f, h * f), cfg)
+            return count_zeros_rectangle(U, (lo, hi, -h * f, h * f))
         except (SingularContourError, TrackingError):
             continue
     raise SingularContourError(
@@ -222,10 +201,10 @@ def _rect_count_any_height(U, lo, hi, h, cfg) -> int:
     )
 
 
-def _isolate(U, lo, hi, h, width_stop, cfg):
+def _isolate(U, lo, hi, h, width_stop):
     """Recursive subdivision; returns disjoint clusters (lo, hi, count)."""
     h_eff = min(h, hi - lo)
-    cnt = _rect_count_any_height(U, lo, hi, h_eff, cfg)
+    cnt = _rect_count_any_height(U, lo, hi, h_eff)
     if cnt == 0:
         return []
     if hi - lo <= width_stop:
@@ -234,8 +213,8 @@ def _isolate(U, lo, hi, h, width_stop, cfg):
     for off in _SPLIT_OFFSETS:
         mid = lo + off * (hi - lo)
         try:
-            return _isolate(U, lo, mid, h_eff, width_stop, cfg) + _isolate(
-                U, mid, hi, h_eff, width_stop, cfg
+            return _isolate(U, lo, mid, h_eff, width_stop) + _isolate(
+                U, mid, hi, h_eff, width_stop
             )
         except (SingularContourError, TrackingError) as e:
             last = e
@@ -255,7 +234,7 @@ def _newton(U, s0: complex, m: int) -> complex | None:
     return None
 
 
-def _resolve_cluster(U, lo, hi, cnt, cfg, depth=0):
+def _resolve_cluster(U, lo, hi, cnt, depth=0):
     """Turn an isolated cluster into real zero candidates (loc, mult)."""
     scale = U.amplitude_scale
     width = hi - lo
@@ -271,17 +250,16 @@ def _resolve_cluster(U, lo, hi, cnt, cfg, depth=0):
             return []  # an off-axis zero caught by the coarse rectangle
     if depth >= 1 or width <= 10 * _FINE_WIDTH:
         return [(0.5 * (lo + hi), cnt)]
-    subs = _isolate(U, lo, hi, width, _FINE_WIDTH, cfg)
+    subs = _isolate(U, lo, hi, width, _FINE_WIDTH)
     out = []
     for l2, h2, c2 in subs:
-        out.extend(_resolve_cluster(U, l2, h2, c2, cfg, depth + 1))
+        out.extend(_resolve_cluster(U, l2, h2, c2, depth + 1))
     return out
 
 
 def locate_zeros(
     U: UnivariateExpSum,
     interval: tuple[float, float],
-    config: TrackerConfig | None = None,
 ) -> list[Zero]:
     """All real zeros of U in the open interval, with multiplicities.
 
@@ -290,19 +268,18 @@ def locate_zeros(
     winding count of its isolating rectangle. A zero at either endpoint is
     an EndpointZeroError; the caller is expected to perturb the window.
     """
-    cfg = config or DEFAULT_CONFIG
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("empty interval")
     ends = np.abs(U(np.array([a, b])))
-    if ends.min() <= cfg.zero_threshold * U.amplitude_scale:
+    if ends.min() <= ZERO_THRESHOLD * U.amplitude_scale:
         raise EndpointZeroError("window endpoint sits on a zero")
-    clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH, cfg)
+    clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH)
     candidates: list[tuple[float, int]] = []
     for lo, hi, cnt in clusters:
-        candidates.extend(_resolve_cluster(U, lo, hi, cnt, cfg))
+        candidates.extend(_resolve_cluster(U, lo, hi, cnt))
     candidates.sort()
     end_tol = max(1e-9, 1e-7 * min(1.0, b - a))
     for loc, _ in candidates:
@@ -321,7 +298,7 @@ def _endpoint_offset(U, z, gap, scale):
     return d
 
 
-def _smooth_trace(U, interval, cfg):
+def _smooth_trace(U, interval):
     """Smooth branch increment and per-span samples between zeros.
 
     The one-sided limits at each zero come from the leading Taylor
@@ -330,7 +307,7 @@ def _smooth_trace(U, interval, cfg):
     correction strictly below pi.
     """
     a, b = float(interval[0]), float(interval[1])
-    zeros = locate_zeros(U, (a, b), cfg)
+    zeros = locate_zeros(U, (a, b))
     pts = [a] + [z.location for z in zeros] + [b]
     scale = U.amplitude_scale
     spans = []
@@ -343,7 +320,7 @@ def _smooth_trace(U, interval, cfg):
         dr = _endpoint_offset(U, r, r - l, scale) if zr else 0.0
         n0 = max(64, math.ceil(8 * U.frequency_scale * (r - dr - l - dl) / TWO_PI))
         inc, t, v = _refined_track(
-            lambda s: U(s), l + dl, r - dr, n0, cfg,
+            lambda s: U(s), l + dl, r - dr, n0,
             err=TrackingError, floor_scale=scale,
         )
         cl = 0.0
@@ -357,7 +334,7 @@ def _smooth_trace(U, interval, cfg):
                 + zr.multiplicity * math.pi
             )
             cr = _wrap(limit - float(np.angle(v[-1])))
-        spans.append(_Span(t, v, inc, cl, cr))
+        spans.append(_Span(t, v, cl, cr))
         smooth += inc + cl + cr
     return smooth, zeros, spans
 
@@ -392,35 +369,20 @@ def _assemble_trace(convention, interval, smooth, zeros, spans) -> ArgTrace:
     )
 
 
-def arg_increment(
-    U: UnivariateExpSum,
-    interval: tuple[float, float],
-    convention: str,
-    config: TrackerConfig | None = None,
-) -> ArgTrace:
-    """Increment of the arg+ or arg- branch of U over the interval."""
-    if convention not in ("plus", "minus"):
-        raise ValueError("convention must be 'plus' or 'minus'")
-    cfg = config or DEFAULT_CONFIG
-    smooth, zeros, spans = _smooth_trace(U, interval, cfg)
-    return _assemble_trace(convention, interval, smooth, zeros, spans)
-
-
 def arg_increment_pair(
     U: UnivariateExpSum,
     interval: tuple[float, float],
-    config: TrackerConfig | None = None,
 ) -> tuple[ArgTrace, ArgTrace]:
-    """Both branches from a single zero search and smooth trace."""
-    cfg = config or DEFAULT_CONFIG
-    smooth, zeros, spans = _smooth_trace(U, interval, cfg)
+    """Increments of the arg+ and arg- branches of U over the interval,
+    (plus, minus), from a single zero search and smooth trace."""
+    smooth, zeros, spans = _smooth_trace(U, interval)
     return (
         _assemble_trace("plus", interval, smooth, zeros, spans),
         _assemble_trace("minus", interval, smooth, zeros, spans),
     )
 
 
-def _track_rows(amps, freqs, path, cfg, floor_scale=None):
+def _track_rows(amps, freqs, path, floor_scale=None):
     """_refined_track for many rows at its first sampling, without refinement.
 
     Row b is sum_k amps[b, k] exp(i freqs[k] s) sampled at the points of
@@ -432,7 +394,7 @@ def _track_rows(amps, freqs, path, cfg, floor_scale=None):
     scale = mods.max(axis=1) if floor_scale is None else floor_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.angle(v[:, 1:] / v[:, :-1])
-    ok = (mods.min(axis=1) > cfg.zero_threshold * scale) & (
+    ok = (mods.min(axis=1) > ZERO_THRESHOLD * scale) & (
         np.abs(steps) < HALF_PI
     ).all(axis=1)
     return steps.sum(axis=1), ok
@@ -442,7 +404,6 @@ def zero_free_increments(
     amps: np.ndarray,
     freqs,
     centers: np.ndarray,
-    config: TrackerConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-window increments of B sums at once: (increments, certified).
 
@@ -459,17 +420,14 @@ def zero_free_increments(
     Each row is shifted to its window by a phase on its amplitudes, so the
     samples of all rows come from two (B x S) @ (S x n) products.
     """
-    cfg = config or DEFAULT_CONFIG
     g = np.array([float(f) for f in freqs])
     fs = float(np.abs(g).sum())
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     n_rect = max(128, int(8 * fs * 4.0 / TWO_PI) + 16)
     rect = _rect_path((-0.5, 0.5, -0.5, 0.5), np.linspace(0.0, 4.0, n_rect + 1))
-    winding, rect_ok = _track_rows(shifted, g, rect, cfg)
+    winding, rect_ok = _track_rows(shifted, g, rect)
     n_seg = max(64, math.ceil(8 * fs / TWO_PI))
     segment = np.linspace(-0.5, 0.5, n_seg + 1)
-    increments, seg_ok = _track_rows(
-        shifted, g, segment, cfg, np.abs(amps).sum(axis=1)
-    )
+    increments, seg_ok = _track_rows(shifted, g, segment, np.abs(amps).sum(axis=1))
     certified = rect_ok & (np.abs(winding / TWO_PI) <= 0.1) & seg_ok
     return increments, certified

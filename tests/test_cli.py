@@ -139,7 +139,12 @@ class TestZerosAndTrack:
         assert out["zeros"][0]["location"] == pytest.approx(0.0, abs=1e-8)
         assert out["zeros"][0]["multiplicity"] == 1
 
-    def test_track_with_csv(self, sin_file, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "convention, total",
+        [("plus", -math.pi), ("minus", math.pi)],
+        ids=["plus", "minus"],
+    )
+    def test_track_with_csv(self, sin_file, capsys, tmp_path, convention, total):
         trace_path = tmp_path / "trace.csv"
         code = main(
             [
@@ -148,14 +153,15 @@ class TestZerosAndTrack:
                 sin_file,
                 "--interval=-0.5,0.5",
                 "--convention",
-                "minus",
+                convention,
                 "--trace-csv",
                 str(trace_path),
             ]
         )
         assert code == EXIT_OK
         out = json.loads(capsys.readouterr().out)
-        assert out["total_increment"] == pytest.approx(math.pi, abs=1e-9)
+        assert out["convention"] == convention
+        assert out["total_increment"] == pytest.approx(total, abs=1e-9)
         with open(trace_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["s", "phase_radians"]
@@ -236,3 +242,14 @@ class TestMm:
         code = main(["mm", "--poly", sin_file, "--y", "0,0"])
         assert code == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+
+class TestVerify:
+    def test_every_case_passes(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == [
+            "case", "convention", "box", "torus", "diff", "tolerance", "pass"
+        ]
+        assert len(rows) == 13
+        assert all(row[-1] == "pass" for row in rows[1:])

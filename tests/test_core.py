@@ -148,6 +148,13 @@ class TestRestrictLine:
         for y in (0.0, 1.0, -2.5):
             assert not sin_poly.restrict_line([1j * y]).is_identically_zero
 
+    @pytest.mark.parametrize("y", [800.0, -800.0])
+    def test_overflow_is_an_error(self, y):
+        # e^{is} + 2 + e^{-is}: exp(800) overflows; no silent zero sum
+        P = ExpPolynomial.from_pairs(1, [(1.0, ["1"]), (2.0, ["0"]), (1.0, ["-1"])])
+        with pytest.raises(DegenerateInputError, match="line_rows"):
+            P.restrict_line([1j * y])
+
 
 class TestLineRows:
     def test_rows_are_scaled_restrictions(self, rng=np.random.default_rng(12)):

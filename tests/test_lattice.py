@@ -21,18 +21,17 @@ def fv(*comps):
 
 class TestHnf:
     def test_identity(self):
-        h, u = hnf([[1, 0], [0, 1]])
-        assert h == [[1, 0], [0, 1]]
+        assert hnf([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
 
-    def test_transform_reconstructs(self):
+    def test_rows_have_integer_coordinates(self):
         mat = [[4, 6], [6, 9], [2, 5]]
-        h, u = hnf(mat)
-        for urow, hrow in zip(u, h):
-            recon = [
-                sum(c * m for c, m in zip(urow, col))
-                for col in zip(*mat)
-            ]
-            assert recon == hrow
+        h = hnf(mat)
+        assert h == [[2, 1], [0, 2]]
+        # upper-triangular h: solve row = k1 * h[0] + k2 * h[1] exactly
+        for a, b in mat:
+            k1 = Fraction(a, h[0][0])
+            k2 = Fraction(b - k1 * h[0][1], h[1][1])
+            assert k1.denominator == 1 and k2.denominator == 1
 
 
 class TestGroupBasis:

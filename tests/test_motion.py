@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from meanmotion import tracker
 from meanmotion.core import ExpPolynomial
 from meanmotion.errors import DegenerateInputError, DependenceError
 from meanmotion.lattice import group_basis
@@ -19,7 +20,6 @@ from meanmotion.motion import (
     weyl_average,
     windowed_increment_pair,
 )
-from meanmotion.tracker import TrackerConfig
 from conftest import random_poly
 
 PI = math.pi
@@ -140,7 +140,7 @@ class TestBoxMeanMotion:
         # drawing perturbations from the box's rng; 80 lines span two batches
         P = sin_poly if case == "sin" else random_poly(np.random.default_rng(1), 2, 3)
         y = [0.0] * P.dimension
-        cfg = TrackerConfig(zero_threshold=0.05)
+        monkeypatch.setattr(tracker, "ZERO_THRESHOLD", 0.05)
         sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=80, seed=5)
 
         rng = np.random.default_rng(sched.seed)
@@ -150,7 +150,7 @@ class TestBoxMeanMotion:
             xs = rng.uniform(-L / 2, L / 2, size=(sched.lines_per_box, P.dimension))
             for x in xs:
                 try:
-                    pairs.append(windowed_increment_pair(P, y, x, cfg, rng))
+                    pairs.append(windowed_increment_pair(P, y, x, rng))
                 except SkippedLine:
                     skipped += 1
             want.append(np.mean(pairs, axis=0))
@@ -160,7 +160,7 @@ class TestBoxMeanMotion:
         monkeypatch.setattr(
             np.random, "default_rng", lambda *a: made.append(default_rng(*a)) or made[-1]
         )
-        plus, minus = box_mean_motion(P, y, sched, cfg)
+        plus, minus = box_mean_motion(P, y, sched)
         monkeypatch.undo()
         assert skipped > 0 and plus.skipped_lines == skipped
         assert made[0].bit_generator.state == rng.bit_generator.state

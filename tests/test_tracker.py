@@ -11,8 +11,6 @@ from meanmotion.errors import (
     EndpointZeroError,
 )
 from meanmotion.tracker import (
-    TrackerConfig,
-    arg_increment,
     arg_increment_pair,
     count_zeros_rectangle,
     locate_zeros,
@@ -133,26 +131,24 @@ class TestLocateZeros:
 class TestArgIncrement:
     def test_pure_rotation(self):
         U = UnivariateExpSum.from_terms([(1, Fraction(1))])
-        for conv in ("plus", "minus"):
-            tr = arg_increment(U, (0, 2 * PI), conv)
+        for tr in arg_increment_pair(U, (0, 2 * PI)):
             assert tr.total_increment == pytest.approx(2 * PI, abs=1e-9)
             assert tr.zeros == ()
             assert tr.smooth_increment == pytest.approx(2 * PI, abs=1e-9)
 
     def test_sin_window_conventions(self, sin_sum):
-        plus = arg_increment(sin_sum, (-0.5, 0.5), "plus")
-        minus = arg_increment(sin_sum, (-0.5, 0.5), "minus")
+        plus, minus = arg_increment_pair(sin_sum, (-0.5, 0.5))
         assert plus.total_increment == pytest.approx(-PI, abs=1e-10)
         assert minus.total_increment == pytest.approx(PI, abs=1e-10)
         assert plus.smooth_increment == pytest.approx(0.0, abs=1e-10)
 
     def test_double_jump(self, cos_minus_one):
-        tr = arg_increment(cos_minus_one, (-0.5, 0.5), "plus")
+        tr = arg_increment_pair(cos_minus_one, (-0.5, 0.5))[0]
         assert tr.total_increment == pytest.approx(-2 * PI, abs=1e-9)
         assert tr.smooth_increment == pytest.approx(0.0, abs=1e-9)
 
     def test_trace_invariants(self, sin_sum):
-        tr = arg_increment(sin_sum, (-0.5, 0.5), "minus")
+        tr = arg_increment_pair(sin_sum, (-0.5, 0.5))[1]
         assert tr.total_increment == pytest.approx(
             tr.smooth_increment + tr.jump_increment
         )
@@ -180,8 +176,7 @@ class TestArgIncrement:
             a, b = 0.2, 1.9
             if locate_zeros(U, (a, b)):
                 continue
-            plus = arg_increment(U, (a, b), "plus")
-            minus = arg_increment(U, (a, b), "minus")
+            plus, minus = arg_increment_pair(U, (a, b))
             assert plus.total_increment == minus.total_increment
             oracle, _ = quad(
                 lambda s: (U.derivative(s) / U(s)).imag, a, b, limit=200
@@ -191,13 +186,7 @@ class TestArgIncrement:
 
     def test_endpoint_zero(self, sin_sum):
         with pytest.raises(EndpointZeroError):
-            arg_increment(sin_sum, (0.0, 1.0), "plus")
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrackerConfig(max_refinement_depth=5)
-        with pytest.raises(ValueError):
-            TrackerConfig(zero_threshold=-1.0)
+            arg_increment_pair(sin_sum, (0.0, 1.0))
 
 
 def _dominant_poly(rng):
