@@ -8,6 +8,7 @@ stderr. Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io as _io
 import json
@@ -29,12 +30,18 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+def _finite(values: tuple, text: str) -> tuple:
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError(f"non-finite value in {text!r}")
+    return values
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return _finite(tuple(float(v) for v in text.split(",")), text)
 
 
 def _parse_complexes(text: str) -> tuple[complex, ...]:
-    return tuple(complex(v) for v in text.split(","))
+    return _finite(tuple(complex(v) for v in text.split(",")), text)
 
 
 def _emit(payload: str, out: str | None) -> None:

@@ -196,11 +196,14 @@ class ExpPolynomial:
         Row b has the amplitudes c_j * exp(w_j - max w) * exp(i phases[b, j])
         with w_j = -<l_j, y>, merged over equal first components. Dividing
         every amplitude by exp(max w) keeps them finite at any |y| and
-        leaves the argument unchanged.
+        leaves the argument unchanged. A non-finite y is a
+        DegenerateInputError.
         """
         yv = np.asarray(y, dtype=float)
         if yv.shape != (self.dimension,):
             raise DimensionError("y length mismatch")
+        if not np.isfinite(yv).all():
+            raise DegenerateInputError(f"height y = {yv.tolist()} is not finite")
         w = -(self._lam @ yv)
         mags = self._coeffs * np.exp(w - w.max())
         freqs, merge = self._first_merge

@@ -8,8 +8,10 @@ Two routes to c+(y), c-(y) that sample separately:
   F(s + i y_1, i 'y, u) over uniform torus points u in [0, 2pi]^N.
 
 Both build their line restrictions with ExpPolynomial.line_rows and track
-them with one window engine: a batched zero-free pass over up to _BATCH
-windows, then the scalar tracker for the windows it does not certify.
+them with one window engine: a batched pass over up to _BATCH windows that
+certifies the zero-free ones and isolates the zeros of the others, then
+the scalar tracker for the windows it does not certify, which starts from
+those clusters where the batched isolation had no irregular rectangle.
 Agreement of the two within the dispersion-aware tolerance is the
 artifact's core property.
 """
@@ -62,8 +64,8 @@ class WindowSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sizes or any(s <= 0 for s in self.sizes):
-            raise ValueError("window sizes must be positive")
+        if not self.sizes or not all(0 < s < math.inf for s in self.sizes):
+            raise ValueError("window sizes must be positive and finite")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("window sizes must be strictly increasing")
         if self.lines_per_box < 16:
@@ -99,13 +101,23 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 
 
-def _pair_with_retries(U, center, width, rng):
+def _pair_with_retries(U, center, width, rng, clusters=None):
     """(plus, minus) increments over (center - w/2, center + w/2).
 
     Endpoint-zero and contour failures retry with the window centre
     perturbed by a seeded epsilon in (0, 1e-6); after 8 failures the line
-    is skipped.
+    is skipped. A window first tried with precomputed clusters (see
+    arg_increment_pair) that fails is redone from the start, so rng is
+    drawn as if the clusters had not been given.
     """
+    if clusters is not None:
+        try:
+            tp, tm = arg_increment_pair(
+                U, (center - width / 2, center + width / 2), clusters
+            )
+            return tp.total_increment, tm.total_increment
+        except (EndpointZeroError, SingularContourError, TrackingError):
+            pass
     c = center
     for _ in range(_RETRIES):
         try:
@@ -131,19 +143,23 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
     B x S phases (see ExpPolynomial.line_rows): plus values, minus values
     and the number of untrackable lines, in line order.
 
-    Windows that zero_free_increments certifies, _BATCH at a time and with
-    no amplitude dropped, take its increment and draw nothing from rng.
-    Every other window goes through _pair_with_retries, as all of them
-    would without the batched pass, so rng is drawn in the same order. An
-    identically-zero line contributes the pair on_zero, or is skipped when
-    on_zero is None.
+    zero_free_increments works on _BATCH windows at a time. The windows it
+    certifies with no amplitude dropped take its increment and draw nothing
+    from rng. Every other window goes through _pair_with_retries, with the
+    batch's clusters when it has them and no amplitude is dropped, as all of
+    them would without the batched pass, so rng is drawn in the same order.
+    An identically-zero line contributes the pair on_zero, or is skipped
+    when on_zero is None.
     """
     vp, vm, skipped = [], [], 0
     for k in range(0, len(centers), _BATCH):
         rows = P.line_rows(y, phases[k : k + _BATCH])
         batch = centers[k : k + _BATCH]
-        inc, certified = zero_free_increments(rows.amps, rows.freqs, batch)
-        certified &= (np.abs(rows.amps) > rows.floor).all(axis=1)
+        inc, certified, clusters = zero_free_increments(
+            rows.amps, rows.freqs, batch
+        )
+        full = (np.abs(rows.amps) > rows.floor).all(axis=1)
+        certified &= full
         for b, center in enumerate(batch):
             U = None if certified[b] else rows.restriction(b)
             if U is None:
@@ -151,8 +167,9 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
             elif U.is_identically_zero:
                 pair = on_zero
             else:
+                given = clusters[b] if full[b] else None
                 try:
-                    pair = _pair_with_retries(U, float(center), 1.0, rng)
+                    pair = _pair_with_retries(U, float(center), 1.0, rng, given)
                 except SkippedLine:
                     pair = None
             if pair is None:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,11 +52,32 @@ class Zero:
 class ArgTrace:
     convention: str
     interval: tuple[float, float]
-    samples: np.ndarray  # (n, 2) columns: s, unwrapped phase
     zeros: tuple[Zero, ...]
     smooth_increment: float
     jump_increment: float
     total_increment: float
+    _spans: tuple[_Span, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """(n, 2) columns: s, unwrapped phase; built on first access."""
+        jump_sign = -math.pi if self.convention == "plus" else math.pi
+        spans = self._spans
+        ss, phs = [], []
+        base = 0.0
+        for i, sp in enumerate(spans):
+            steps = np.angle(sp.v[1:] / sp.v[:-1])
+            if i == 0:
+                base = float(np.angle(sp.v[0]))
+            else:
+                base += spans[i - 1].right_correction
+                base += jump_sign * self.zeros[i - 1].multiplicity
+                base += sp.left_correction
+            ph = base + np.concatenate([[0.0], np.cumsum(steps)])
+            ss.append(sp.t)
+            phs.append(ph)
+            base = float(ph[-1])
+        return np.column_stack([np.concatenate(ss), np.concatenate(phs)])
 
 
 @dataclass(frozen=True)
@@ -161,10 +183,27 @@ def _rect_path(rect, t):
     return corners[k] * (1 - frac) + corners[k + 1] * frac
 
 
-def _rect_boundary_change(U, rect) -> float:
+def _rect_samples(fs, rect) -> int:
+    """First sampling of the boundary of rect for a sum of frequency scale fs."""
     s0, s1, t0, t1 = rect
     perimeter = 2 * ((s1 - s0) + (t1 - t0))
-    n0 = max(128, int(8 * U.frequency_scale * perimeter / TWO_PI) + 16)
+    return max(128, int(8 * fs * perimeter / TWO_PI) + 16)
+
+
+@lru_cache(maxsize=64)
+def _first_sampling(rect, n0) -> np.ndarray:
+    """n0 + 1 points from corner to corner along the boundary of rect, or
+    along the real segment [s0, s1] when rect is (s0, s1); read-only."""
+    if len(rect) == 2:
+        points = np.linspace(rect[0], rect[1], n0 + 1)
+    else:
+        points = _rect_path(rect, np.linspace(0.0, 4.0, n0 + 1))
+    points.flags.writeable = False
+    return points
+
+
+def _rect_boundary_change(U, rect) -> float:
+    n0 = _rect_samples(U.frequency_scale, rect)
     total, _, _ = _refined_track(
         lambda t: U(_rect_path(rect, t)), 0.0, 4.0, n0
     )
@@ -260,6 +299,7 @@ def _resolve_cluster(U, lo, hi, cnt, depth=0):
 def locate_zeros(
     U: UnivariateExpSum,
     interval: tuple[float, float],
+    clusters: list[tuple[float, float, int]] | None = None,
 ) -> list[Zero]:
     """All real zeros of U in the open interval, with multiplicities.
 
@@ -267,6 +307,8 @@ def locate_zeros(
     counts and polished by Newton iteration; a zero's multiplicity is the
     winding count of its isolating rectangle. A zero at either endpoint is
     an EndpointZeroError; the caller is expected to perturb the window.
+    `clusters`, when given, is the result of that subdivision, made in
+    advance by _isolate_rows.
     """
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
@@ -276,7 +318,8 @@ def locate_zeros(
     ends = np.abs(U(np.array([a, b])))
     if ends.min() <= ZERO_THRESHOLD * U.amplitude_scale:
         raise EndpointZeroError("window endpoint sits on a zero")
-    clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH)
+    if clusters is None:
+        clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH)
     candidates: list[tuple[float, int]] = []
     for lo, hi, cnt in clusters:
         candidates.extend(_resolve_cluster(U, lo, hi, cnt))
@@ -298,7 +341,7 @@ def _endpoint_offset(U, z, gap, scale):
     return d
 
 
-def _smooth_trace(U, interval):
+def _smooth_trace(U, interval, clusters=None):
     """Smooth branch increment and per-span samples between zeros.
 
     The one-sided limits at each zero come from the leading Taylor
@@ -307,7 +350,7 @@ def _smooth_trace(U, interval):
     correction strictly below pi.
     """
     a, b = float(interval[0]), float(interval[1])
-    zeros = locate_zeros(U, (a, b))
+    zeros = locate_zeros(U, (a, b), clusters)
     pts = [a] + [z.location for z in zeros] + [b]
     scale = U.amplitude_scale
     spans = []
@@ -339,46 +382,24 @@ def _smooth_trace(U, interval):
     return smooth, zeros, spans
 
 
-def _assemble_trace(convention, interval, smooth, zeros, spans) -> ArgTrace:
-    jump_sign = -math.pi if convention == "plus" else math.pi
-    total_mult = sum(z.multiplicity for z in zeros)
-    jump = jump_sign * total_mult
-    ss, phs = [], []
-    base = 0.0
-    for i, sp in enumerate(spans):
-        steps = np.angle(sp.v[1:] / sp.v[:-1])
-        if i == 0:
-            base = float(np.angle(sp.v[0]))
-        else:
-            base += spans[i - 1].right_correction
-            base += jump_sign * zeros[i - 1].multiplicity
-            base += sp.left_correction
-        ph = base + np.concatenate([[0.0], np.cumsum(steps)])
-        ss.append(sp.t)
-        phs.append(ph)
-        base = float(ph[-1])
-    samples = np.column_stack([np.concatenate(ss), np.concatenate(phs)])
-    return ArgTrace(
-        convention=convention,
-        interval=(float(interval[0]), float(interval[1])),
-        samples=samples,
-        zeros=tuple(zeros),
-        smooth_increment=smooth,
-        jump_increment=jump,
-        total_increment=smooth + jump,
-    )
-
-
 def arg_increment_pair(
     U: UnivariateExpSum,
     interval: tuple[float, float],
+    clusters: list[tuple[float, float, int]] | None = None,
 ) -> tuple[ArgTrace, ArgTrace]:
     """Increments of the arg+ and arg- branches of U over the interval,
-    (plus, minus), from a single zero search and smooth trace."""
-    smooth, zeros, spans = _smooth_trace(U, interval)
+    (plus, minus), from a single zero search and smooth trace.
+
+    `clusters` is passed to locate_zeros: the isolating subdivision of the
+    interval, when zero_free_increments has already made it.
+    """
+    smooth, zeros, spans = _smooth_trace(U, interval, clusters)
+    interval = (float(interval[0]), float(interval[1]))
+    zeros, spans = tuple(zeros), tuple(spans)
+    jump = math.pi * sum(z.multiplicity for z in zeros)
     return (
-        _assemble_trace("plus", interval, smooth, zeros, spans),
-        _assemble_trace("minus", interval, smooth, zeros, spans),
+        ArgTrace("plus", interval, zeros, smooth, -jump, smooth - jump, spans),
+        ArgTrace("minus", interval, zeros, smooth, jump, smooth + jump, spans),
     )
 
 
@@ -400,34 +421,94 @@ def _track_rows(amps, freqs, path, floor_scale=None):
     return steps.sum(axis=1), ok
 
 
+def _isolate_rows(shifted, g, centers):
+    """_isolate(U_b, c_b - 1/2, c_b + 1/2, 1/2, _COARSE_WIDTH) for many rows
+    at once, one subdivision level per _track_rows pass.
+
+    U_b(s) = sum_k a_bk exp(i g[k] s), c_b = centers[b], and row b of
+    shifted is a_bk exp(i g[k] c_b), U_b seen from c_b. At depth d every
+    live rectangle has width 2^-d and half-height min(1/2, 2^-d), is split
+    at its midpoint and dropped when it holds no zero: the rectangles
+    _isolate makes while every count succeeds at its first height and first
+    split.
+
+    Returns (clusters, zero_free). clusters[b] is row b's clusters (lo, hi,
+    count), in order, or None when a count of the row failed the modulus,
+    step or residual rule of count_zeros_rectangle at its first sampling;
+    _isolate would have refined or tried another rectangle there.
+    zero_free[b] says that the first rectangle passed those rules and holds
+    no zero.
+    """
+    fs = float(np.abs(g).sum())
+    row = np.arange(len(centers))
+    lo, hi = centers - 0.5, centers + 0.5
+    off = np.zeros(len(row))  # rectangle centre - window centre, dyadic
+    amps = shifted  # each live rectangle's row, seen from its centre
+    regular = np.ones(len(row), dtype=bool)
+    found: dict[int, list] = {}
+    w, h = 1.0, 0.5
+    zero_free = None
+    while True:
+        rect = (-w / 2, w / 2, -h, h)
+        path = _first_sampling(rect, _rect_samples(fs, rect))
+        winding, ok = _track_rows(amps, g, path)
+        turns = winding / TWO_PI
+        counts = np.round(turns)
+        ok &= np.abs(turns - counts) <= 0.1
+        if zero_free is None:
+            zero_free = ok & (counts == 0)
+        live = ok & (counts != 0)
+        if not ok.all():  # drop the failed rows' other rectangles too
+            regular[row[~ok]] = False
+            live &= regular[row]
+        if not live.any():
+            break
+        if w <= _COARSE_WIDTH:
+            for b, l, r, k in zip(row[live], lo[live], hi[live], counts[live]):
+                found.setdefault(b, []).append((float(l), float(r), int(k)))
+            break
+        row, lo, hi, off = row[live], lo[live], hi[live], off[live]
+        split = lo + 0.5 * (hi - lo)
+        row = np.concatenate([row, row])
+        lo, hi = np.concatenate([lo, split]), np.concatenate([split, hi])
+        off = np.concatenate([off - w / 4, off + w / 4])
+        amps = shifted[row] * np.exp(1j * np.multiply.outer(off, g))
+        w /= 2
+        h = min(h, w)
+    clusters = [[] if r else None for r in regular.tolist()]
+    for b, c in found.items():
+        clusters[b] = sorted(c)
+    return clusters, zero_free
+
+
 def zero_free_increments(
     amps: np.ndarray,
     freqs,
     centers: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-window increments of B sums at once: (increments, certified).
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Unit-window increments of B sums at once: (increments, certified,
+    clusters).
 
     Row b is q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) on the window
-    (centers[b] - 1/2, centers[b] + 1/2). It is certified when the checks
-    of arg_increment_pair's first pass all succeed with no refinement: the
-    rectangle count at height 1/2 (the first one _isolate makes) passes the
-    modulus, step and residual rules and is 0, and the real segment passes
-    the modulus rule against sum |a_k|, which covers the endpoint rule of
-    locate_zeros, and the step rule. Such a window holds no zero, so both
-    branches gain increments[b]. Every other row is left to
-    arg_increment_pair, and its entry of increments means nothing.
+    (centers[b] - 1/2, centers[b] + 1/2). Its zeros are isolated by
+    _isolate_rows, whose first rectangle, at height 1/2, is the first one
+    _isolate makes. The row is certified when that rectangle is zero_free
+    and the real segment passes the modulus rule against sum |a_k|, which
+    covers the endpoint rule of locate_zeros, and the step rule, all with no
+    refinement. Such a window holds no zero, so both branches gain
+    increments[b]. Every other row is left to arg_increment_pair, and its
+    entry of increments means nothing; clusters[b] is then the row's
+    isolating subdivision, or None when it needs the scalar one.
 
-    Each row is shifted to its window by a phase on its amplitudes, so the
-    samples of all rows come from two (B x S) @ (S x n) products.
+    Each row is shifted to its window or rectangle by a phase on its
+    amplitudes, so the samples of all rows at one stage come from one
+    (B x S) @ (S x n) product.
     """
     g = np.array([float(f) for f in freqs])
     fs = float(np.abs(g).sum())
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
-    n_rect = max(128, int(8 * fs * 4.0 / TWO_PI) + 16)
-    rect = _rect_path((-0.5, 0.5, -0.5, 0.5), np.linspace(0.0, 4.0, n_rect + 1))
-    winding, rect_ok = _track_rows(shifted, g, rect)
-    n_seg = max(64, math.ceil(8 * fs / TWO_PI))
-    segment = np.linspace(-0.5, 0.5, n_seg + 1)
+    clusters, zero_free = _isolate_rows(shifted, g, centers)
+    segment = _first_sampling((-0.5, 0.5), max(64, math.ceil(8 * fs / TWO_PI)))
     increments, seg_ok = _track_rows(shifted, g, segment, np.abs(amps).sum(axis=1))
-    certified = rect_ok & (np.abs(winding / TWO_PI) <= 0.1) & seg_ok
-    return increments, certified
+    certified = zero_free & seg_ok
+    return increments, certified, clusters

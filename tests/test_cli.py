@@ -106,6 +106,11 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "PolynomialLoadError"
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "1+nanj", "-infj"])
+    def test_non_finite_point(self, sin_file, capsys, z):
+        assert main(["eval", "--poly", sin_file, f"--z={z}"]) == EXIT_INPUT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+
     def test_non_finite_coefficient(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(
@@ -242,6 +247,18 @@ class TestMm:
         code = main(["mm", "--poly", sin_file, "--y", "0,0"])
         assert code == EXIT_INPUT_ERROR
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--y", "nan"), ("--y", "inf"), ("--y", "-inf"),
+         ("--windows", "25,nan"), ("--windows", "25,inf")],
+    )
+    def test_non_finite_input(self, sin_file, capsys, flag, value):
+        code = main(
+            ["mm", "--poly", sin_file, f"{flag}={value}", "--torus-samples", "20"]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
 
 
 class TestVerify:

@@ -182,6 +182,12 @@ class TestLineRows:
         assert len(scales) == 1 and scales.pop() > 0
         assert len(rows.restriction(0).terms) == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_is_an_error(self, bad):
+        P = ExpPolynomial.from_pairs(2, [(1.0, ["1", "0"]), (2.0, ["0", "1"])])
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            P.line_rows([0.0, bad], np.zeros((1, 2)))
+
 
 class TestLift:
     def test_sin_shift_identity(self, sin_poly):

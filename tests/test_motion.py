@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meanmotion import tracker
-from meanmotion.core import ExpPolynomial
+from meanmotion import motion, tracker
+from meanmotion.core import ExpPolynomial, lift
 from meanmotion.errors import DegenerateInputError, DependenceError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
@@ -110,6 +110,18 @@ class TestDirectMeanMotion:
             direct_mean_motion(sin_poly, [0.0], BoxSpec((0.0,), (10.0,)), 0)
 
 
+def _recording_rngs(monkeypatch):
+    """Patch np.random.default_rng to keep every generator it makes, by seed."""
+    made = {}
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed: made.setdefault(seed, []).append(default_rng(seed))
+        or made[seed][-1],
+    )
+    return made
+
+
 class TestBoxMeanMotion:
     def test_sin_converges(self, sin_poly):
         sched = WindowSchedule(sizes=(50.0, 100.0, 200.0), lines_per_box=256)
@@ -155,15 +167,11 @@ class TestBoxMeanMotion:
                     skipped += 1
             want.append(np.mean(pairs, axis=0))
 
-        made = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda *a: made.append(default_rng(*a)) or made[-1]
-        )
+        made = _recording_rngs(monkeypatch)
         plus, minus = box_mean_motion(P, y, sched)
         monkeypatch.undo()
         assert skipped > 0 and plus.skipped_lines == skipped
-        assert made[0].bit_generator.state == rng.bit_generator.state
+        assert made[sched.seed][0].bit_generator.state == rng.bit_generator.state
         for (_, vp), (_, vm), w in zip(plus.per_window, minus.per_window, want):
             assert (vp, vm) == pytest.approx(tuple(w), abs=1e-12)
 
@@ -174,6 +182,9 @@ class TestBoxMeanMotion:
             WindowSchedule(lines_per_box=4)
         with pytest.raises(ValueError):
             WindowSchedule(sizes=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                WindowSchedule(sizes=(25.0, bad))
 
 
 class TestTorusMean:
@@ -226,6 +237,51 @@ def test_large_height_does_not_overflow(y, want):
     got = torus_mean(P, [y], group_basis(P.exponents), samples=64)
     assert (got.plus, got.minus) == pytest.approx((want, want), abs=0.05)
     assert got.skipped == 0
+
+
+@pytest.mark.parametrize("case", ["sin", "offaxis"])
+def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
+    # at the real zero threshold, flagged windows take the batch's clusters
+    # into arg_increment_pair; rng draws are those of the loop, and values
+    # too, but for the rounding of certified windows' batched increments
+    if case == "sin":
+        P, y = sin_poly, [0.0]
+    else:
+        P = random_poly(np.random.default_rng(52), 3, 5, max_num=6)
+        y = [-0.31, 0.27, -0.25]
+    sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=80, seed=5)
+    rng = np.random.default_rng(sched.seed)
+    want = []
+    for L in sched.sizes:
+        xs = rng.uniform(-L / 2, L / 2, size=(sched.lines_per_box, P.dimension))
+        pairs = [windowed_increment_pair(P, y, x, rng) for x in xs]
+        want.append(tuple(float(np.mean(v)) for v in zip(*pairs)))
+    made = _recording_rngs(monkeypatch)
+    plus, minus = box_mean_motion(P, y, sched)
+    monkeypatch.undo()
+    assert made[sched.seed][0].bit_generator.state == rng.bit_generator.state
+    assert (plus.skipped_lines, minus.skipped_lines) == (0, 0)
+    got = [(vp, vm) for (_, vp), (_, vm) in zip(plus.per_window, minus.per_window)]
+    assert np.array(got) == pytest.approx(np.array(want), abs=1e-12)
+
+    basis = group_basis(P.exponents)
+    lifted = lift(P, basis)
+    rng = np.random.default_rng(11)
+    vals = []
+    for u in np.random.default_rng(11).uniform(0.0, 2 * PI, (300, basis.rank)):
+        U = lifted.line_restriction(y, u)
+        vals.append(motion._pair_with_retries(U, 0.0, 1.0, rng))
+    made = _recording_rngs(monkeypatch)
+    got = torus_mean(P, y, basis, samples=300, seed=11)
+    monkeypatch.undo()
+    # torus_mean's first generator of seed 11 draws the retries
+    assert made[11][0].bit_generator.state == rng.bit_generator.state
+    ap, am = np.array(vals).T.copy()
+    assert got[4:] == (300, 0)
+    assert got[:4] == pytest.approx((
+        ap.mean(), ap.std(ddof=1) / math.sqrt(300),
+        am.mean(), am.std(ddof=1) / math.sqrt(300),
+    ), abs=1e-12)
 
 
 class TestWeylAverage:

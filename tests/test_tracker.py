@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from meanmotion import tracker
 from meanmotion.core import ExpPolynomial, UnivariateExpSum
 from meanmotion.errors import (
     DegenerateInputError,
     EndpointZeroError,
+    SingularContourError,
+    TrackingError,
 )
 from meanmotion.tracker import (
+    _COARSE_WIDTH,
+    _isolate,
     arg_increment_pair,
     count_zeros_rectangle,
     locate_zeros,
@@ -219,7 +224,7 @@ class TestZeroFreeIncrements:
         for name, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
-            inc, ok = zero_free_increments(rows.amps, rows.freqs, centers)
+            inc, ok, _ = zero_free_increments(rows.amps, rows.freqs, centers)
             for b in np.flatnonzero(ok):
                 c = centers[b]
                 plus, minus = arg_increment_pair(
@@ -244,7 +249,7 @@ class TestZeroFreeIncrements:
                 zeros + rng.uniform(-0.49, 0.49, 64),  # a zero inside
                 zeros + rng.choice([-0.5, 0.5], 64),  # a zero at an endpoint
             ):
-                _, ok = zero_free_increments(amps, freqs, centers)
+                _, ok, _ = zero_free_increments(amps, freqs, centers)
                 assert not ok.any()
 
     def test_rows_with_zeros_flagged(self, rng=np.random.default_rng(43)):
@@ -254,7 +259,7 @@ class TestZeroFreeIncrements:
         for _, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
-            _, ok = zero_free_increments(rows.amps, rows.freqs, centers)
+            _, ok, _ = zero_free_increments(rows.amps, rows.freqs, centers)
             for b, c in enumerate(centers):
                 try:
                     found = locate_zeros(rows.restriction(b), (c - 0.5, c + 0.5))
@@ -264,3 +269,69 @@ class TestZeroFreeIncrements:
                     with_zeros += 1
                     assert not ok[b]
         assert with_zeros > 0
+
+
+def _first_pass_isolate(U, a, b, monkeypatch):
+    """_isolate with no phase-step refinement, one height and one split: its
+    clusters, or None where _isolate would need any of those."""
+    with monkeypatch.context() as m:
+        m.setattr(tracker, "_MAX_REFINEMENTS", 1)
+        m.setattr(tracker, "_H_FACTORS", (1.0,))
+        m.setattr(tracker, "_SPLIT_OFFSETS", (0.5,))
+        try:
+            return _isolate(U, a, b, 0.5, _COARSE_WIDTH)
+        except (SingularContourError, TrackingError):
+            return None
+
+
+class TestIsolateRows:
+    @staticmethod
+    def check(amps, freqs, centers, monkeypatch):
+        """Batched clusters equal the scalar ones row by row; returns how
+        many rows were isolated in the batch and how many were returned."""
+        _, _, got = zero_free_increments(amps, freqs, centers)
+        for b, c in enumerate(centers):
+            U = UnivariateExpSum(tuple(zip(amps[b], freqs)))
+            want = _first_pass_isolate(U, c - 0.5, c + 0.5, monkeypatch)
+            assert got[b] == want
+            if want is not None:
+                assert want == _isolate(U, c - 0.5, c + 0.5, 0.5, _COARSE_WIDTH)
+        isolated = sum(c is not None for c in got)
+        return isolated, len(got) - isolated
+
+    @staticmethod
+    def rows_of(U, n):
+        return np.array([[a for a, _ in U.terms]] * n), [g for _, g in U.terms]
+
+    @pytest.mark.parametrize("which", ["sin", "double"])
+    def test_real_zeros(self, which, sin_sum, cos_minus_one, monkeypatch):
+        U, spacing = (sin_sum, PI) if which == "sin" else (cos_minus_one, 2 * PI)
+        rng = np.random.default_rng(61)
+        amps, freqs = self.rows_of(U, 64)
+        zeros = spacing * rng.integers(-20, 21, 64)
+        centers = zeros + rng.uniform(-0.49, 0.49, 64)
+        # a double zero near a side of a small rectangle needs refinement
+        isolated, _ = self.check(amps, freqs, centers, monkeypatch)
+        assert isolated >= 32
+
+    def test_zero_at_or_near_edge(self, sin_sum, monkeypatch):
+        # zeros on the window's edge or on a split line need the scalar path;
+        # zeros just inside the edge do not; all sit in one batch
+        rng = np.random.default_rng(62)
+        amps, freqs = self.rows_of(sin_sum, 64)
+        zeros = PI * rng.integers(-20, 21, 64)
+        offsets = np.tile([0.5, -0.5, 0.0, 0.499, -0.497, 0.3, -0.2, 0.1], 8)
+        isolated, returned = self.check(amps, freqs, zeros + offsets, monkeypatch)
+        assert isolated >= 32 and returned >= 24
+
+    def test_offaxis_rows(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        isolated = returned = 0
+        for name, P, y, phases in _row_families(rng):
+            if name != "offaxis":
+                continue
+            rows = P.line_rows(y, phases)
+            centers = rng.uniform(-50.0, 50.0, len(phases))
+            i, r = self.check(rows.amps, rows.freqs, centers, monkeypatch)
+            isolated, returned = isolated + i, returned + r
+        assert isolated > 0 and returned > 0
