@@ -11,13 +11,11 @@ from .core import (
     ExpTerm,
     FrequencyVector,
     LiftedPolynomial,
-    Rational,
     UnivariateExpSum,
     lift,
 )
 from .errors import (
     DegenerateInputError,
-    DependenceError,
     DimensionError,
     EndpointZeroError,
     InternalConsistencyError,
@@ -29,9 +27,7 @@ from .errors import (
 )
 from .io import parse_polynomial_file, polynomial_to_dict, write_polynomial_file
 from .lattice import (
-    IndependenceResult,
     LatticeBasis,
-    check_independence,
     coordinates,
     group_basis,
 )
@@ -45,7 +41,6 @@ from .motion import (
     compare_estimators,
     direct_mean_motion,
     torus_mean,
-    weyl_average,
 )
 from .tracker import (
     ArgTrace,

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import ExpPolynomial
-from .errors import MeanMotionError
-from .io import parse_polynomial_file, polynomial_to_dict
+from .errors import DegenerateInputError, MeanMotionError
+from .io import parse_polynomial_file
 from .lattice import group_basis
 from .motion import WindowSchedule, _line_sum, compare_estimators
 from .tracker import arg_increment_pair, locate_zeros
@@ -70,7 +70,10 @@ def _line_inputs(args):
 def cmd_eval(args) -> int:
     P = parse_polynomial_file(args.poly)
     z = _parse_complexes(args.z)
-    val = P.evaluate(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = P.evaluate(z)
+    if not cmath.isfinite(val):
+        raise DegenerateInputError(f"P({', '.join(map(str, z))}) is not finite")
     _dump_json({"re": val.real, "im": val.imag}, args.out)
     return EXIT_OK
 

@@ -24,8 +24,6 @@ from .errors import (
     InternalConsistencyError,
 )
 
-Rational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 MERGE_TOLERANCE = 1e-12
@@ -285,23 +283,19 @@ class UnivariateExpSum:
     @cached_property
     def frequency_scale(self) -> float:
         """Sum of |g_k|; drives Nyquist-style sampling seeds."""
-        return float(np.abs(self._freqs).sum()) if self.terms else 0.0
+        return float(np.abs(self._freqs).sum())
 
     @cached_property
     def amplitude_scale(self) -> float:
-        return float(np.abs(self._amps).sum()) if self.terms else 0.0
+        return float(np.abs(self._amps).sum())
 
     def __call__(self, s):
         """Evaluate at real or complex s (scalar or array)."""
-        if not self.terms:
-            return np.zeros_like(np.asarray(s, dtype=complex)) if np.ndim(s) else 0j
         sv = np.asarray(s, dtype=complex)
         vals = np.exp(1j * np.multiply.outer(sv, self._freqs)) @ self._amps
         return complex(vals) if np.ndim(s) == 0 else vals
 
     def derivative(self, s):
-        if not self.terms:
-            return 0j if np.ndim(s) == 0 else np.zeros_like(np.asarray(s, dtype=complex))
         sv = np.asarray(s, dtype=complex)
         vals = np.exp(1j * np.multiply.outer(sv, self._freqs)) @ (
             1j * self._freqs * self._amps

@@ -33,9 +33,5 @@ class TrackingError(MeanMotionError, RuntimeError):
     """Continuous-phase tracking failed to converge."""
 
 
-class DependenceError(MeanMotionError, ValueError):
-    """Frequency vectors are not independent over the integers."""
-
-
 class PolynomialLoadError(MeanMotionError, ValueError):
     """A polynomial file failed validation."""

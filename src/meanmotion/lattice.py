@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import FrequencyVector, as_rational
 from .errors import (
     DegenerateInputError,
@@ -22,21 +20,6 @@ from .errors import (
     InternalConsistencyError,
     MembershipError,
 )
-
-
-@dataclass(frozen=True)
-class IndependenceResult:
-    """Outcome of an integer-independence check.
-
-    `heuristic` is set when the inputs were floating point, in which case
-    the verdict is a numerical-rank test, not an exact one.
-    """
-
-    independent: bool
-    heuristic: bool
-
-    def __bool__(self) -> bool:
-        return self.independent
 
 
 @dataclass(frozen=True)
@@ -160,48 +143,3 @@ def coordinates(lam: FrequencyVector, basis: LatticeBasis) -> tuple[int, ...]:
     if any(a != 0 for a in v):
         raise MembershipError(f"{tuple(lam)} is not in the lattice")
     return tuple(ks)
-
-
-def check_independence(vectors: Sequence[Sequence]) -> IndependenceResult:
-    """True iff the vectors are independent over Z.
-
-    Rational input gets the exact rank test (Z-independence coincides with
-    Q-independence for rational vectors). Float input is screened
-    heuristically: full numerical rank is accepted outright, otherwise a
-    small-integer relation search at tolerance 1e-9 decides. Note that
-    Z-independence of irrational vectors is weaker than linear
-    independence, e.g. {1, sqrt(2)} in R^1 is Z-independent.
-    """
-    if not vectors:
-        return IndependenceResult(True, False)
-    rows = [
-        list(v.components) if isinstance(v, FrequencyVector) else list(v)
-        for v in vectors
-    ]
-    exact = all(
-        isinstance(c, (int, Fraction)) and not isinstance(c, bool)
-        for row in rows
-        for c in row
-    )
-    if exact:
-        return IndependenceResult(rational_rank(rows) == len(rows), False)
-    m = np.array([[float(c) for c in row] for row in rows], dtype=float)
-    scale = max(1.0, float(np.abs(m).max()))
-    rank = int(np.linalg.matrix_rank(m, tol=1e-9 * scale))
-    if rank == len(rows):
-        return IndependenceResult(True, True)
-    return IndependenceResult(
-        not _has_small_integer_relation(m, 1e-9 * scale), True
-    )
-
-
-def _has_small_integer_relation(m: np.ndarray, tol: float, bound: int = 12) -> bool:
-    """Search |k_r| <= bound for a nonzero k with ||k^T m|| below tol."""
-    n = len(m)
-    if n > 4:
-        bound = 4  # keep the exhaustive search tractable
-    grids = np.meshgrid(*([np.arange(-bound, bound + 1)] * n), indexing="ij")
-    ks = np.column_stack([g.ravel() for g in grids])
-    ks = ks[np.any(ks != 0, axis=1)]
-    combos = ks @ m
-    return bool((np.linalg.norm(combos, axis=1) < tol).any())

@@ -20,20 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import ExpPolynomial, UnivariateExpSum, lift
 from .errors import (
     DegenerateInputError,
-    DependenceError,
     DimensionError,
     EndpointZeroError,
     SingularContourError,
     TrackingError,
 )
-from .lattice import LatticeBasis, check_independence, group_basis
+from .lattice import LatticeBasis, group_basis
 from .tracker import arg_increment_pair, zero_free_increments
 
 _RETRIES = 8
@@ -43,6 +42,14 @@ _BATCH = 64  # windows per batched pass; bounds its sample arrays
 
 class SkippedLine(Exception):
     """A line whose restriction could not be tracked; counted, not averaged."""
+
+
+def _check_count(name, value, least=None):
+    """TypeError unless value is an int (not a bool); ValueError below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,8 @@ class WindowSchedule:
             raise ValueError("window sizes must be positive and finite")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("window sizes must be strictly increasing")
-        if self.lines_per_box < 16:
-            raise ValueError("lines_per_box must be >= 16")
+        _check_count("lines_per_box", self.lines_per_box, 16)
+        _check_count("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -211,11 +218,8 @@ def direct_mean_motion(
     p = P.dimension
     if len(box.alpha) != p:
         raise ValueError("box dimension mismatch")
-    for name, value in (("lines", lines), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, not {value!r}")
-    if lines < 1:
-        raise ValueError("lines must be >= 1")
+    _check_count("lines", lines, 1)
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     a1, b1 = box.alpha[0], box.beta[0]
     if p == 1:
@@ -275,7 +279,7 @@ def _torus_points(rank, samples, seed, method):
         rng = np.random.default_rng(seed)
         return rng.uniform(0.0, 2 * math.pi, size=(samples, rank))
     if method == "grid":
-        n = max(1, round(samples ** (1.0 / rank)))
+        n = round(samples ** (1.0 / rank))
         axis = (np.arange(n) + 0.5) * (2 * math.pi / n)
         mesh = np.meshgrid(*([axis] * rank), indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
@@ -305,6 +309,7 @@ def torus_mean(
     method: str = "random",
 ) -> TorusMean:
     """Average of the unit-window increment of the lifted sum over the torus."""
+    _check_count("samples", samples, 1)
     lifted = lift(P, basis)
     rng = np.random.default_rng(seed)
     us = _torus_points(basis.rank, samples, seed, method)
@@ -323,50 +328,6 @@ def torus_mean(
     return TorusMean(
         float(ap.mean()), stderr(ap), float(am.mean()), stderr(am), n, skipped
     )
-
-
-def _default_points_per_axis(L: float, p: int) -> int:
-    if p == 1:
-        return max(1024, int(16 * L))
-    if p == 2:
-        return max(128, int(2 * L))
-    return 64
-
-
-def weyl_average(
-    g: Callable,
-    mu: Sequence[Sequence[float]],
-    schedule: WindowSchedule,
-    points_per_axis: int | None = None,
-):
-    """Box average of g(<mu_1, x>, ..., <mu_N, x>) over expanding cubes.
-
-    Deterministic midpoint-rule quadrature; g must accept the N torus
-    coordinates (scalars or numpy arrays) and be 2pi-periodic in each.
-    Returns the final-window value.
-    """
-    mu_rows = [np.asarray([float(c) for c in row]) for row in mu]
-    if not mu_rows:
-        raise DependenceError("need at least one frequency vector")
-    if not check_independence(mu):
-        raise DependenceError("frequency vectors are dependent over Z")
-    p = len(mu_rows[0])
-    value = None
-    for L in schedule.sizes:
-        n = points_per_axis or _default_points_per_axis(L, p)
-        axis = -L / 2 + (np.arange(n) + 0.5) * (L / n)
-        mesh = np.meshgrid(*([axis] * p), indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        coords = [pts @ row for row in mu_rows]
-        try:
-            vals = g(*coords)
-            vals = np.asarray(vals)
-            if vals.shape != coords[0].shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([g(*c) for c in zip(*coords)])
-        value = vals.mean()
-    return complex(value) if np.iscomplexobj(vals) else float(value)
 
 
 def compare_estimators(

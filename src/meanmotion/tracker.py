@@ -202,14 +202,6 @@ def _first_sampling(rect, n0) -> np.ndarray:
     return points
 
 
-def _rect_boundary_change(U, rect) -> float:
-    n0 = _rect_samples(U.frequency_scale, rect)
-    total, _, _ = _refined_track(
-        lambda t: U(_rect_path(rect, t)), 0.0, 4.0, n0
-    )
-    return total
-
-
 def count_zeros_rectangle(
     U: UnivariateExpSum,
     rect: tuple[float, float, float, float],
@@ -221,7 +213,10 @@ def count_zeros_rectangle(
     s0, s1, t0, t1 = rect
     if not (s0 < s1 and t0 < t1):
         raise ValueError("rectangle must have positive extent")
-    total = _rect_boundary_change(U, rect)
+    total, _, _ = _refined_track(
+        lambda t: U(_rect_path(rect, t)), 0.0, 4.0,
+        _rect_samples(U.frequency_scale, rect),
+    )
     w = total / TWO_PI
     k = round(w)
     if abs(w - k) > 0.1:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meanmotion.core import ExpPolynomial, UnivariateExpSum
+from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
 from meanmotion.errors import EndpointZeroError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
@@ -21,7 +21,6 @@ from meanmotion.motion import (
     box_mean_motion,
     compare_estimators,
     torus_mean,
-    weyl_average,
     windowed_increment_pair,
 )
 from meanmotion.tracker import (
@@ -141,39 +140,31 @@ def test_04_estimator_cross_agreement():
     report(4, f"box vs torus agreement ({elapsed:.1f}s)", ok)
 
 
+def _box_character_averages(K, mu, L):
+    """Midpoint-rule averages of exp(i K_j . (mu x)) over x in [-L/2, L/2]^p,
+    one per row K_j of K."""
+    p = mu.shape[1]
+    n = int(16 * L) if p == 1 else int(2 * L)
+    axis = -L / 2 + (np.arange(n) + 0.5) * (L / n)
+    x = np.stack(np.meshgrid(*([axis] * p), indexing="ij"), -1).reshape(-1, p)
+    return np.exp(1j * (x @ mu.T) @ K.T).mean(axis=0)
+
+
 def test_05_character_averages():
+    # The torus route samples the lift's characters u -> exp(i K_j . u) at
+    # u = mu x; their box averages must tend to the torus averages.
     rng = np.random.default_rng(77)
-    sched = WindowSchedule(sizes=(100.0, 200.0))
     l_max = 200.0
-    ok = True
-    cases = 0
-    while cases < 18:
+    worst = 0.0
+    for _ in range(18):
         p = int(rng.integers(1, 3))
-        n = int(rng.integers(1, p + 1))
-        mu = rng.integers(-3, 4, size=(n, p)).astype(float)
-        if np.linalg.matrix_rank(mu) < n:
-            continue
-        k = rng.integers(-3, 4, size=n)
-        if not np.any(k) or not np.any(k @ mu):
-            continue
-
-        def g(*us, k=k):
-            return np.exp(1j * sum(kk * u for kk, u in zip(k, us)))
-
-        val = weyl_average(g, mu.tolist(), sched)
-        ok = ok and abs(val) <= 4.0 / l_max
-        cases += 1
-    # trivial character k = 0: exactly 1
-    val0 = weyl_average(lambda u: np.ones_like(u), [[1.0, 0.0]], sched)
-    ok = ok and val0 == 1.0
-    # irrational pair: never resonant, still averages out
-    val_irr = weyl_average(
-        lambda u1, u2: np.exp(1j * (u1 - u2)),
-        [[1.0], [math.sqrt(2)]],
-        sched,
-    )
-    ok = ok and abs(val_irr) <= 4.0 / l_max
-    report(5, "character averages", ok)
+        P = random_poly(rng, p, int(rng.integers(2, 5)), max_den=2)
+        lifted = lift(P, group_basis(P.exponents))
+        got = _box_character_averages(lifted._K, lifted._mu, l_max)
+        want = np.all(lifted._K == 0, axis=1).astype(float)
+        worst = max(worst, float(np.abs(got - want).max()))
+    report(5, f"character averages (worst {worst * l_max:.2f}/L)",
+           worst <= 4.0 / l_max)
 
 
 def _random_line_sum(rng, nterms):

@@ -111,6 +111,13 @@ class TestEval:
         assert main(["eval", "--poly", sin_file, f"--z={z}"]) == EXIT_INPUT_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
 
+    def test_overflowing_value_is_input_error(self, sin_file, capsys):
+        # sin(800i) overflows a double: an error, not {"im": Infinity, ...}
+        assert main(["eval", "--poly", sin_file, "--z", "800j"]) == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DegenerateInputError"
+        assert "not finite" in out["message"]
+
     def test_non_finite_coefficient(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(
@@ -259,6 +266,12 @@ class TestMm:
         )
         assert code == EXIT_INPUT_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+
+    def test_no_torus_samples(self, sin_file, capsys):
+        code = main(["mm", "--poly", sin_file, "--windows", "25", "--lines", "16",
+                     "--torus-samples", "0"])
+        assert code == EXIT_INPUT_ERROR
+        assert "samples" in json.loads(capsys.readouterr().out)["message"]
 
 
 class TestVerify:

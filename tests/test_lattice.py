@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from meanmotion.core import FrequencyVector
 from meanmotion.errors import DegenerateInputError, MembershipError
 from meanmotion.lattice import (
-    check_independence,
     coordinates,
     group_basis,
     hnf,
@@ -142,26 +141,3 @@ class TestCoordinates:
         b = group_basis([fv("1/2", 0), fv(0, 1)])
         with pytest.raises(MembershipError):
             coordinates(fv("1/3", 0), b)
-
-
-class TestIndependence:
-    def test_unit_vectors(self):
-        assert check_independence([fv(1, 0), fv(0, 1)])
-
-    def test_collinear(self):
-        res = check_independence([fv(1, 0), fv(2, 0)])
-        assert not res
-        assert not res.heuristic
-
-    def test_rational_determinant(self):
-        assert check_independence([fv("1/2", 0), fv(0, 1)])
-
-    def test_irrational_pair_heuristic(self):
-        res = check_independence([[1.0], [2 ** 0.5]])
-        assert res.independent
-        assert res.heuristic
-
-    def test_float_dependent_pair(self):
-        res = check_independence([[1.0], [2.0]])
-        assert not res.independent
-        assert res.heuristic

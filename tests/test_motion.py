@@ -6,7 +6,6 @@ import pytest
 
 from meanmotion import motion, tracker
 from meanmotion.core import ExpPolynomial, lift
-from meanmotion.errors import DegenerateInputError, DependenceError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
     BoxSpec,
@@ -17,7 +16,6 @@ from meanmotion.motion import (
     compare_estimators,
     direct_mean_motion,
     torus_mean,
-    weyl_average,
     windowed_increment_pair,
 )
 from conftest import random_poly
@@ -185,6 +183,10 @@ class TestBoxMeanMotion:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 WindowSchedule(sizes=(25.0, bad))
+        for field, bad in (("lines_per_box", 16.5), ("lines_per_box", True),
+                           ("seed", 0.5), ("seed", False)):
+            with pytest.raises(TypeError, match=field):
+                WindowSchedule(**{field: bad})
 
 
 class TestTorusMean:
@@ -224,6 +226,15 @@ class TestTorusMean:
         got = torus_mean(sin_poly, [3.0], basis, samples=200)
         assert got.plus == pytest.approx(-1.0, abs=0.01)
         assert got.minus == pytest.approx(-1.0, abs=0.01)
+
+    @pytest.mark.parametrize("method", ["random", "grid"])
+    @pytest.mark.parametrize("samples, error", [
+        (0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError),
+    ])
+    def test_samples_validated(self, sin_poly, method, samples, error):
+        basis = group_basis(sin_poly.exponents)
+        with pytest.raises(error, match="samples"):
+            torus_mean(sin_poly, [0.0], basis, samples=samples, method=method)
 
 
 @pytest.mark.parametrize("y, want", [(800.0, -1.0), (-800.0, 1.0)])
@@ -282,39 +293,6 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
         ap.mean(), ap.std(ddof=1) / math.sqrt(300),
         am.mean(), am.std(ddof=1) / math.sqrt(300),
     ), abs=1e-12)
-
-
-class TestWeylAverage:
-    def test_trivial_character(self):
-        sched = WindowSchedule(sizes=(25.0, 50.0))
-        val = weyl_average(lambda u: np.ones_like(u), [[1.0]], sched)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_nontrivial_character_decays(self):
-        sched = WindowSchedule(sizes=(50.0, 100.0))
-        val = weyl_average(lambda u: np.exp(1j * u), [[1.0]], sched)
-        assert abs(val) <= 4.0 / 100.0
-
-    def test_irrational_pair_character(self):
-        # k = (1, -1) against mu = {1, sqrt 2}: never resonant
-        sched = WindowSchedule(sizes=(100.0, 200.0))
-        val = weyl_average(
-            lambda u1, u2: np.exp(1j * (u1 - u2)),
-            [[1.0], [math.sqrt(2)]],
-            sched,
-        )
-        assert abs(val) <= 4.0 / 200.0
-
-    def test_dependent_rejected(self):
-        with pytest.raises(DependenceError):
-            weyl_average(lambda u1, u2: u1, [[1.0], [2.0]], WindowSchedule())
-
-    def test_scalar_fallback(self):
-        sched = WindowSchedule(sizes=(25.0,))
-        val = weyl_average(
-            lambda u: float(np.cos(u)) ** 2, [[1.0]], sched, points_per_axis=512
-        )
-        assert val == pytest.approx(0.5, abs=0.01)
 
 
 class TestCompareEstimators:
