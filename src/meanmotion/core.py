@@ -377,13 +377,17 @@ def lift(P: ExpPolynomial, basis) -> LiftedPolynomial:
 
 
 def _check_shift_identity(lifted: LiftedPolynomial, n: int = 8, rtol: float = 1e-9):
+    """Check F(t + iy, mu x) = P(x + iy + t) at seeded points. Heights are
+    drawn in [-1, 1]^p, shrunk by the largest exponent component above 1,
+    so no term overflows however large the exponents are."""
     rng = np.random.default_rng(0x5EED)
     p = lifted.base.dimension
     mu = lifted._mu
+    height = 1.0 / max(1.0, float(np.abs(lifted.base._lam).max()))
     for _ in range(n):
         t = rng.uniform(-3.0, 3.0, p)
         x = rng.uniform(-3.0, 3.0, p)
-        y = rng.uniform(-1.0, 1.0, p)
+        y = rng.uniform(-height, height, p)
         lhs = lifted.evaluate(t + 1j * y, mu @ x)
         rhs = lifted.base.evaluate(x + 1j * y + t)
         scale = max(abs(lhs), abs(rhs), 1e-300)

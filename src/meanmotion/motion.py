@@ -9,9 +9,10 @@ Two routes to c+(y), c-(y) that sample separately:
 
 Both build their line restrictions with ExpPolynomial.line_rows and track
 them with one window engine: a batched pass over up to _BATCH windows that
-certifies the zero-free ones and isolates the zeros of the others, then
-the scalar tracker for the windows it does not certify, which starts from
-those clusters where the batched isolation had no irregular rectangle.
+isolates their zeros, refining phase steps in the batch, and certifies
+those with no cluster near the axis, then the scalar tracker for the
+others, which starts from the batch's clusters unless a rectangle count
+failed there.
 Agreement of the two within the dispersion-aware tolerance is the
 artifact's core property.
 """
@@ -151,10 +152,11 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
     and the number of untrackable lines, in line order.
 
     zero_free_increments works on _BATCH windows at a time. The windows it
-    certifies with no amplitude dropped take its increment and draw nothing
-    from rng. Every other window goes through _pair_with_retries, with the
-    batch's clusters when it has them and no amplitude is dropped, as all of
-    them would without the batched pass, so rng is drawn in the same order.
+    certifies (no cluster near the axis) with no amplitude dropped take its
+    increment and draw nothing from rng. Every other window goes through
+    _pair_with_retries, with the batch's clusters when it has them and no
+    amplitude is dropped, as all of them would without the batched pass, so
+    rng is drawn in the same order.
     An identically-zero line contributes the pair on_zero, or is skipped
     when on_zero is None.
     """

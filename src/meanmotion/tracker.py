@@ -399,40 +399,63 @@ def arg_increment_pair(
 
 
 def _track_rows(amps, freqs, path, floor_scale=None):
-    """_refined_track for many rows at its first sampling, without refinement.
+    """_refined_track for many rows at one sampling, without refinement.
 
     Row b is sum_k amps[b, k] exp(i freqs[k] s) sampled at the points of
-    path. Returns each row's total phase change and whether the row passed
-    the modulus rule and had every step below pi/2.
+    path. Returns each row's total phase change, whether the row passed the
+    modulus rule, and which of its steps passed the step rule (below pi/2),
+    as a B x n mask.
     """
     v = amps @ np.exp(1j * np.multiply.outer(freqs, path))
     mods = np.abs(v)
     scale = mods.max(axis=1) if floor_scale is None else floor_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.angle(v[:, 1:] / v[:, :-1])
-    ok = (mods.min(axis=1) > ZERO_THRESHOLD * scale) & (
-        np.abs(steps) < HALF_PI
-    ).all(axis=1)
-    return steps.sum(axis=1), ok
+    mod_ok = mods.min(axis=1) > ZERO_THRESHOLD * scale
+    return steps.sum(axis=1), mod_ok, np.abs(steps) < HALF_PI
+
+
+def _wind_rows(amps, g, rect, n0):
+    """Boundary phase change of rect for many rows and whether each passed
+    the rules of _refined_track. Rows that fail only the step rule are
+    resampled together: every step bad in any of them is bisected, for at
+    most _MAX_REFINEMENTS samplings in all, as _refined_track does."""
+    winding, mod_ok, good = _track_rows(amps, g, _first_sampling(rect, n0))
+    ok = mod_ok & good.all(axis=1)
+    if ok.all():
+        return winding, ok
+    todo = np.flatnonzero(mod_ok & ~ok)
+    t, good = np.linspace(0.0, 4.0, n0 + 1), good[todo]
+    for _ in range(_MAX_REFINEMENTS - 1):
+        if not len(todo):
+            break
+        split = ~good.all(axis=0)
+        t = np.unique(np.concatenate([t, 0.5 * (t[:-1][split] + t[1:][split])]))
+        turned, mod_ok, good = _track_rows(amps[todo], g, _rect_path(rect, t))
+        done = mod_ok & good.all(axis=1)
+        winding[todo[done]] = turned[done]
+        ok[todo[done]] = True
+        keep = mod_ok & ~done
+        todo, good = todo[keep], good[keep]
+    return winding, ok
 
 
 def _isolate_rows(shifted, g, centers):
     """_isolate(U_b, c_b - 1/2, c_b + 1/2, 1/2, _COARSE_WIDTH) for many rows
-    at once, one subdivision level per _track_rows pass.
+    at once, one subdivision level per _wind_rows pass.
 
     U_b(s) = sum_k a_bk exp(i g[k] s), c_b = centers[b], and row b of
     shifted is a_bk exp(i g[k] c_b), U_b seen from c_b. At depth d every
     live rectangle has width 2^-d and half-height min(1/2, 2^-d), is split
     at its midpoint and dropped when it holds no zero: the rectangles
     _isolate makes while every count succeeds at its first height and first
-    split.
+    split. A rectangle whose steps need bisection is refined in the batch.
 
-    Returns (clusters, zero_free). clusters[b] is row b's clusters (lo, hi,
-    count), in order, or None when a count of the row failed the modulus,
-    step or residual rule of count_zeros_rectangle at its first sampling;
-    _isolate would have refined or tried another rectangle there.
-    zero_free[b] says that the first rectangle passed those rules and holds
-    no zero.
+    Returns (clusters, clear). clusters[b] is row b's clusters (lo, hi,
+    count), in order, or None when a count of the row failed the modulus or
+    residual rule of count_zeros_rectangle, or its step rule after
+    refinement; _isolate would have tried another rectangle there.
+    clear[b] says that clusters[b] is [].
     """
     fs = float(np.abs(g).sum())
     row = np.arange(len(centers))
@@ -442,16 +465,12 @@ def _isolate_rows(shifted, g, centers):
     regular = np.ones(len(row), dtype=bool)
     found: dict[int, list] = {}
     w, h = 1.0, 0.5
-    zero_free = None
     while True:
         rect = (-w / 2, w / 2, -h, h)
-        path = _first_sampling(rect, _rect_samples(fs, rect))
-        winding, ok = _track_rows(amps, g, path)
+        winding, ok = _wind_rows(amps, g, rect, _rect_samples(fs, rect))
         turns = winding / TWO_PI
         counts = np.round(turns)
         ok &= np.abs(turns - counts) <= 0.1
-        if zero_free is None:
-            zero_free = ok & (counts == 0)
         live = ok & (counts != 0)
         if not ok.all():  # drop the failed rows' other rectangles too
             regular[row[~ok]] = False
@@ -473,7 +492,8 @@ def _isolate_rows(shifted, g, centers):
     clusters = [[] if r else None for r in regular.tolist()]
     for b, c in found.items():
         clusters[b] = sorted(c)
-    return clusters, zero_free
+        regular[b] = False
+    return clusters, regular
 
 
 def zero_free_increments(
@@ -487,12 +507,13 @@ def zero_free_increments(
     Row b is q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) on the window
     (centers[b] - 1/2, centers[b] + 1/2). Its zeros are isolated by
     _isolate_rows, whose first rectangle, at height 1/2, is the first one
-    _isolate makes. The row is certified when that rectangle is zero_free
-    and the real segment passes the modulus rule against sum |a_k|, which
-    covers the endpoint rule of locate_zeros, and the step rule, all with no
-    refinement. Such a window holds no zero, so both branches gain
-    increments[b]. Every other row is left to arg_increment_pair, and its
-    entry of increments means nothing; clusters[b] is then the row's
+    _isolate makes. The row is certified when that isolation leaves no
+    cluster and the real segment passes the modulus rule against sum |a_k|,
+    which covers the endpoint rule of locate_zeros, and the step rule, with
+    no refinement. Such a window holds no zero near the axis, and the scalar
+    path would trace the same segment at the same sampling, so both branches
+    gain increments[b]. Every other row is left to arg_increment_pair, and
+    its entry of increments means nothing; clusters[b] is then the row's
     isolating subdivision, or None when it needs the scalar one.
 
     Each row is shifted to its window or rectangle by a phase on its
@@ -502,8 +523,9 @@ def zero_free_increments(
     g = np.array([float(f) for f in freqs])
     fs = float(np.abs(g).sum())
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
-    clusters, zero_free = _isolate_rows(shifted, g, centers)
+    clusters, clear = _isolate_rows(shifted, g, centers)
     segment = _first_sampling((-0.5, 0.5), max(64, math.ceil(8 * fs / TWO_PI)))
-    increments, seg_ok = _track_rows(shifted, g, segment, np.abs(amps).sum(axis=1))
-    certified = zero_free & seg_ok
+    floor = np.abs(amps).sum(axis=1)
+    increments, seg_ok, good = _track_rows(shifted, g, segment, floor)
+    certified = clear & seg_ok & good.all(axis=1)
     return increments, certified, clusters

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from meanmotion.core import (
     ExpPolynomial,
     ExpTerm,
     FrequencyVector,
+    LiftedPolynomial,
     UnivariateExpSum,
+    _check_shift_identity,
     lift,
 )
 from meanmotion.errors import (
@@ -215,6 +218,20 @@ class TestLift:
             lhs = F.evaluate([t], [mu * x])
             rhs = P.evaluate([x + t])
             assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1.0)
+
+    def test_large_exponent_checked_without_overflow(self):
+        P = ExpPolynomial.from_pairs(1, [(1.0, ["1000"]), (2.0, ["-1"])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = lift(P, group_basis(P.exponents))
+        assert F.coords == ((1000,), (-1,))
+
+    def test_corrupted_coordinates_caught_at_large_exponent(self):
+        P = ExpPolynomial.from_pairs(1, [(1.0, ["1000"]), (2.0, ["-1"])])
+        F = lift(P, group_basis(P.exponents))
+        bad = LiftedPolynomial(P, F.basis_vectors, ((999,), (-1,)), 1)
+        with pytest.raises(InternalConsistencyError):
+            _check_shift_identity(bad)
 
     def test_mismatched_basis_rejected(self, sin_poly):
         other = ExpPolynomial.from_pairs(1, [(1.0, ["1/3"])])

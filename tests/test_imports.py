@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a test file imports is used in it.
 
-__init__.py is left out: it imports names to re-export them.
+The package's __init__.py is left out: it imports names to re-export them.
 """
 
 import ast
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "meanmotion"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "meanmotion"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

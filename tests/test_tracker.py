@@ -221,23 +221,27 @@ class TestZeroFreeIncrements:
     def test_matches_scalar_path(self, rng=np.random.default_rng(41)):
         certified = dict.fromkeys(("sin", "dominant", "offaxis"), 0)
         flagged = dict(certified)
+        past_zero = 0  # certified though the first rectangle holds a zero
         for name, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
             inc, ok, _ = zero_free_increments(rows.amps, rows.freqs, centers)
             for b in np.flatnonzero(ok):
-                c = centers[b]
-                plus, minus = arg_increment_pair(
-                    rows.restriction(b), (c - 0.5, c + 0.5)
-                )
+                c, U = centers[b], rows.restriction(b)
+                plus, minus = arg_increment_pair(U, (c - 0.5, c + 0.5))
                 assert plus.zeros == ()
                 assert abs(plus.total_increment - inc[b]) <= 1e-12
                 assert abs(minus.total_increment - inc[b]) <= 1e-12
+                if name == "offaxis":
+                    rect = (c - 0.5, c + 0.5, -0.5, 0.5)
+                    past_zero += count_zeros_rectangle(U, rect) != 0
             certified[name] += int(ok.sum())
             flagged[name] += int((~ok).sum())
-        # every family exercises both outcomes (sin is a third zero windows)
+        # every family exercises both outcomes (sin is a third zero windows),
+        # and off-axis rows are certified past zeros away from the axis
         assert min(certified.values()) > 0
         assert flagged["sin"] > 0 and flagged["offaxis"] > 0
+        assert past_zero > 0
 
     def test_zero_windows_flagged(self, sin_sum, cos_minus_one):
         rng = np.random.default_rng(8)
@@ -272,10 +276,9 @@ class TestZeroFreeIncrements:
 
 
 def _first_pass_isolate(U, a, b, monkeypatch):
-    """_isolate with no phase-step refinement, one height and one split: its
-    clusters, or None where _isolate would need any of those."""
+    """_isolate with one height and one split: its clusters, or None where
+    _isolate would need another height or split."""
     with monkeypatch.context() as m:
-        m.setattr(tracker, "_MAX_REFINEMENTS", 1)
         m.setattr(tracker, "_H_FACTORS", (1.0,))
         m.setattr(tracker, "_SPLIT_OFFSETS", (0.5,))
         try:
@@ -310,9 +313,10 @@ class TestIsolateRows:
         amps, freqs = self.rows_of(U, 64)
         zeros = spacing * rng.integers(-20, 21, 64)
         centers = zeros + rng.uniform(-0.49, 0.49, 64)
-        # a double zero near a side of a small rectangle needs refinement
+        # a double zero near a side of a small rectangle needs its steps
+        # bisected, which the batch does too
         isolated, _ = self.check(amps, freqs, centers, monkeypatch)
-        assert isolated >= 32
+        assert isolated >= 60
 
     def test_zero_at_or_near_edge(self, sin_sum, monkeypatch):
         # zeros on the window's edge or on a split line need the scalar path;
@@ -322,7 +326,7 @@ class TestIsolateRows:
         zeros = PI * rng.integers(-20, 21, 64)
         offsets = np.tile([0.5, -0.5, 0.0, 0.499, -0.497, 0.3, -0.2, 0.1], 8)
         isolated, returned = self.check(amps, freqs, zeros + offsets, monkeypatch)
-        assert isolated >= 32 and returned >= 24
+        assert isolated >= 40 and returned >= 24
 
     def test_offaxis_rows(self, monkeypatch):
         rng = np.random.default_rng(63)
@@ -334,4 +338,5 @@ class TestIsolateRows:
             centers = rng.uniform(-50.0, 50.0, len(phases))
             i, r = self.check(rows.amps, rows.freqs, centers, monkeypatch)
             isolated, returned = isolated + i, returned + r
-        assert isolated > 0 and returned > 0
+        # step-rule failures are refined in the batch, so few rows go back
+        assert isolated > 0 and returned <= 4
