@@ -194,6 +194,73 @@ class TestArgIncrement:
             arg_increment_pair(sin_sum, (0.0, 1.0))
 
 
+def _triple():
+    # (e^{is} - 1)^3 expanded: a triple zero at every multiple of 2 pi
+    return UnivariateExpSum.from_terms(
+        [(1, Fraction(3)), (-3, Fraction(2)), (3, Fraction(1)), (-1, Fraction(0))]
+    )
+
+
+def _offaxis_row(seed, p, b):
+    """Row b of 64 seeded lines of a p-variate sum: its restriction, unit
+    window and the clusters zero_free_increments isolates in it."""
+    rng = np.random.default_rng(seed)
+    P = random_poly(rng, p, 5, max_num=6)
+    y = rng.uniform(-0.3, 0.3, p)
+    rows = P.line_rows(y, rng.uniform(0, 2 * PI, (64, len(P.terms))))
+    centers = rng.uniform(-20, 20, 64)
+    _, _, clusters = zero_free_increments(rows.amps, rows.freqs, centers)
+    c = float(centers[b])
+    return rows.restriction(b), (c - 0.5, c + 0.5), clusters[b]
+
+
+# arg_increment_pair's (plus, minus, zeros) on seeded windows, as the
+# scalar tracker computed them one Newton iteration, endpoint offset and
+# span at a time. Multiple zeros are located only to the rounding noise of
+# the sum, so their locations pin the Newton arithmetic itself.
+PINNED = [
+    ("sin", (-0.2, 0.8), -PI, PI, [(0.0, 1)]),
+    ("sin", (2.9, 3.9), -PI, PI, [(3.141592653589793, 1)]),
+    ("sin", (-7.2, -6.2), -PI, PI, [(-6.283185307179586, 1)]),
+    ("sin", (9.1, 10.1), -PI, PI, [(9.42477796076938, 1)]),
+    ("sin", (1.0, 2.0), 0.0, 0.0, []),
+    ("sin", (-4.0, 7.3), -4 * PI, 4 * PI, [
+        (-3.141592653589793, 1), (0.0, 1),
+        (3.141592653589793, 1), (6.283185307179586, 1),
+    ]),
+    ("double", (-0.3, 0.7), -2 * PI, 2 * PI, [(-8.583085794183765e-09, 2)]),
+    ("double", (5.5, 6.5), -2 * PI, 2 * PI, [(6.283185296825016, 2)]),
+    ("triple", (-0.75, 0.25), -7.924777960769384, 10.924777960769376,
+     [(-1.0209250019897455e-09, 3)]),
+    ("triple", (-0.7, 0.3), -7.924777960769392, 10.924777960769367,
+     [(1.2082756785527322e-09, 3)]),
+    # off-axis zeros near the axis: one count-1 cluster each, dropped
+    ((7, 2, 14), None, -1.6336112010471229, -1.6336112010471229, []),
+    ((7, 2, 21), None, 4.340067188269012, 4.340067188269012, []),
+    ((9, 3, 8), None, 4.773909799989486, 4.773909799989486, []),
+    ((9, 3, 50), None, 6.166160490251203, 6.166160490251203, []),
+]
+
+
+@pytest.mark.parametrize("which, interval, plus, minus, zeros", PINNED)
+def test_pinned_increments(which, interval, plus, minus, zeros,
+                           sin_sum, cos_minus_one):
+    if isinstance(which, tuple):
+        U, interval, clusters = _offaxis_row(*which)
+        assert clusters
+        given = (None, clusters)
+    else:
+        U = {"sin": sin_sum, "double": cos_minus_one, "triple": _triple()}[which]
+        given = (None,)
+    for clusters in given:
+        tp, tm = arg_increment_pair(U, interval, clusters)
+        assert tp.total_increment == pytest.approx(plus, abs=1e-12)
+        assert tm.total_increment == pytest.approx(minus, abs=1e-12)
+        got = [(z.location, z.multiplicity) for z in tp.zeros]
+        assert [m for _, m in got] == [m for _, m in zeros]
+        assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=1e-12)
+
+
 def _dominant_poly(rng):
     # one coefficient outweighs the others' sum: no zeros anywhere
     pairs = [(4.0 * np.exp(1j * rng.uniform(0, 2 * PI)), ["1/2", "-1"])]
