@@ -10,9 +10,9 @@ Two routes to c+(y), c-(y) that sample separately:
 Both build their line restrictions with ExpPolynomial.line_rows and track
 them with one window engine: a batched pass over up to _BATCH windows that
 isolates their zeros, refining phase steps in the batch, and certifies
-those with no cluster near the axis, then the scalar tracker for the
-others, which starts from the batch's clusters unless a rectangle count
-failed there.
+those with no cluster near the axis, then a batched pass that polishes the
+clusters of the others and traces them, and the scalar tracker for the
+windows either pass rejects.
 Agreement of the two within the dispersion-aware tolerance is the
 artifact's core property.
 """
@@ -34,7 +34,7 @@ from .errors import (
     TrackingError,
 )
 from .lattice import LatticeBasis, group_basis
-from .tracker import arg_increment_pair, zero_free_increments
+from .tracker import arg_increment_pair, traced_increments, zero_free_increments
 
 _RETRIES = 8
 _PERTURB = 1e-6
@@ -151,12 +151,13 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
     B x S phases (see ExpPolynomial.line_rows): plus values, minus values
     and the number of untrackable lines, in line order.
 
-    zero_free_increments works on _BATCH windows at a time. The windows it
-    certifies (no cluster near the axis) with no amplitude dropped take its
-    increment and draw nothing from rng. Every other window goes through
-    _pair_with_retries, with the batch's clusters when it has them and no
-    amplitude is dropped, as all of them would without the batched pass, so
-    rng is drawn in the same order.
+    zero_free_increments works on _BATCH windows at a time, and
+    traced_increments then resolves and traces, together, the windows it
+    isolated clusters in. A window with no amplitude dropped that either
+    pass takes its increments and draws nothing from rng. Every other
+    window goes through _pair_with_retries, with the batch's clusters when
+    it has them and no amplitude is dropped, as all of them would without
+    the batched passes, so rng is drawn in the same order.
     An identically-zero line contributes the pair on_zero, or is skipped
     when on_zero is None.
     """
@@ -164,21 +165,27 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
     for k in range(0, len(centers), _BATCH):
         rows = P.line_rows(y, phases[k : k + _BATCH])
         batch = centers[k : k + _BATCH]
-        inc, certified, clusters = zero_free_increments(
-            rows.amps, rows.freqs, batch
-        )
+        inc, done, clusters = zero_free_increments(rows.amps, rows.freqs, batch)
         full = (np.abs(rows.amps) > rows.floor).all(axis=1)
-        certified &= full
+        done &= full
+        plus, minus = inc.copy(), inc
+        given = [c if f else None for c, f in zip(clusters, full)]
+        traced = np.flatnonzero([c is not None and not d for c, d in zip(given, done)])
+        if len(traced):
+            plus[traced], minus[traced], ok = traced_increments(
+                rows.amps[traced], rows.freqs, batch[traced],
+                [given[b] for b in traced],
+            )
+            done[traced[ok]] = True
         for b, center in enumerate(batch):
-            U = None if certified[b] else rows.restriction(b)
+            U = None if done[b] else rows.restriction(b)
             if U is None:
-                pair = (float(inc[b]), float(inc[b]))
+                pair = (float(plus[b]), float(minus[b]))
             elif U.is_identically_zero:
                 pair = on_zero
             else:
-                given = clusters[b] if full[b] else None
                 try:
-                    pair = _pair_with_retries(U, float(center), 1.0, rng, given)
+                    pair = _pair_with_retries(U, float(center), 1.0, rng, given[b])
                 except SkippedLine:
                     pair = None
             if pair is None:

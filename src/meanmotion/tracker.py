@@ -9,11 +9,10 @@ its phase.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,48 +79,16 @@ class ArgTrace:
         return np.column_stack([np.concatenate(ss), np.concatenate(phs)])
 
 
-@dataclass(frozen=True)
-class _Span:
+class _Span(NamedTuple):
     t: np.ndarray
     v: np.ndarray
     left_correction: float
     right_correction: float
 
 
-def _wrap(x: float) -> float:
-    """Reduce to [-pi, pi)."""
-    return x - TWO_PI * math.floor((x + math.pi) / TWO_PI)
-
-
-def _refined_track(
-    fn: Callable[[np.ndarray], np.ndarray],
-    t0: float,
-    t1: float,
-    n0: int,
-    err: type = SingularContourError,
-    floor_scale: float | None = None,
-):
-    """Total continuous phase change of fn along [t0, t1].
-
-    Adaptively bisects until every step's phase change is below pi/2;
-    raises `err` when the samples come within ZERO_THRESHOLD of zero
-    relative to the (given or running) modulus scale.
-    """
-    t = np.linspace(t0, t1, n0 + 1)
-    v = fn(t)
-    for _ in range(_MAX_REFINEMENTS):
-        mods = np.abs(v)
-        scale = floor_scale if floor_scale is not None else mods.max()
-        if mods.min() <= ZERO_THRESHOLD * scale:
-            raise err("contour passes too close to a zero")
-        steps = np.angle(v[1:] / v[:-1])
-        bad = np.abs(steps) >= HALF_PI
-        if not bad.any():
-            return float(steps.sum()), t, v
-        mids = 0.5 * (t[:-1][bad] + t[1:][bad])
-        t = np.unique(np.concatenate([t, mids]))
-        v = fn(t)
-    raise TrackingError("phase-step refinement did not converge")
+def _wrap(x):
+    """Reduce to [-pi, pi), elementwise."""
+    return x - TWO_PI * np.floor((x + math.pi) / TWO_PI)
 
 
 def winding_number(
@@ -143,13 +110,13 @@ def winding_number(
         bump = 0.065 * ((attempt + 1) // 2) * (1 if attempt % 2 else -1)
         r = radius * (1.0 + bump)
         n0 = max(_POINTS_PER_TURN, int(8 * U.frequency_scale * r) + 16)
-        fn = lambda th: U(center + r * np.exp(1j * th))
-        try:
-            total, _, _ = _refined_track(fn, 0.0, TWO_PI, n0)
-        except (SingularContourError, TrackingError) as e:
-            last = e
+        fn = lambda _, th: U(center + r * np.exp(1j * th))[None]
+        th = np.linspace(0.0, TWO_PI, n0 + 1)
+        total, ok, _ = _refine_rows(fn(0, th), th, fn)
+        if not ok[0]:
+            last = SingularContourError("circle passes too close to a zero")
             continue
-        w = total / TWO_PI
+        w = total[0] / TWO_PI
         k = round(w)
         if abs(w - k) > 0.1:
             last = TrackingError(f"winding residual {abs(w - k):.3f} turns")
@@ -213,11 +180,12 @@ def count_zeros_rectangle(
     s0, s1, t0, t1 = rect
     if not (s0 < s1 and t0 < t1):
         raise ValueError("rectangle must have positive extent")
-    total, _, _ = _refined_track(
-        lambda t: U(_rect_path(rect, t)), 0.0, 4.0,
-        _rect_samples(U.frequency_scale, rect),
-    )
-    w = total / TWO_PI
+    fn = lambda _, t: U(_rect_path(rect, t))[None]
+    t = np.linspace(0.0, 4.0, _rect_samples(U.frequency_scale, rect) + 1)
+    total, ok, _ = _refine_rows(fn(0, t), t, fn)
+    if not ok[0]:
+        raise SingularContourError("boundary passes too close to a zero")
+    w = total[0] / TWO_PI
     k = round(w)
     if abs(w - k) > 0.1:
         raise TrackingError(f"boundary winding residual {abs(w - k):.3f}")
@@ -255,39 +223,66 @@ def _isolate(U, lo, hi, h, width_stop):
     raise last if last is not None else SingularContourError("isolation failed")
 
 
-def _newton(U, s0: complex, m: int) -> complex | None:
-    s = complex(s0)
+def _values(amps, g, s):
+    """Row r of amps as a sum, sum_k amps[r, k] exp(i g[k] s), at the
+    points s[r], each row with the arithmetic of UnivariateExpSum.__call__."""
+    return (np.exp(1j * s[..., None] * g) @ amps[..., None])[..., 0]
+
+
+def _polish(amps, g, lo, hi, cnt):
+    """Newton's method on clusters (lo, hi, cnt) of zeros from their
+    midpoints, cluster c in the sum of row c of amps.
+
+    Each iteration takes q and q' of every unfinished cluster from one
+    product. A cluster fails when q' vanishes or when 60 steps leave the
+    last above 1e-14 max(1, |s|). Returns the real parts of the roots and
+    each cluster's state: 1 for a real zero, 0 for an off-axis zero of a
+    count-1 cluster, -1 where Newton failed or found neither.
+    """
+    coef = np.stack([amps, 1j * g * amps], axis=1)[..., None]  # q, q'
+    s = (0.5 * (lo + hi)).astype(complex)
+    live, found = np.arange(len(s)), np.zeros(len(s), dtype=bool)
     for _ in range(60):
-        du = U.derivative(s)
-        if du == 0:
-            return None
-        step = m * U(s) / du
-        s -= step
-        if abs(step) <= 1e-14 * max(1.0, abs(s)):
-            return s
-    return None
+        if not len(live):
+            break
+        e = np.exp(1j * np.multiply.outer(s[live], g))[:, None, None]
+        q, dq = (e @ coef[live])[:, :, 0, 0].T
+        moving = dq != 0
+        live, q, dq = live[moving], q[moving], dq[moving]
+        # Python divides complex numbers with other rounding than numpy;
+        # its division keeps each cluster on the path of a scalar iteration
+        step = ((cnt[live] * q).astype(object) / dq.astype(object)).astype(complex)
+        s[live] -= step
+        done = np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(s[live]))
+        found[live[done]] = True
+        live = live[~done]
+    q = np.abs(_values(amps, g, np.where(found, s, lo)[:, None]))[:, 0]
+    near = found & (q <= 1e-7 * np.abs(amps).sum(axis=1))
+    near &= (lo - (hi - lo) <= s.real) & (s.real <= hi + (hi - lo))
+    real = near & (np.abs(s.imag) <= 1e-7)
+    return s.real, np.where(real, 1, np.where(near & (cnt == 1), 0, -1))
 
 
-def _resolve_cluster(U, lo, hi, cnt, depth=0):
-    """Turn an isolated cluster into real zero candidates (loc, mult)."""
-    scale = U.amplitude_scale
-    width = hi - lo
-    s = _newton(U, 0.5 * (lo + hi), cnt)
-    if (
-        s is not None
-        and abs(U(s)) <= 1e-7 * scale
-        and lo - width <= s.real <= hi + width
-    ):
-        if abs(s.imag) <= 1e-7:
-            return [(s.real, cnt)]
-        if cnt == 1:
-            return []  # an off-axis zero caught by the coarse rectangle
-    if depth >= 1 or width <= 10 * _FINE_WIDTH:
-        return [(0.5 * (lo + hi), cnt)]
-    subs = _isolate(U, lo, hi, width, _FINE_WIDTH)
+def _resolve_clusters(U, clusters, depth=0):
+    """Turn isolated clusters into real zero candidates (loc, mult).
+
+    A cluster _polish cannot settle is subdivided once more and its parts
+    polished, or taken at its midpoint when that is no help.
+    """
+    if not clusters:
+        return []
+    lo, hi, cnt = np.array(clusters).T
+    amps = np.broadcast_to(U._amps, (len(clusters), len(U._amps)))
+    loc, state = _polish(amps, U._freqs, lo, hi, cnt.astype(int))
     out = []
-    for l2, h2, c2 in subs:
-        out.extend(_resolve_cluster(U, l2, h2, c2, depth + 1))
+    for (lo, hi, cnt), x, st in zip(clusters, loc.tolist(), state.tolist()):
+        if st == 1:
+            out.append((x, cnt))
+        elif st < 0 and (depth >= 1 or hi - lo <= 10 * _FINE_WIDTH):
+            out.append((0.5 * (lo + hi), cnt))
+        elif st < 0:
+            subs = _isolate(U, lo, hi, hi - lo, _FINE_WIDTH)
+            out.extend(_resolve_clusters(U, subs, depth + 1))
     return out
 
 
@@ -315,10 +310,7 @@ def locate_zeros(
         raise EndpointZeroError("window endpoint sits on a zero")
     if clusters is None:
         clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH)
-    candidates: list[tuple[float, int]] = []
-    for lo, hi, cnt in clusters:
-        candidates.extend(_resolve_cluster(U, lo, hi, cnt))
-    candidates.sort()
+    candidates = sorted(_resolve_clusters(U, clusters))
     end_tol = max(1e-9, 1e-7 * min(1.0, b - a))
     for loc, _ in candidates:
         if loc - a < end_tol or b - loc < end_tol:
@@ -326,55 +318,112 @@ def locate_zeros(
     return [Zero(loc, cnt) for loc, cnt in candidates]
 
 
-def _endpoint_offset(U, z, gap, scale):
-    """Distance at which |U| is safely above the noise floor near a zero."""
-    d = min(1e-6, 0.1 * gap)
-    while d < 0.2 * gap:
-        if min(abs(U(z - d)), abs(U(z + d))) > 1e-7 * scale:
-            break
-        d *= 3.0
-    return d
+def _offsets(amps, g, z, gap):
+    """Distances from zeros z, zero i in the sum of row i of amps, at which
+    |q| is safely above the noise floor: the first d = d0 3^k below 0.2 gap,
+    d0 = min(1e-6, 0.1 gap), with |q(z -+ d)| > 1e-7 sum |a_k|, else the
+    first d not below 0.2 gap. All candidates are evaluated at once."""
+    d = [np.minimum(1e-6, 0.1 * gap)]
+    while (d[-1] < 0.2 * gap).any():
+        d.append(d[-1] * 3.0)
+    d = np.column_stack(d)
+    below = d < 0.2 * gap[:, None]
+    q = np.abs(_values(amps, g, np.hstack([z[:, None] - d, z[:, None] + d])))
+    floor = 1e-7 * np.abs(amps).sum(axis=1)[:, None]
+    clear = below & (np.minimum(*np.split(q, 2, axis=1)) > floor)
+    k = np.where(clear.any(axis=1), clear.argmax(axis=1), below.sum(axis=1))
+    return d[np.arange(len(d)), k]
 
 
-def _smooth_trace(U, interval, clusters=None):
-    """Smooth branch increment and per-span samples between zeros.
+def _track_rows(v, floor=None):
+    """The rules of phase tracking on rows of samples v, without refinement:
+    each row's total phase change, whether its moduli stay above
+    ZERO_THRESHOLD times floor (by default its largest sample), and which
+    of its steps change the phase by less than pi/2, as a mask."""
+    mods = np.abs(v)
+    scale = mods.max(axis=1) if floor is None else floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.angle(v[:, 1:] / v[:, :-1])
+    mod_ok = mods.min(axis=1) > ZERO_THRESHOLD * scale
+    return steps.sum(axis=1), mod_ok, np.abs(steps) < HALF_PI
 
-    The one-sided limits at each zero come from the leading Taylor
-    coefficient, so skipping a tiny neighbourhood of the zero costs no
-    accuracy: the tracked phase is matched to the exact limit by a wrap
-    correction strictly below pi.
+
+def _refine_rows(v, t, resample, floor=None):
+    """Phase tracking of many rows: v holds their samples at parameters t,
+    shared (n,) or one row each, and resample(rows, t) samples some rows.
+
+    Rows that pass the modulus rule but not the step rule are resampled
+    together, with every step bad in any of them bisected, for at most
+    _MAX_REFINEMENTS samplings in all. Returns each row's total phase
+    change, whether it passed, and (rows, t, v) of the rows that passed at
+    each sampling.
     """
-    a, b = float(interval[0]), float(interval[1])
-    zeros = locate_zeros(U, (a, b), clusters)
-    pts = [a] + [z.location for z in zeros] + [b]
-    scale = U.amplitude_scale
-    spans = []
-    smooth = 0.0
-    for i in range(len(pts) - 1):
-        l, r = pts[i], pts[i + 1]
-        zl = zeros[i - 1] if i > 0 else None
-        zr = zeros[i] if i < len(zeros) else None
-        dl = _endpoint_offset(U, l, r - l, scale) if zl else 0.0
-        dr = _endpoint_offset(U, r, r - l, scale) if zr else 0.0
-        n0 = max(64, math.ceil(8 * U.frequency_scale * (r - dr - l - dl) / TWO_PI))
-        inc, t, v = _refined_track(
-            lambda s: U(s), l + dl, r - dr, n0,
-            err=TrackingError, floor_scale=scale,
+    total, ok = np.zeros(len(v)), np.zeros(len(v), dtype=bool)
+    todo, passed = np.arange(len(v)), []
+    for k in range(_MAX_REFINEMENTS):
+        if k:
+            split = np.flatnonzero(~good.all(axis=0))
+            mids = 0.5 * (t[..., split] + t[..., split + 1])
+            t = np.insert(t, split + 1, mids, axis=-1)
+            v = resample(todo, t)
+        turned, mod_ok, good = _track_rows(v, None if floor is None else floor[todo])
+        done = mod_ok & good.all(axis=1)
+        total[todo[done]], ok[todo[done]] = turned[done], True
+        passed.append((todo[done], t[done] if t.ndim > 1 else t, v[done]))
+        keep = mod_ok & ~done
+        todo, good = todo[keep], good[keep]
+        t = t[keep] if t.ndim > 1 else t
+        if not len(todo):
+            break
+    return total, ok, passed
+
+
+def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
+    """Smooth branch increments of the sums in the rows of amps on
+    (a[r], b[r]), with zero i of multiplicity zmult[i] at zloc[i] in row
+    zrow[i], sorted by row and location.
+
+    Every span between consecutive points of a, the zeros and b stops
+    _offsets short of a zero and is tracked from max(64, ceil(8 fs length /
+    2pi)) samples with the modulus floor sum |a_k|. Its phase is matched to
+    the exact limits at its zeros, the phase of q^(m)(z) / m! (plus m pi
+    before the zero), by wrap corrections below pi, so the neighbourhood it
+    skips costs no accuracy. Returns each row's smooth increment, whether
+    all its spans passed, and the spans that passed, in order.
+    """
+    scale = np.abs(amps).sum(axis=1)
+    rows = np.repeat(np.arange(len(a)), np.bincount(zrow, minlength=len(a)) + 1)
+    at = np.arange(len(zrow)) + zrow  # the span that ends at each zero
+    l, r = a[rows], b[rows]
+    r[at], l[at + 1] = zloc, zloc
+    gap = np.concatenate([(r - l)[at], (r - l)[at + 1]])  # before, after
+    d = _offsets(amps[np.tile(zrow, 2)], g, np.tile(zloc, 2), gap)
+    dl, dr = np.zeros(len(rows)), np.zeros(len(rows))
+    dr[at], dl[at + 1] = np.split(d, 2)
+    fs = float(np.abs(g).sum())
+    n0 = np.maximum(64, np.ceil(8 * fs * (r - dr - l - dl) / TWO_PI)).astype(int)
+    inc, ok = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
+    ends, samples = np.zeros((len(rows), 2)), {}
+    for n in np.unique(n0):
+        k = np.flatnonzero(n0 == n)
+        own = amps[rows[k]]
+        t = np.linspace(l[k] + dl[k], r[k] - dr[k], n + 1, axis=-1)
+        v = _values(own, g, t)
+        ends[k] = np.angle(v[:, [0, -1]])
+        inc[k], ok[k], passed = _refine_rows(
+            v, t, lambda i, t: _values(own[i], g, t), scale[rows[k]]
         )
-        cl = 0.0
-        if zl is not None:
-            limit = cmath.phase(U.leading_coefficient(l, zl.multiplicity))
-            cl = _wrap(float(np.angle(v[0])) - limit)
-        cr = 0.0
-        if zr is not None:
-            limit = (
-                cmath.phase(U.leading_coefficient(r, zr.multiplicity))
-                + zr.multiplicity * math.pi
-            )
-            cr = _wrap(limit - float(np.angle(v[-1])))
-        spans.append(_Span(t, v, cl, cr))
-        smooth += inc + cl + cr
-    return smooth, zeros, spans
+        for i, ts, vs in passed:
+            samples.update(zip(k[i].tolist(), zip(ts, vs)))
+    coef = (1j * g) ** zmult[:, None] * amps[zrow]
+    lead = np.exp(1j * g * zloc[:, None])[:, None] @ coef[..., None]
+    limit = np.angle(lead[:, 0, 0])
+    cl, cr = np.zeros(len(rows)), np.zeros(len(rows))
+    cr[at] = _wrap(limit + zmult * math.pi - ends[at, 1])
+    cl[at + 1] = _wrap(ends[at + 1, 0] - limit)
+    smooth = np.bincount(rows, inc + cl + cr, minlength=len(a))
+    spans = [_Span(*samples[j], cl[j], cr[j]) for j in sorted(samples)]
+    return smooth, np.bincount(rows, ~ok, minlength=len(a)) == 0, spans
 
 
 def arg_increment_pair(
@@ -388,9 +437,16 @@ def arg_increment_pair(
     `clusters` is passed to locate_zeros: the isolating subdivision of the
     interval, when zero_free_increments has already made it.
     """
-    smooth, zeros, spans = _smooth_trace(U, interval, clusters)
+    zeros = locate_zeros(U, interval, clusters)
     interval = (float(interval[0]), float(interval[1]))
-    zeros, spans = tuple(zeros), tuple(spans)
+    smooth, ok, spans = _smooth_rows(
+        U._amps[None], U._freqs, np.array(interval[:1]), np.array(interval[1:]),
+        np.zeros(len(zeros), dtype=int), np.array([z.location for z in zeros]),
+        np.array([z.multiplicity for z in zeros], dtype=int),
+    )
+    if not ok[0]:
+        raise TrackingError("a span between zeros failed the modulus or step rule")
+    smooth, zeros, spans = float(smooth[0]), tuple(zeros), tuple(spans)
     jump = math.pi * sum(z.multiplicity for z in zeros)
     return (
         ArgTrace("plus", interval, zeros, smooth, -jump, smooth - jump, spans),
@@ -398,51 +454,9 @@ def arg_increment_pair(
     )
 
 
-def _track_rows(amps, freqs, path, floor_scale=None):
-    """_refined_track for many rows at one sampling, without refinement.
-
-    Row b is sum_k amps[b, k] exp(i freqs[k] s) sampled at the points of
-    path. Returns each row's total phase change, whether the row passed the
-    modulus rule, and which of its steps passed the step rule (below pi/2),
-    as a B x n mask.
-    """
-    v = amps @ np.exp(1j * np.multiply.outer(freqs, path))
-    mods = np.abs(v)
-    scale = mods.max(axis=1) if floor_scale is None else floor_scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.angle(v[:, 1:] / v[:, :-1])
-    mod_ok = mods.min(axis=1) > ZERO_THRESHOLD * scale
-    return steps.sum(axis=1), mod_ok, np.abs(steps) < HALF_PI
-
-
-def _wind_rows(amps, g, rect, n0):
-    """Boundary phase change of rect for many rows and whether each passed
-    the rules of _refined_track. Rows that fail only the step rule are
-    resampled together: every step bad in any of them is bisected, for at
-    most _MAX_REFINEMENTS samplings in all, as _refined_track does."""
-    winding, mod_ok, good = _track_rows(amps, g, _first_sampling(rect, n0))
-    ok = mod_ok & good.all(axis=1)
-    if ok.all():
-        return winding, ok
-    todo = np.flatnonzero(mod_ok & ~ok)
-    t, good = np.linspace(0.0, 4.0, n0 + 1), good[todo]
-    for _ in range(_MAX_REFINEMENTS - 1):
-        if not len(todo):
-            break
-        split = ~good.all(axis=0)
-        t = np.unique(np.concatenate([t, 0.5 * (t[:-1][split] + t[1:][split])]))
-        turned, mod_ok, good = _track_rows(amps[todo], g, _rect_path(rect, t))
-        done = mod_ok & good.all(axis=1)
-        winding[todo[done]] = turned[done]
-        ok[todo[done]] = True
-        keep = mod_ok & ~done
-        todo, good = todo[keep], good[keep]
-    return winding, ok
-
-
 def _isolate_rows(shifted, g, centers):
     """_isolate(U_b, c_b - 1/2, c_b + 1/2, 1/2, _COARSE_WIDTH) for many rows
-    at once, one subdivision level per _wind_rows pass.
+    at once, one subdivision level per _refine_rows pass.
 
     U_b(s) = sum_k a_bk exp(i g[k] s), c_b = centers[b], and row b of
     shifted is a_bk exp(i g[k] c_b), U_b seen from c_b. At depth d every
@@ -467,7 +481,12 @@ def _isolate_rows(shifted, g, centers):
     w, h = 1.0, 0.5
     while True:
         rect = (-w / 2, w / 2, -h, h)
-        winding, ok = _wind_rows(amps, g, rect, _rect_samples(fs, rect))
+        n0 = _rect_samples(fs, rect)
+        winding, ok, _ = _refine_rows(
+            amps @ np.exp(1j * np.multiply.outer(g, _first_sampling(rect, n0))),
+            np.linspace(0.0, 4.0, n0 + 1),
+            lambda i, t: amps[i] @ np.exp(1j * np.multiply.outer(g, _rect_path(rect, t))),
+        )
         turns = winding / TWO_PI
         counts = np.round(turns)
         ok &= np.abs(turns - counts) <= 0.1
@@ -512,7 +531,7 @@ def zero_free_increments(
     which covers the endpoint rule of locate_zeros, and the step rule, with
     no refinement. Such a window holds no zero near the axis, and the scalar
     path would trace the same segment at the same sampling, so both branches
-    gain increments[b]. Every other row is left to arg_increment_pair, and
+    gain increments[b]. Every other row is left to traced_increments, and
     its entry of increments means nothing; clusters[b] is then the row's
     isolating subdivision, or None when it needs the scalar one.
 
@@ -526,6 +545,37 @@ def zero_free_increments(
     clusters, clear = _isolate_rows(shifted, g, centers)
     segment = _first_sampling((-0.5, 0.5), max(64, math.ceil(8 * fs / TWO_PI)))
     floor = np.abs(amps).sum(axis=1)
-    increments, seg_ok, good = _track_rows(shifted, g, segment, floor)
+    increments, seg_ok, good = _track_rows(
+        shifted @ np.exp(1j * np.multiply.outer(g, segment)), floor
+    )
     certified = clear & seg_ok & good.all(axis=1)
     return increments, certified, clusters
+
+
+def traced_increments(amps, freqs, centers, clusters):
+    """arg_increment_pair on many unit windows at once, from the clusters
+    _isolate_rows made: (plus, minus, traced).
+
+    Row b is the sum of zero_free_increments on (centers[b] - 1/2,
+    centers[b] + 1/2), with clusters clusters[b]. The rules of locate_zeros
+    and the smooth trace run on all rows together. A row with a cluster
+    _polish cannot settle, a zero at or near an endpoint, or a span that
+    fails is not traced: it is left to arg_increment_pair, which can
+    subdivide a cluster further, and its increments mean nothing.
+    """
+    g = np.array([float(f) for f in freqs])
+    a, b = centers - 0.5, centers + 0.5
+    ends = np.abs(_values(amps, g, np.column_stack([a, b])))
+    ok = ends.min(axis=1) > ZERO_THRESHOLD * np.abs(amps).sum(axis=1)
+    owner = np.repeat(np.arange(len(a)), [len(c) * k for c, k in zip(clusters, ok)])
+    lo, hi, cnt = np.reshape([c for cs, k in zip(clusters, ok) if k for c in cs], (-1, 3)).T
+    loc, state = _polish(amps[owner], g, lo, hi, cnt.astype(int))
+    ok[owner[state < 0]] = False
+    real = np.flatnonzero(state == 1)
+    real = real[np.lexsort((cnt[real], loc[real], owner[real]))]
+    zrow, zloc, zmult = owner[real], loc[real], cnt[real].astype(int)
+    end_tol = np.maximum(1e-9, 1e-7 * np.minimum(1.0, b - a))[zrow]
+    ok[zrow[(zloc - a[zrow] < end_tol) | (b[zrow] - zloc < end_tol)]] = False
+    smooth, spans_ok, _ = _smooth_rows(amps, g, a, b, zrow, zloc, zmult)
+    jump = math.pi * np.bincount(zrow, zmult, minlength=len(a))
+    return smooth - jump, smooth + jump, ok & spans_ok

@@ -250,13 +250,42 @@ def test_large_height_does_not_overflow(y, want):
     assert got.skipped == 0
 
 
-@pytest.mark.parametrize("case", ["sin", "offaxis"])
+def _spans_refined_in_batch(monkeypatch):
+    """Count, in a one-item list, the spans traced_increments tracks that
+    pass the step rule only after bisection."""
+    refined, inside = [0], []
+    refine, trace = tracker._refine_rows, tracker.traced_increments
+
+    def spy_refine(v, t, resample, floor=None):
+        total, ok, passed = refine(v, t, resample, floor)
+        refined[0] += bool(inside) * sum(len(rows) for rows, _, _ in passed[1:])
+        return total, ok, passed
+
+    def spy_trace(*args):
+        inside.append(True)
+        try:
+            return trace(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(tracker, "_refine_rows", spy_refine)
+    monkeypatch.setattr(motion, "traced_increments", spy_trace)
+    return refined
+
+
+@pytest.mark.parametrize("case", ["sin", "double", "near-axis", "offaxis"])
 def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
-    # at the real zero threshold, flagged windows take the batch's clusters
-    # into arg_increment_pair; rng draws are those of the loop, and values
-    # too, but for the rounding of certified windows' batched increments
-    if case == "sin":
-        P, y = sin_poly, [0.0]
+    # at the real zero threshold, flagged windows are traced in the batch
+    # from its clusters, or go to arg_increment_pair with them; rng draws
+    # are those of the loop, and values too, but for the rounding of
+    # certified windows' batched increments
+    if case in ("sin", "near-axis"):
+        # near the axis, the zeros of sin sit 0.003 below it: they are
+        # dropped, and the spans that pass them need their steps bisected
+        P, y = sin_poly, [0.0 if case == "sin" else 0.003]
+    elif case == "double":  # 2(cos s - 1)
+        P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (1, ["-1"]), (-2, ["0"])])
+        y = [0.0]
     else:
         P = random_poly(np.random.default_rng(52), 3, 5, max_num=6)
         y = [-0.31, 0.27, -0.25]
@@ -268,12 +297,20 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
         pairs = [windowed_increment_pair(P, y, x, rng) for x in xs]
         want.append(tuple(float(np.mean(v)) for v in zip(*pairs)))
     made = _recording_rngs(monkeypatch)
+    refined = _spans_refined_in_batch(monkeypatch)
     plus, minus = box_mean_motion(P, y, sched)
     monkeypatch.undo()
     assert made[sched.seed][0].bit_generator.state == rng.bit_generator.state
     assert (plus.skipped_lines, minus.skipped_lines) == (0, 0)
     got = [(vp, vm) for (_, vp), (_, vm) in zip(plus.per_window, minus.per_window)]
     assert np.array(got) == pytest.approx(np.array(want), abs=1e-12)
+    # spans that fail the step rule at their first sampling stay in the batch
+    assert case != "near-axis" or refined[0] >= 40
+    if case == "double":
+        # on the torus the double zero's amplitudes are complex, it splits
+        # into two off-axis zeros, and both routes drop it after a fine
+        # subdivision that takes tens of seconds per window
+        return
 
     basis = group_basis(P.exponents)
     lifted = lift(P, basis)
@@ -293,6 +330,22 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
         ap.mean(), ap.std(ddof=1) / math.sqrt(300),
         am.mean(), am.std(ddof=1) / math.sqrt(300),
     ), abs=1e-12)
+
+
+@pytest.mark.parametrize("route", ["box", "torus"])
+def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
+    # sin's windows with a real zero are resolved and traced in the batch;
+    # _pair_with_retries calls arg_increment_pair by motion's name for it
+    calls = []
+    pair = motion.arg_increment_pair
+    monkeypatch.setattr(
+        motion, "arg_increment_pair", lambda *a: calls.append(a) or pair(*a)
+    )
+    if route == "box":
+        box_mean_motion(sin_poly, [0.0], WindowSchedule(seed=3))
+    else:
+        torus_mean(sin_poly, [0.0], group_basis(sin_poly.exponents), samples=400)
+    assert calls == []
 
 
 class TestCompareEstimators:
