@@ -151,10 +151,10 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
     B x S phases (see ExpPolynomial.line_rows): plus values, minus values
     and the number of untrackable lines, in line order.
 
-    zero_free_increments works on _BATCH windows at a time, and
-    traced_increments then resolves and traces, together, the windows it
-    isolated clusters in. A window with no amplitude dropped that either
-    pass takes its increments and draws nothing from rng. Every other
+    Per _BATCH windows, zero_free_increments certifies those with no
+    cluster near the axis and traced_increments resolves and traces the
+    others it isolated clusters in. A window either takes, with no amplitude
+    dropped, gets its increments and draws nothing from rng. Every other
     window goes through _pair_with_retries, with the batch's clusters when
     it has them and no amplitude is dropped, as all of them would without
     the batched passes, so rng is drawn in the same order.

@@ -158,15 +158,14 @@ def _rect_samples(fs, rect) -> int:
 
 
 @lru_cache(maxsize=64)
-def _first_sampling(rect, n0) -> np.ndarray:
-    """n0 + 1 points from corner to corner along the boundary of rect, or
-    along the real segment [s0, s1] when rect is (s0, s1); read-only."""
-    if len(rect) == 2:
-        points = np.linspace(rect[0], rect[1], n0 + 1)
-    else:
-        points = _rect_path(rect, np.linspace(0.0, 4.0, n0 + 1))
-    points.flags.writeable = False
-    return points
+def _first_sampling(rect, n0) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters in [0, 4] and points of n0 + 1 samples from corner to
+    corner along the boundary of rect, or along the real segment [s0, s1]
+    when rect is (s0, s1); read-only."""
+    t = np.linspace(0.0, 4.0, n0 + 1)
+    points = np.linspace(*rect, n0 + 1) if len(rect) == 2 else _rect_path(rect, t)
+    t.flags.writeable = points.flags.writeable = False
+    return t, points
 
 
 def count_zeros_rectangle(
@@ -231,13 +230,11 @@ def _values(amps, g, s):
 
 def _polish(amps, g, lo, hi, cnt):
     """Newton's method on clusters (lo, hi, cnt) of zeros from their
-    midpoints, cluster c in the sum of row c of amps.
-
-    Each iteration takes q and q' of every unfinished cluster from one
-    product. A cluster fails when q' vanishes or when 60 steps leave the
-    last above 1e-14 max(1, |s|). Returns the real parts of the roots and
-    each cluster's state: 1 for a real zero, 0 for an off-axis zero of a
-    count-1 cluster, -1 where Newton failed or found neither.
+    midpoints, cluster c in the sum of row c of amps, with q and q' of every
+    unfinished cluster from one product per step. A cluster fails when q'
+    vanishes or 60 steps leave the last above 1e-14 max(1, |s|). Returns the
+    roots' real parts and each cluster's state: 1 for a real zero, 0 for an
+    off-axis zero of a count-1 cluster, -1 for a failure or neither.
     """
     coef = np.stack([amps, 1j * g * amps], axis=1)[..., None]  # q, q'
     s = (0.5 * (lo + hi)).astype(complex)
@@ -264,11 +261,8 @@ def _polish(amps, g, lo, hi, cnt):
 
 
 def _resolve_clusters(U, clusters, depth=0):
-    """Turn isolated clusters into real zero candidates (loc, mult).
-
-    A cluster _polish cannot settle is subdivided once more and its parts
-    polished, or taken at its midpoint when that is no help.
-    """
+    """Turn isolated clusters into real zero candidates (loc, mult); one
+    that _polish cannot settle is subdivided once, or taken at its middle."""
     if not clusters:
         return []
     lo, hi, cnt = np.array(clusters).T
@@ -323,14 +317,15 @@ def _offsets(amps, g, z, gap):
     |q| is safely above the noise floor: the first d = d0 3^k below 0.2 gap,
     d0 = min(1e-6, 0.1 gap), with |q(z -+ d)| > 1e-7 sum |a_k|, else the
     first d not below 0.2 gap. All candidates are evaluated at once."""
-    d = [np.minimum(1e-6, 0.1 * gap)]
-    while (d[-1] < 0.2 * gap).any():
-        d.append(d[-1] * 3.0)
-    d = np.column_stack(d)
+    if not len(z):
+        return gap
+    n = 1 + int(math.log(max(2.0, 0.2 * gap.max() / 1e-6), 3))  # 3^n > 0.2 gap / d0
+    d = np.column_stack([np.minimum(1e-6, 0.1 * gap)] + [np.full(len(gap), 3.0)] * n)
+    d = np.cumprod(d, axis=1)  # rounded as repeated multiplication by 3
     below = d < 0.2 * gap[:, None]
     q = np.abs(_values(amps, g, np.hstack([z[:, None] - d, z[:, None] + d])))
     floor = 1e-7 * np.abs(amps).sum(axis=1)[:, None]
-    clear = below & (np.minimum(*np.split(q, 2, axis=1)) > floor)
+    clear = below & (np.minimum(q[:, : d.shape[1]], q[:, d.shape[1] :]) > floor)
     k = np.where(clear.any(axis=1), clear.argmax(axis=1), below.sum(axis=1))
     return d[np.arange(len(d)), k]
 
@@ -351,30 +346,32 @@ def _track_rows(v, floor=None):
 def _refine_rows(v, t, resample, floor=None):
     """Phase tracking of many rows: v holds their samples at parameters t,
     shared (n,) or one row each, and resample(rows, t) samples some rows.
-
-    Rows that pass the modulus rule but not the step rule are resampled
-    together, with every step bad in any of them bisected, for at most
-    _MAX_REFINEMENTS samplings in all. Returns each row's total phase
-    change, whether it passed, and (rows, t, v) of the rows that passed at
-    each sampling.
+    Rows that fail only the step rule are resampled together, with every
+    step bad in any of them bisected, for at most _MAX_REFINEMENTS
+    samplings in all. Returns each row's total phase change, whether it
+    passed, and (rows, passed, t, v) for each sampling.
     """
-    total, ok = np.zeros(len(v)), np.zeros(len(v), dtype=bool)
-    todo, passed = np.arange(len(v)), []
-    for k in range(_MAX_REFINEMENTS):
-        if k:
-            split = np.flatnonzero(~good.all(axis=0))
-            mids = 0.5 * (t[..., split] + t[..., split + 1])
-            t = np.insert(t, split + 1, mids, axis=-1)
-            v = resample(todo, t)
+    total, mod_ok, good = _track_rows(v, floor)
+    ok = mod_ok & good.all(axis=1)
+    passed = [(slice(None), ok.copy(), t, v)]
+    if ok.all():
+        return total, ok, passed
+    todo = np.flatnonzero(mod_ok & ~ok)
+    t, good = (t[todo] if t.ndim > 1 else t), good[todo]
+    for _ in range(_MAX_REFINEMENTS - 1):
+        if not len(todo):
+            break
+        split = np.flatnonzero(~good.all(axis=0))
+        mids = 0.5 * (t[..., split] + t[..., split + 1])
+        t = np.insert(t, split + 1, mids, axis=-1)
+        v = resample(todo, t)
         turned, mod_ok, good = _track_rows(v, None if floor is None else floor[todo])
         done = mod_ok & good.all(axis=1)
         total[todo[done]], ok[todo[done]] = turned[done], True
-        passed.append((todo[done], t[done] if t.ndim > 1 else t, v[done]))
+        passed.append((todo, done, t, v))
         keep = mod_ok & ~done
         todo, good = todo[keep], good[keep]
         t = t[keep] if t.ndim > 1 else t
-        if not len(todo):
-            break
     return total, ok, passed
 
 
@@ -385,11 +382,10 @@ def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
 
     Every span between consecutive points of a, the zeros and b stops
     _offsets short of a zero and is tracked from max(64, ceil(8 fs length /
-    2pi)) samples with the modulus floor sum |a_k|. Its phase is matched to
-    the exact limits at its zeros, the phase of q^(m)(z) / m! (plus m pi
-    before the zero), by wrap corrections below pi, so the neighbourhood it
-    skips costs no accuracy. Returns each row's smooth increment, whether
-    all its spans passed, and the spans that passed, in order.
+    2pi)) samples with the modulus floor sum |a_k|. Wrap corrections below
+    pi match its phase to the exact limits at its zeros, the phase of
+    q^(m)(z) / m! (plus m pi before the zero). Returns each row's smooth
+    increment, whether all its spans passed, and a generator of the spans.
     """
     scale = np.abs(amps).sum(axis=1)
     rows = np.repeat(np.arange(len(a)), np.bincount(zrow, minlength=len(a)) + 1)
@@ -397,13 +393,14 @@ def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
     l, r = a[rows], b[rows]
     r[at], l[at + 1] = zloc, zloc
     gap = np.concatenate([(r - l)[at], (r - l)[at + 1]])  # before, after
-    d = _offsets(amps[np.tile(zrow, 2)], g, np.tile(zloc, 2), gap)
+    both = np.concatenate([zrow, zrow])
+    d = _offsets(amps[both], g, np.concatenate([zloc, zloc]), gap)
     dl, dr = np.zeros(len(rows)), np.zeros(len(rows))
-    dr[at], dl[at + 1] = np.split(d, 2)
+    dr[at], dl[at + 1] = d[: len(at)], d[len(at) :]
     fs = float(np.abs(g).sum())
     n0 = np.maximum(64, np.ceil(8 * fs * (r - dr - l - dl) / TWO_PI)).astype(int)
     inc, ok = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
-    ends, samples = np.zeros((len(rows), 2)), {}
+    ends, tracked = np.zeros((len(rows), 2)), []
     for n in np.unique(n0):
         k = np.flatnonzero(n0 == n)
         own = amps[rows[k]]
@@ -413,8 +410,7 @@ def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
         inc[k], ok[k], passed = _refine_rows(
             v, t, lambda i, t: _values(own[i], g, t), scale[rows[k]]
         )
-        for i, ts, vs in passed:
-            samples.update(zip(k[i].tolist(), zip(ts, vs)))
+        tracked += [(k[i][done], ts[done], vs[done]) for i, done, ts, vs in passed]
     coef = (1j * g) ** zmult[:, None] * amps[zrow]
     lead = np.exp(1j * g * zloc[:, None])[:, None] @ coef[..., None]
     limit = np.angle(lead[:, 0, 0])
@@ -422,8 +418,14 @@ def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
     cr[at] = _wrap(limit + zmult * math.pi - ends[at, 1])
     cl[at + 1] = _wrap(ends[at + 1, 0] - limit)
     smooth = np.bincount(rows, inc + cl + cr, minlength=len(a))
-    spans = [_Span(*samples[j], cl[j], cr[j]) for j in sorted(samples)]
-    return smooth, np.bincount(rows, ~ok, minlength=len(a)) == 0, spans
+
+    def spans():
+        samples = {j: (t, v) for k, ts, vs in tracked
+                   for j, t, v in zip(k.tolist(), ts, vs)}
+        for j in sorted(samples):
+            yield _Span(*samples[j], cl[j], cr[j])
+
+    return smooth, np.bincount(rows, ~ok, minlength=len(a)) == 0, spans()
 
 
 def arg_increment_pair(
@@ -439,10 +441,11 @@ def arg_increment_pair(
     """
     zeros = locate_zeros(U, interval, clusters)
     interval = (float(interval[0]), float(interval[1]))
+    loc = np.array([z.location for z in zeros])
+    mult = np.array([z.multiplicity for z in zeros], dtype=int)
     smooth, ok, spans = _smooth_rows(
         U._amps[None], U._freqs, np.array(interval[:1]), np.array(interval[1:]),
-        np.zeros(len(zeros), dtype=int), np.array([z.location for z in zeros]),
-        np.array([z.multiplicity for z in zeros], dtype=int),
+        np.zeros_like(mult), loc, mult,
     )
     if not ok[0]:
         raise TrackingError("a span between zeros failed the modulus or step rule")
@@ -481,10 +484,9 @@ def _isolate_rows(shifted, g, centers):
     w, h = 1.0, 0.5
     while True:
         rect = (-w / 2, w / 2, -h, h)
-        n0 = _rect_samples(fs, rect)
+        t, points = _first_sampling(rect, _rect_samples(fs, rect))
         winding, ok, _ = _refine_rows(
-            amps @ np.exp(1j * np.multiply.outer(g, _first_sampling(rect, n0))),
-            np.linspace(0.0, 4.0, n0 + 1),
+            amps @ np.exp(1j * np.multiply.outer(g, points)), t,
             lambda i, t: amps[i] @ np.exp(1j * np.multiply.outer(g, _rect_path(rect, t))),
         )
         turns = winding / TWO_PI
@@ -543,7 +545,7 @@ def zero_free_increments(
     fs = float(np.abs(g).sum())
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     clusters, clear = _isolate_rows(shifted, g, centers)
-    segment = _first_sampling((-0.5, 0.5), max(64, math.ceil(8 * fs / TWO_PI)))
+    _, segment = _first_sampling((-0.5, 0.5), max(64, math.ceil(8 * fs / TWO_PI)))
     floor = np.abs(amps).sum(axis=1)
     increments, seg_ok, good = _track_rows(
         shifted @ np.exp(1j * np.multiply.outer(g, segment)), floor
@@ -568,7 +570,8 @@ def traced_increments(amps, freqs, centers, clusters):
     ends = np.abs(_values(amps, g, np.column_stack([a, b])))
     ok = ends.min(axis=1) > ZERO_THRESHOLD * np.abs(amps).sum(axis=1)
     owner = np.repeat(np.arange(len(a)), [len(c) * k for c, k in zip(clusters, ok)])
-    lo, hi, cnt = np.reshape([c for cs, k in zip(clusters, ok) if k for c in cs], (-1, 3)).T
+    found = [c for cs, k in zip(clusters, ok) if k for c in cs]
+    lo, hi, cnt = np.reshape(found, (-1, 3)).T
     loc, state = _polish(amps[owner], g, lo, hi, cnt.astype(int))
     ok[owner[state < 0]] = False
     real = np.flatnonzero(state == 1)

@@ -258,7 +258,7 @@ def _spans_refined_in_batch(monkeypatch):
 
     def spy_refine(v, t, resample, floor=None):
         total, ok, passed = refine(v, t, resample, floor)
-        refined[0] += bool(inside) * sum(len(rows) for rows, _, _ in passed[1:])
+        refined[0] += bool(inside) * sum(done.sum() for _, done, _, _ in passed[1:])
         return total, ok, passed
 
     def spy_trace(*args):
