@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +78,8 @@ class ArgTrace:
         return np.column_stack([np.concatenate(ss), np.concatenate(phs)])
 
 
-class _Span(NamedTuple):
+@dataclass(frozen=True)
+class _Span:
     t: np.ndarray
     v: np.ndarray
     left_correction: float
