@@ -246,8 +246,8 @@ def _polish(amps, g, lo, hi, cnt):
         q, dq = (e @ coef[live])[:, :, 0, 0].T
         moving = dq != 0
         live, q, dq = live[moving], q[moving], dq[moving]
-        # Python divides complex numbers with other rounding than numpy;
-        # its division keeps each cluster on the path of a scalar iteration
+        # a multiple zero is found only to the rounding noise of q, so steps
+        # are divided as Python divides complex numbers, which numpy does not
         step = ((cnt[live] * q).astype(object) / dq.astype(object)).astype(complex)
         s[live] -= step
         done = np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(s[live]))
@@ -395,7 +395,7 @@ def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
     gap = np.concatenate([(r - l)[at], (r - l)[at + 1]])  # before, after
     both = np.concatenate([zrow, zrow])
     d = _offsets(amps[both], g, np.concatenate([zloc, zloc]), gap)
-    dl, dr = np.zeros(len(rows)), np.zeros(len(rows))
+    dl, dr, cl, cr = np.zeros((4, len(rows)))  # offsets and corrections
     dr[at], dl[at + 1] = d[: len(at)], d[len(at) :]
     fs = float(np.abs(g).sum())
     n0 = np.maximum(64, np.ceil(8 * fs * (r - dr - l - dl) / TWO_PI)).astype(int)
@@ -411,12 +411,12 @@ def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
             v, t, lambda i, t: _values(own[i], g, t), scale[rows[k]]
         )
         tracked += [(k[i][done], ts[done], vs[done]) for i, done, ts, vs in passed]
-    coef = (1j * g) ** zmult[:, None] * amps[zrow]
-    lead = np.exp(1j * g * zloc[:, None])[:, None] @ coef[..., None]
-    limit = np.angle(lead[:, 0, 0])
-    cl, cr = np.zeros(len(rows)), np.zeros(len(rows))
-    cr[at] = _wrap(limit + zmult * math.pi - ends[at, 1])
-    cl[at + 1] = _wrap(ends[at + 1, 0] - limit)
+    if len(zrow):  # the Taylor limits
+        coef = (1j * g) ** zmult[:, None] * amps[zrow]
+        lead = np.exp(1j * g * zloc[:, None])[:, None] @ coef[..., None]
+        limit = np.angle(lead[:, 0, 0])
+        cr[at] = _wrap(limit + zmult * math.pi - ends[at, 1])
+        cl[at + 1] = _wrap(ends[at + 1, 0] - limit)
     smooth = np.bincount(rows, inc + cl + cr, minlength=len(a))
 
     def spans():
