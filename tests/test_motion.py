@@ -308,8 +308,8 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     assert case != "near-axis" or refined[0] >= 40
     if case == "double":
         # on the torus the double zero's amplitudes are complex, it splits
-        # into two off-axis zeros, and both routes drop it after a fine
-        # subdivision that takes tens of seconds per window
+        # into two off-axis zeros, and both the loop and torus_mean drop it
+        # after a fine subdivision that takes tens of seconds per window
         return
 
     basis = group_basis(P.exponents)
