@@ -570,8 +570,8 @@ def traced_increments(amps, freqs, centers, clusters):
     ends = np.abs(_values(amps, g, np.column_stack([a, b])))
     ok = ends.min(axis=1) > ZERO_THRESHOLD * np.abs(amps).sum(axis=1)
     owner = np.repeat(np.arange(len(a)), [len(c) * k for c, k in zip(clusters, ok)])
-    found = [c for cs, k in zip(clusters, ok) if k for c in cs]
-    lo, hi, cnt = np.reshape(found, (-1, 3)).T
+    flat = [c for cs, k in zip(clusters, ok) if k for c in cs]
+    lo, hi, cnt = np.reshape(flat, (-1, 3)).T
     loc, state = _polish(amps[owner], g, lo, hi, cnt.astype(int))
     ok[owner[state < 0]] = False
     real = np.flatnonzero(state == 1)
