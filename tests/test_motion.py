@@ -173,6 +173,22 @@ class TestBoxMeanMotion:
         for (_, vp), (_, vm), w in zip(plus.per_window, minus.per_window, want):
             assert (vp, vm) == pytest.approx(tuple(w), abs=1e-12)
 
+    @pytest.mark.parametrize("case", ["sin", "random"])
+    def test_window_tracked_once_per_centre(self, case, sin_poly, monkeypatch):
+        # the windows the batch rejects go to arg_increment_pair once at
+        # their centre, then only at perturbed centres
+        P = sin_poly if case == "sin" else random_poly(np.random.default_rng(1), 2, 3)
+        monkeypatch.setattr(tracker, "ZERO_THRESHOLD", 0.05)
+        calls = []
+        pair = motion.arg_increment_pair
+        monkeypatch.setattr(
+            motion, "arg_increment_pair",
+            lambda *a: calls.append(a[:2]) or pair(*a),
+        )
+        sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=80, seed=5)
+        box_mean_motion(P, [0.0] * P.dimension, sched)
+        assert calls and len(set(calls)) == len(calls)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             WindowSchedule(sizes=(50.0, 25.0))
