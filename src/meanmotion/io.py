@@ -14,17 +14,20 @@ from .errors import DegenerateInputError, DimensionError, PolynomialLoadError
 def parse_polynomial(obj: dict) -> ExpPolynomial:
     """Validate and build an ExpPolynomial from its JSON dict form."""
     try:
-        dimension = int(obj["dimension"])
-        raw_terms = obj["terms"]
-    except (KeyError, TypeError, ValueError) as e:
+        dimension, raw_terms = obj["dimension"], obj["terms"]
+    except (KeyError, TypeError) as e:
         raise PolynomialLoadError(f"malformed polynomial object: {e}") from e
-    if dimension < 1:
+    if type(dimension) is not int or dimension < 1:
         raise PolynomialLoadError("dimension must be a positive integer")
+    if not isinstance(raw_terms, list):
+        raise PolynomialLoadError("terms must be a list")
     terms = []
     seen: dict[tuple, int] = {}
     for k, t in enumerate(raw_terms):
         try:
             coeff = complex(float(t["re"]), float(t["im"]))
+            if not isinstance(t["exponent"], list):
+                raise TypeError("exponent must be a list")
             comps = tuple(Fraction(str(c)) for c in t["exponent"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise PolynomialLoadError(f"term {k}: malformed ({e})") from e

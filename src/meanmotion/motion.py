@@ -8,11 +8,9 @@ Two routes to c+(y), c-(y) that sample separately:
   F(s + i y_1, i 'y, u) over uniform torus points u in [0, 2pi]^N.
 
 Both build their line restrictions with ExpPolynomial.line_rows and track
-them with one window engine: a batched pass over up to _BATCH windows that
-isolates their zeros, refining phase steps in the batch, and certifies
-those with no cluster near the axis, then a batched pass that polishes the
-clusters of the others and traces them, and the scalar tracker for the
-windows either pass rejects.
+them with one window engine: tracker.unit_increments takes up to _BATCH
+windows at once through every rule of the scalar tracker, and
+arg_increment_pair, with seeded retries, decides each window it rejects.
 Agreement of the two within the dispersion-aware tolerance is the
 artifact's core property.
 """
@@ -34,7 +32,7 @@ from .errors import (
     TrackingError,
 )
 from .lattice import LatticeBasis, group_basis
-from .tracker import arg_increment_pair, traced_increments, zero_free_increments
+from .tracker import arg_increment_pair, unit_increments
 
 _RETRIES = 8
 _PERTURB = 1e-6
@@ -109,23 +107,13 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 
 
-def _pair_with_retries(U, center, width, rng, clusters=None):
+def _pair_with_retries(U, center, width, rng):
     """(plus, minus) increments over (center - w/2, center + w/2).
 
     Endpoint-zero and contour failures retry with the window centre
     perturbed by a seeded epsilon in (0, 1e-6); after 8 failures the line
-    is skipped. A window first tried with precomputed clusters (see
-    arg_increment_pair) that fails is redone from the start, so rng is
-    drawn as if the clusters had not been given.
+    is skipped.
     """
-    if clusters is not None:
-        try:
-            tp, tm = arg_increment_pair(
-                U, (center - width / 2, center + width / 2), clusters
-            )
-            return tp.total_increment, tm.total_increment
-        except (EndpointZeroError, SingularContourError, TrackingError):
-            pass
     c = center
     for _ in range(_RETRIES):
         try:
@@ -151,13 +139,10 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
     B x S phases (see ExpPolynomial.line_rows): plus values, minus values
     and the number of untrackable lines, in line order.
 
-    Per _BATCH windows, zero_free_increments certifies those with no
-    cluster near the axis and traced_increments resolves and traces the
-    others it isolated clusters in. A window either takes, with no amplitude
-    dropped, gets its increments and draws nothing from rng. Every other
-    window goes through _pair_with_retries, with the batch's clusters when
-    it has them and no amplitude is dropped, as all of them would without
-    the batched passes, so rng is drawn in the same order.
+    Per _BATCH windows, one unit_increments call takes every window whose
+    increments it can settle; such a window draws nothing from rng. Every
+    other window goes through _pair_with_retries, as all of them would
+    without the batch, so rng is drawn in the same order.
     An identically-zero line contributes the pair on_zero, or is skipped
     when on_zero is None.
     """
@@ -165,18 +150,7 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
     for k in range(0, len(centers), _BATCH):
         rows = P.line_rows(y, phases[k : k + _BATCH])
         batch = centers[k : k + _BATCH]
-        inc, done, clusters = zero_free_increments(rows.amps, rows.freqs, batch)
-        full = (np.abs(rows.amps) > rows.floor).all(axis=1)
-        done &= full
-        plus, minus = inc.copy(), inc
-        given = [c if f else None for c, f in zip(clusters, full)]
-        traced = np.flatnonzero([c is not None and not d for c, d in zip(given, done)])
-        if len(traced):
-            plus[traced], minus[traced], ok = traced_increments(
-                rows.amps[traced], rows.freqs, batch[traced],
-                [given[b] for b in traced],
-            )
-            done[traced[ok]] = True
+        plus, minus, done = unit_increments(rows.amps, rows.freqs, batch, rows.floor)
         for b, center in enumerate(batch):
             U = None if done[b] else rows.restriction(b)
             if U is None:
@@ -185,7 +159,7 @@ def _unit_windows(P, y, centers, phases, rng, on_zero):
                 pair = on_zero
             else:
                 try:
-                    pair = _pair_with_retries(U, float(center), 1.0, rng, given[b])
+                    pair = _pair_with_retries(U, float(center), 1.0, rng)
                 except SkippedLine:
                     pair = None
             if pair is None:

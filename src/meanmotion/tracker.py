@@ -283,7 +283,6 @@ def _resolve_clusters(U, clusters, depth=0):
 def locate_zeros(
     U: UnivariateExpSum,
     interval: tuple[float, float],
-    clusters: list[tuple[float, float, int]] | None = None,
 ) -> list[Zero]:
     """All real zeros of U in the open interval, with multiplicities.
 
@@ -291,8 +290,6 @@ def locate_zeros(
     counts and polished by Newton iteration; a zero's multiplicity is the
     winding count of its isolating rectangle. A zero at either endpoint is
     an EndpointZeroError; the caller is expected to perturb the window.
-    `clusters`, when given, is the result of that subdivision, made in
-    advance by _isolate_rows.
     """
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
@@ -302,8 +299,7 @@ def locate_zeros(
     ends = np.abs(U(np.array([a, b])))
     if ends.min() <= ZERO_THRESHOLD * U.amplitude_scale:
         raise EndpointZeroError("window endpoint sits on a zero")
-    if clusters is None:
-        clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH)
+    clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH)
     candidates = sorted(_resolve_clusters(U, clusters))
     end_tol = max(1e-9, 1e-7 * min(1.0, b - a))
     for loc, _ in candidates:
@@ -431,15 +427,10 @@ def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
 def arg_increment_pair(
     U: UnivariateExpSum,
     interval: tuple[float, float],
-    clusters: list[tuple[float, float, int]] | None = None,
 ) -> tuple[ArgTrace, ArgTrace]:
     """Increments of the arg+ and arg- branches of U over the interval,
-    (plus, minus), from a single zero search and smooth trace.
-
-    `clusters` is passed to locate_zeros: the isolating subdivision of the
-    interval, when zero_free_increments has already made it.
-    """
-    zeros = locate_zeros(U, interval, clusters)
+    (plus, minus), from a single zero search and smooth trace."""
+    zeros = locate_zeros(U, interval)
     interval = (float(interval[0]), float(interval[1]))
     loc = np.array([z.location for z in zeros])
     mult = np.array([z.multiplicity for z in zeros], dtype=int)
@@ -471,7 +462,8 @@ def _isolate_rows(shifted, g, centers):
     Returns (clusters, clear). clusters[b] is row b's clusters (lo, hi,
     count), in order, or None when a count of the row failed the modulus or
     residual rule of count_zeros_rectangle, or its step rule after
-    refinement; _isolate would have tried another rectangle there.
+    refinement; _isolate would have tried another rectangle there, so
+    unit_increments leaves the row to arg_increment_pair.
     clear[b] says that clusters[b] is [].
     """
     fs = float(np.abs(g).sum())
@@ -517,25 +509,31 @@ def _isolate_rows(shifted, g, centers):
     return clusters, regular
 
 
-def zero_free_increments(
+def unit_increments(
     amps: np.ndarray,
     freqs,
     centers: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Unit-window increments of B sums at once: (increments, certified,
-    clusters).
+    floor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """arg_increment_pair on the unit windows of B sums at once: (plus,
+    minus, done).
 
     Row b is q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) on the window
     (centers[b] - 1/2, centers[b] + 1/2). Its zeros are isolated by
-    _isolate_rows, whose first rectangle, at height 1/2, is the first one
-    _isolate makes. The row is certified when that isolation leaves no
-    cluster and the real segment passes the modulus rule against sum |a_k|,
-    which covers the endpoint rule of locate_zeros, and the step rule, with
-    no refinement. Such a window holds no zero near the axis, and the scalar
-    path would trace the same segment at the same sampling, so both branches
-    gain increments[b]. Every other row is left to traced_increments, and
-    its entry of increments means nothing; clusters[b] is then the row's
-    isolating subdivision, or None when it needs the scalar one.
+    _isolate_rows. A row whose isolation leaves no cluster and whose real
+    segment passes the modulus rule against sum |a_k|, which covers the
+    endpoint rule of locate_zeros, and the step rule with no refinement
+    holds no zero near the axis: the scalar path would trace the same
+    segment at the same sampling, so both branches gain its phase change.
+    The other rows with an isolation run the rest of the rules of
+    locate_zeros and the smooth trace together: the endpoint rule, _polish
+    on every cluster, end_tol and _smooth_rows.
+
+    done[b] is False for a row any rule rejects, whose isolation failed,
+    or with an amplitude at or below floor, which its restriction drops;
+    arg_increment_pair, which can try other rectangles and subdivide a
+    cluster further, then decides the window, and plus[b] and minus[b]
+    mean nothing.
 
     Each row is shifted to its window or rectangle by a phase on its
     amplitudes, so the samples of all rows at one stage come from one
@@ -546,32 +544,22 @@ def zero_free_increments(
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     clusters, clear = _isolate_rows(shifted, g, centers)
     _, segment = _first_sampling((-0.5, 0.5), max(64, math.ceil(8 * fs / TWO_PI)))
-    floor = np.abs(amps).sum(axis=1)
-    increments, seg_ok, good = _track_rows(
-        shifted @ np.exp(1j * np.multiply.outer(g, segment)), floor
+    scale = np.abs(amps).sum(axis=1)
+    inc, seg_ok, good = _track_rows(
+        shifted @ np.exp(1j * np.multiply.outer(g, segment)), scale
     )
-    certified = clear & seg_ok & good.all(axis=1)
-    return increments, certified, clusters
-
-
-def traced_increments(amps, freqs, centers, clusters):
-    """arg_increment_pair on many unit windows at once, from the clusters
-    _isolate_rows made: (plus, minus, traced).
-
-    Row b is the sum of zero_free_increments on (centers[b] - 1/2,
-    centers[b] + 1/2), with clusters clusters[b]. The rules of locate_zeros
-    and the smooth trace run on all rows together. A row with a cluster
-    _polish cannot settle, a zero at or near an endpoint, or a span that
-    fails is not traced: it is left to arg_increment_pair, which can
-    subdivide a cluster further, and its increments mean nothing.
-    """
-    g = np.array([float(f) for f in freqs])
-    a, b = centers - 0.5, centers + 0.5
+    full = (np.abs(amps) > floor).all(axis=1)
+    done = full & clear & seg_ok & good.all(axis=1)
+    plus, minus = inc.copy(), inc
+    traced = np.flatnonzero(full & ~done & [c is not None for c in clusters])
+    if not len(traced):
+        return plus, minus, done
+    amps, a, b = amps[traced], centers[traced] - 0.5, centers[traced] + 0.5
     ends = np.abs(_values(amps, g, np.column_stack([a, b])))
-    ok = ends.min(axis=1) > ZERO_THRESHOLD * np.abs(amps).sum(axis=1)
-    owner = np.repeat(np.arange(len(a)), [len(c) * k for c, k in zip(clusters, ok)])
-    flat = [c for cs, k in zip(clusters, ok) if k for c in cs]
-    lo, hi, cnt = np.reshape(flat, (-1, 3)).T
+    ok = ends.min(axis=1) > ZERO_THRESHOLD * scale[traced]
+    owned = [clusters[r] if k else [] for r, k in zip(traced.tolist(), ok.tolist())]
+    owner = np.repeat(np.arange(len(traced)), [len(c) for c in owned])
+    lo, hi, cnt = np.reshape([c for cs in owned for c in cs], (-1, 3)).T
     loc, state = _polish(amps[owner], g, lo, hi, cnt.astype(int))
     ok[owner[state < 0]] = False
     real = np.flatnonzero(state == 1)
@@ -581,4 +569,6 @@ def traced_increments(amps, freqs, centers, clusters):
     ok[zrow[(zloc - a[zrow] < end_tol) | (b[zrow] - zloc < end_tol)]] = False
     smooth, spans_ok, _ = _smooth_rows(amps, g, a, b, zrow, zloc, zmult)
     jump = math.pi * np.bincount(zrow, zmult, minlength=len(a))
-    return smooth - jump, smooth + jump, ok & spans_ok
+    plus[traced], minus[traced] = smooth - jump, smooth + jump
+    done[traced] = ok & spans_ok
+    return plus, minus, done

@@ -84,6 +84,22 @@ class TestIo:
         with pytest.raises(PolynomialLoadError, match="zero coefficient"):
             parse_polynomial(obj)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("dimension", 1.9, "dimension"),
+        ("dimension", True, "dimension"),
+        ("dimension", "1", "dimension"),
+        ("terms", 5, "terms"),
+        ("terms", None, "terms"),
+        ("exponent", "1", "term 0"),
+    ])
+    def test_malformed_types_rejected(self, field, value, match):
+        # no silent truncation, and no TypeError from iterating a non-list
+        term = {"re": 1, "im": 0, "exponent": ["1"]}
+        obj = {"dimension": 1, "terms": [term]}
+        (term if field == "exponent" else obj)[field] = value
+        with pytest.raises(PolynomialLoadError, match=match):
+            parse_polynomial(obj)
+
     def test_dict_form_uses_exact_strings(self, sin_poly):
         d = polynomial_to_dict(sin_poly)
         assert d["terms"][0]["exponent"] == ["1"]
@@ -117,6 +133,21 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "DegenerateInputError"
         assert "not finite" in out["message"]
+
+    @pytest.mark.parametrize("body", [
+        '{"dimension": 1.9, "terms": [{"re": 1, "im": 0, "exponent": ["1"]}]}',
+        '{"dimension": true, "terms": [{"re": 1, "im": 0, "exponent": ["1"]}]}',
+        '{"dimension": 1, "terms": 5}',
+        '{"dimension": 1, "terms": null}',
+        '{"dimension": 1, "terms": [{"re": 1, "im": 0, "exponent": "1"}]}',
+    ], ids=["float-dimension", "bool-dimension", "int-terms", "null-terms",
+            "string-exponent"])
+    def test_malformed_file_is_input_error(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        code = main(["eval", "--poly", str(path), "--z", "0"])
+        assert code == EXIT_INPUT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == "PolynomialLoadError"
 
     def test_non_finite_coefficient(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

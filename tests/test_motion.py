@@ -267,25 +267,32 @@ def test_large_height_does_not_overflow(y, want):
 
 
 def _spans_refined_in_batch(monkeypatch):
-    """Count, in a one-item list, the spans traced_increments tracks that
-    pass the step rule only after bisection."""
+    """Count, in a one-item list, the spans _smooth_rows tracks within
+    unit_increments that pass the step rule only after bisection."""
     refined, inside = [0], []
-    refine, trace = tracker._refine_rows, tracker.traced_increments
+    refine = tracker._refine_rows
 
     def spy_refine(v, t, resample, floor=None):
         total, ok, passed = refine(v, t, resample, floor)
-        refined[0] += bool(inside) * sum(done.sum() for _, done, _, _ in passed[1:])
+        traced = inside == ["unit_increments", "_smooth_rows"]
+        refined[0] += traced * sum(done.sum() for _, done, _, _ in passed[1:])
         return total, ok, passed
 
-    def spy_trace(*args):
-        inside.append(True)
-        try:
-            return trace(*args)
-        finally:
-            inside.pop()
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def within(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(owner, name, within)
 
     monkeypatch.setattr(tracker, "_refine_rows", spy_refine)
-    monkeypatch.setattr(motion, "traced_increments", spy_trace)
+    spy(motion, "unit_increments")
+    spy(tracker, "_smooth_rows")
     return refined
 
 

@@ -16,11 +16,12 @@ from meanmotion.errors import (
 from meanmotion.tracker import (
     _COARSE_WIDTH,
     _isolate,
+    _isolate_rows,
     arg_increment_pair,
     count_zeros_rectangle,
     locate_zeros,
+    unit_increments,
     winding_number,
-    zero_free_increments,
 )
 from conftest import random_poly
 
@@ -201,17 +202,24 @@ def _triple():
     )
 
 
+def _isolated(amps, freqs, centers):
+    """The clusters _isolate_rows finds in the unit windows at centers."""
+    g = np.array([float(f) for f in freqs])
+    shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
+    return _isolate_rows(shifted, g, centers)[0]
+
+
 def _offaxis_row(seed, p, b):
-    """Row b of 64 seeded lines of a p-variate sum: its restriction, unit
-    window and the clusters zero_free_increments isolates in it."""
+    """Row b of 64 seeded lines of a p-variate sum: its restriction and
+    unit window, which holds a cluster _isolate_rows isolates."""
     rng = np.random.default_rng(seed)
     P = random_poly(rng, p, 5, max_num=6)
     y = rng.uniform(-0.3, 0.3, p)
     rows = P.line_rows(y, rng.uniform(0, 2 * PI, (64, len(P.terms))))
     centers = rng.uniform(-20, 20, 64)
-    _, _, clusters = zero_free_increments(rows.amps, rows.freqs, centers)
+    assert _isolated(rows.amps, rows.freqs, centers)[b]
     c = float(centers[b])
-    return rows.restriction(b), (c - 0.5, c + 0.5), clusters[b]
+    return rows.restriction(b), (c - 0.5, c + 0.5)
 
 
 # arg_increment_pair's (plus, minus, zeros) on seeded windows, as the
@@ -246,19 +254,15 @@ PINNED = [
 def test_pinned_increments(which, interval, plus, minus, zeros,
                            sin_sum, cos_minus_one):
     if isinstance(which, tuple):
-        U, interval, clusters = _offaxis_row(*which)
-        assert clusters
-        given = (None, clusters)
+        U, interval = _offaxis_row(*which)
     else:
         U = {"sin": sin_sum, "double": cos_minus_one, "triple": _triple()}[which]
-        given = (None,)
-    for clusters in given:
-        tp, tm = arg_increment_pair(U, interval, clusters)
-        assert tp.total_increment == pytest.approx(plus, abs=1e-12)
-        assert tm.total_increment == pytest.approx(minus, abs=1e-12)
-        got = [(z.location, z.multiplicity) for z in tp.zeros]
-        assert [m for _, m in got] == [m for _, m in zeros]
-        assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=1e-12)
+    tp, tm = arg_increment_pair(U, interval)
+    assert tp.total_increment == pytest.approx(plus, abs=1e-12)
+    assert tm.total_increment == pytest.approx(minus, abs=1e-12)
+    got = [(z.location, z.multiplicity) for z in tp.zeros]
+    assert [m for _, m in got] == [m for _, m in zeros]
+    assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=1e-12)
 
 
 def _dominant_poly(rng):
@@ -284,62 +288,58 @@ def _row_families(rng):
         yield "offaxis", P, y, rng.uniform(0, 2 * PI, (64, len(P.terms)))
 
 
-class TestZeroFreeIncrements:
-    def test_matches_scalar_path(self, rng=np.random.default_rng(41)):
-        certified = dict.fromkeys(("sin", "dominant", "offaxis"), 0)
-        flagged = dict(certified)
-        past_zero = 0  # certified though the first rectangle holds a zero
+class TestUnitIncrements:
+    def test_taken_rows_match_scalar_path(self, rng=np.random.default_rng(41)):
+        # a row the batch takes has arg_increment_pair's increments, and a
+        # row on whose window arg_increment_pair raises is not taken
+        taken = dict.fromkeys(("sin", "dominant", "offaxis"), 0)
+        with_zeros = past_zero = 0  # taken rows with a real zero, or past one
         for name, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
-            inc, ok, _ = zero_free_increments(rows.amps, rows.freqs, centers)
-            for b in np.flatnonzero(ok):
-                c, U = centers[b], rows.restriction(b)
-                plus, minus = arg_increment_pair(U, (c - 0.5, c + 0.5))
-                assert plus.zeros == ()
-                assert abs(plus.total_increment - inc[b]) <= 1e-12
-                assert abs(minus.total_increment - inc[b]) <= 1e-12
-                if name == "offaxis":
+            plus, minus, done = unit_increments(
+                rows.amps, rows.freqs, centers, rows.floor
+            )
+            for b, c in enumerate(centers):
+                U = rows.restriction(b)
+                try:
+                    tp, tm = arg_increment_pair(U, (c - 0.5, c + 0.5))
+                except (EndpointZeroError, SingularContourError, TrackingError):
+                    assert not done[b]
+                    continue
+                if not done[b]:
+                    continue
+                assert abs(tp.total_increment - plus[b]) <= 1e-12
+                assert abs(tm.total_increment - minus[b]) <= 1e-12
+                with_zeros += tp.zeros != ()
+                if name == "offaxis" and not tp.zeros:
                     rect = (c - 0.5, c + 0.5, -0.5, 0.5)
                     past_zero += count_zeros_rectangle(U, rect) != 0
-            certified[name] += int(ok.sum())
-            flagged[name] += int((~ok).sum())
-        # every family exercises both outcomes (sin is a third zero windows),
-        # and off-axis rows are certified past zeros away from the axis
-        assert min(certified.values()) > 0
-        assert flagged["sin"] > 0 and flagged["offaxis"] > 0
-        assert past_zero > 0
+            taken[name] += int(done.sum())
+        # rows of every family are taken, sin's real zeros among them, and
+        # off-axis rows past zeros near the axis
+        assert min(taken.values()) > 0
+        assert with_zeros > 0 and past_zero > 0
 
-    def test_zero_windows_flagged(self, sin_sum, cos_minus_one):
+    @pytest.mark.parametrize("which", ["sin", "double"])
+    def test_zero_windows(self, which, sin_sum, cos_minus_one):
+        U, m = (sin_sum, 1) if which == "sin" else (cos_minus_one, 2)
+        spacing = PI if which == "sin" else 2 * PI
         rng = np.random.default_rng(8)
-        for U, spacing in ((sin_sum, PI), (cos_minus_one, 2 * PI)):
-            zeros = spacing * rng.integers(-20, 21, 64)
-            amps = np.array([[a for a, _ in U.terms]] * 64)
-            freqs = [g for _, g in U.terms]
-            for centers in (
-                zeros + rng.uniform(-0.49, 0.49, 64),  # a zero inside
-                zeros + rng.choice([-0.5, 0.5], 64),  # a zero at an endpoint
-            ):
-                _, ok, _ = zero_free_increments(amps, freqs, centers)
-                assert not ok.any()
-
-    def test_rows_with_zeros_flagged(self, rng=np.random.default_rng(43)):
-        # the converse, on general rows: a window the scalar path finds a
-        # zero in, or on the edge of, is never certified
-        with_zeros = 0
-        for _, P, y, phases in _row_families(rng):
-            rows = P.line_rows(y, phases)
-            centers = rng.uniform(-50.0, 50.0, len(phases))
-            _, ok, _ = zero_free_increments(rows.amps, rows.freqs, centers)
-            for b, c in enumerate(centers):
-                try:
-                    found = locate_zeros(rows.restriction(b), (c - 0.5, c + 0.5))
-                except EndpointZeroError:
-                    found = True
-                if found:
-                    with_zeros += 1
-                    assert not ok[b]
-        assert with_zeros > 0
+        zeros = spacing * rng.integers(-20, 21, 64)
+        amps = np.array([[a for a, _ in U.terms]] * 64)
+        freqs = [g for _, g in U.terms]
+        # a zero of multiplicity m inside: minus - plus = 2 pi m
+        centers = zeros + rng.uniform(-0.49, 0.49, 64)
+        plus, minus, done = unit_increments(amps, freqs, centers, 0.0)
+        assert done.all()
+        assert minus - plus == pytest.approx(2 * PI * m, abs=1e-12)
+        # a zero at an endpoint: arg_increment_pair raises, nothing is taken
+        centers = zeros + rng.choice([-0.5, 0.5], 64)
+        assert not unit_increments(amps, freqs, centers, 0.0)[2].any()
+        for c in centers:
+            with pytest.raises(EndpointZeroError):
+                arg_increment_pair(U, (c - 0.5, c + 0.5))
 
 
 def _first_pass_isolate(U, a, b, monkeypatch):
@@ -359,7 +359,7 @@ class TestIsolateRows:
     def check(amps, freqs, centers, monkeypatch):
         """Batched clusters equal the scalar ones row by row; returns how
         many rows were isolated in the batch and how many were returned."""
-        _, _, got = zero_free_increments(amps, freqs, centers)
+        got = _isolated(amps, freqs, centers)
         for b, c in enumerate(centers):
             U = UnivariateExpSum(tuple(zip(amps[b], freqs)))
             want = _first_pass_isolate(U, c - 0.5, c + 0.5, monkeypatch)
