@@ -321,6 +321,36 @@ class TestUnitIncrements:
         assert min(taken.values()) > 0
         assert with_zeros > 0 and past_zero > 0
 
+    def test_rows_with_zeros(self, rng=np.random.default_rng(43)):
+        # a window the scalar path finds a zero in, or on the edge of, is
+        # taken only where arg_increment_pair resolves it, with its increments
+        with_zeros = taken = 0
+        for _, P, y, phases in _row_families(rng):
+            rows = P.line_rows(y, phases)
+            centers = rng.uniform(-50.0, 50.0, len(phases))
+            plus, minus, done = unit_increments(
+                rows.amps, rows.freqs, centers, rows.floor
+            )
+            for b, c in enumerate(centers):
+                U, window = rows.restriction(b), (c - 0.5, c + 0.5)
+                try:
+                    found = locate_zeros(U, window)
+                except EndpointZeroError:
+                    found = True
+                if not found:
+                    continue
+                with_zeros += 1
+                try:
+                    tp, tm = arg_increment_pair(U, window)
+                except (EndpointZeroError, SingularContourError, TrackingError):
+                    assert not done[b]
+                    continue
+                if done[b]:
+                    taken += 1
+                    assert abs(tp.total_increment - plus[b]) <= 1e-12
+                    assert abs(tm.total_increment - minus[b]) <= 1e-12
+        assert with_zeros > 0 and taken > 0
+
     @pytest.mark.parametrize("which", ["sin", "double"])
     def test_zero_windows(self, which, sin_sum, cos_minus_one):
         U, m = (sin_sum, 1) if which == "sin" else (cos_minus_one, 2)
