@@ -168,6 +168,12 @@ def _verify_cases():
     yield ("sin-y3", sin, (3.0,), -1.0, -1.0, 0.05)
     dom = poly(2, [(2.0, ["1", "1"]), (0.5, ["2", "-1"])])
     yield ("dominant-p2", dom, (0.0, 0.0), 1.0, 1.0, 0.05)
+    # 2 cos z - 2 = -4 sin^2(z/2): a double real zero every 2 pi
+    double = poly(1, [(1.0, ["1"]), (-2.0, ["0"]), (1.0, ["-1"])])
+    yield ("double-zero-y0", double, (0.0,), -1.0, 1.0, 0.05)
+    # (e^{iz} - 1)^3: a triple real zero every 2 pi on a smooth motion 3/2
+    triple = poly(1, [(1.0, ["3"]), (-3.0, ["2"]), (3.0, ["1"]), (-1.0, ["0"])])
+    yield ("triple-zero-y0", triple, (0.0,), 0.0, 3.0, 0.05)
 
 
 def cmd_verify(args) -> int:

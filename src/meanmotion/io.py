@@ -25,7 +25,10 @@ def parse_polynomial(obj: dict) -> ExpPolynomial:
     seen: dict[tuple, int] = {}
     for k, t in enumerate(raw_terms):
         try:
-            coeff = complex(float(t["re"]), float(t["im"]))
+            parts = (t["re"], t["im"])
+            if any(type(x) not in (int, float) for x in parts):  # no bool, no str
+                raise TypeError("re and im must be JSON numbers")
+            coeff = complex(*map(float, parts))
             if not isinstance(t["exponent"], list):
                 raise TypeError("exponent must be a list")
             comps = tuple(Fraction(str(c)) for c in t["exponent"])

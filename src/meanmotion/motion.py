@@ -8,11 +8,11 @@ Two routes to c+(y), c-(y) that sample separately:
   F(s + i y_1, i 'y, u) over uniform torus points u in [0, 2pi]^N.
 
 Both build their line restrictions with ExpPolynomial.line_rows and track
-them with one window engine: tracker.unit_increments takes up to _BATCH
-windows at once through every rule of the scalar tracker, and
-arg_increment_pair, with seeded retries, decides each window it rejects.
-Agreement of the two within the dispersion-aware tolerance is the
-artifact's core property.
+them with one window engine: tracker.unit_increments settles up to _BATCH
+windows at once from certified phase steps, on the real segment or, past
+a real zero, at heights +-delta, and arg_increment_pair, with seeded
+retries, decides each window it leaves undone. Agreement of the two
+within the dispersion-aware tolerance is the artifact's core property.
 """
 
 from __future__ import annotations

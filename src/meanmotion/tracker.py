@@ -1,17 +1,26 @@
 """Continuous argument branches of univariate exponential sums.
 
-Tracks arg+ / arg- along real segments with the convention that a zero of
-multiplicity m contributes a jump of -m*pi (plus branch) or +m*pi (minus
-branch), locates real-axis zeros by rectangle subdivision with boundary
-winding counts, and certifies every contour as zero-free before trusting
-its phase.
+The arg+ / arg- branches along a real segment follow the convention that
+a zero of multiplicity m contributes a jump of -m*pi (plus branch) or
++m*pi (minus branch). Two engines compute their increments:
+
+* unit_increments, which both estimators use, settles many unit windows
+  at once without locating any zero. Every phase step is certified by
+  the step rule of _step_ok. A window whose real segment certifies holds
+  no zero; one whose segment does not is traced at heights +-delta, the
+  one-sided limits that pass its real zeros above and below;
+* arg_increment_pair, the scalar tracker, locates the real zeros by
+  rectangle subdivision with boundary winding counts, polishes them by
+  Newton's method and traces the spans between them. It decides the
+  windows unit_increments leaves undone, and serves the zeros and track
+  commands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +35,7 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-# Interval widths at which rectangle subdivision hands over to polishing.
-_COARSE_WIDTH = 0.02
+# Interval width at which the subdivision of an unsettled cluster stops.
 _FINE_WIDTH = 1e-8
 _H_FACTORS = (1.0, 0.87, 0.71, 0.55, 0.41, 0.26, 0.17, 0.11)
 _SPLIT_OFFSETS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.51, 0.61, 0.39, 0.55)
@@ -35,6 +43,13 @@ _MULTIPLICITY_CAP = 50
 # A sample whose modulus is at or below ZERO_THRESHOLD times the scale
 # counts as a zero. Read at call time, never bound as a default argument.
 ZERO_THRESHOLD = 1e-9
+# Certified steps: the step rule's rounding floor over sum |a_k|, the width
+# below which a real-line step that still fails sends its window to the
+# +-delta traces, the deltas in order, and the cuts of a failing step.
+_STEP_FLOOR = 1e-12
+_AXIS_WIDTH = 1e-5
+_DELTAS = (1e-5, 1e-4, 1e-3)
+_CUTS = np.linspace(0.0, 1.0, 9)
 # Phase-step bisection rounds, and radius perturbations in winding_number.
 _MAX_REFINEMENTS = 24
 _POINTS_PER_TURN = 64  # least samples on a winding circle
@@ -136,36 +151,10 @@ def _rect_path(rect, t):
     """Points at parameters t in [0, 4] on the boundary of rect, one side
     per unit of t, counter-clockwise from the corner (s0, t0)."""
     s0, s1, t0, t1 = rect
-    corners = np.array(
-        [
-            s0 + 1j * t0,
-            s1 + 1j * t0,
-            s1 + 1j * t1,
-            s0 + 1j * t1,
-            s0 + 1j * t0,
-        ]
-    )
+    corners = np.array([s0, s1, s1, s0, s0]) + 1j * np.array([t0, t0, t1, t1, t0])
     k = np.minimum(np.floor(t).astype(int), 3)
     frac = t - k
     return corners[k] * (1 - frac) + corners[k + 1] * frac
-
-
-def _rect_samples(fs, rect) -> int:
-    """First sampling of the boundary of rect for a sum of frequency scale fs."""
-    s0, s1, t0, t1 = rect
-    perimeter = 2 * ((s1 - s0) + (t1 - t0))
-    return max(128, int(8 * fs * perimeter / TWO_PI) + 16)
-
-
-@lru_cache(maxsize=64)
-def _first_sampling(rect, n0) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters in [0, 4] and points of n0 + 1 samples from corner to
-    corner along the boundary of rect, or along the real segment [s0, s1]
-    when rect is (s0, s1); read-only."""
-    t = np.linspace(0.0, 4.0, n0 + 1)
-    points = np.linspace(*rect, n0 + 1) if len(rect) == 2 else _rect_path(rect, t)
-    t.flags.writeable = points.flags.writeable = False
-    return t, points
 
 
 def count_zeros_rectangle(
@@ -180,7 +169,9 @@ def count_zeros_rectangle(
     if not (s0 < s1 and t0 < t1):
         raise ValueError("rectangle must have positive extent")
     fn = lambda _, t: U(_rect_path(rect, t))[None]
-    t = np.linspace(0.0, 4.0, _rect_samples(U.frequency_scale, rect) + 1)
+    perimeter = 2 * ((s1 - s0) + (t1 - t0))
+    n0 = max(128, int(8 * U.frequency_scale * perimeter / TWO_PI) + 16)
+    t = np.linspace(0.0, 4.0, n0 + 1)
     total, ok, _ = _refine_rows(fn(0, t), t, fn)
     if not ok[0]:
         raise SingularContourError("boundary passes too close to a zero")
@@ -188,6 +179,8 @@ def count_zeros_rectangle(
     k = round(w)
     if abs(w - k) > 0.1:
         raise TrackingError(f"boundary winding residual {abs(w - k):.3f}")
+    if k < 0:  # the argument principle counts zeros, never fewer than none
+        raise TrackingError(f"boundary winding {k} is negative")
     return int(k)
 
 
@@ -262,7 +255,8 @@ def _polish(amps, g, lo, hi, cnt):
 
 def _resolve_clusters(U, clusters, depth=0):
     """Turn isolated clusters into real zero candidates (loc, mult); one
-    that _polish cannot settle is subdivided once, or taken at its middle."""
+    that _polish cannot settle is subdivided once, which must keep its
+    count, or taken at its middle."""
     if not clusters:
         return []
     lo, hi, cnt = np.array(clusters).T
@@ -276,6 +270,8 @@ def _resolve_clusters(U, clusters, depth=0):
             out.append((0.5 * (lo + hi), cnt))
         elif st < 0:
             subs = _isolate(U, lo, hi, hi - lo, _FINE_WIDTH)
+            if sum(k for _, _, k in subs) != cnt:
+                raise TrackingError(f"subdividing a cluster of {cnt} zeros lost some")
             out.extend(_resolve_clusters(U, subs, depth + 1))
     return out
 
@@ -299,7 +295,7 @@ def locate_zeros(
     ends = np.abs(U(np.array([a, b])))
     if ends.min() <= ZERO_THRESHOLD * U.amplitude_scale:
         raise EndpointZeroError("window endpoint sits on a zero")
-    clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), _COARSE_WIDTH)
+    clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), 0.02)
     candidates = sorted(_resolve_clusters(U, clusters))
     end_tol = max(1e-9, 1e-7 * min(1.0, b - a))
     for loc, _ in candidates:
@@ -371,57 +367,46 @@ def _refine_rows(v, t, resample, floor=None):
     return total, ok, passed
 
 
-def _smooth_rows(amps, g, a, b, zrow, zloc, zmult):
-    """Smooth branch increments of the sums in the rows of amps on
-    (a[r], b[r]), with zero i of multiplicity zmult[i] at zloc[i] in row
-    zrow[i], sorted by row and location.
+def _smooth_spans(U, a, b, zloc, zmult):
+    """Smooth branch increment of U on (a, b), with zeros of multiplicity
+    zmult at the sorted locations zloc.
 
     Every span between consecutive points of a, the zeros and b stops
     _offsets short of a zero and is tracked from max(64, ceil(8 fs length /
-    2pi)) samples with the modulus floor sum |a_k|. Wrap corrections below
-    pi match its phase to the exact limits at its zeros, the phase of
-    q^(m)(z) / m! (plus m pi before the zero). Returns each row's smooth
-    increment, whether all its spans passed, and a generator of the spans.
+    2pi)) samples with the modulus floor sum |a_k|, spans of one sampling
+    together. Wrap corrections below pi match its phase to the exact
+    limits at its zeros, the phase of q^(m)(z) / m! (plus m pi before the
+    zero). Returns the smooth increment, whether every span passed, and
+    the spans.
     """
-    scale = np.abs(amps).sum(axis=1)
-    rows = np.repeat(np.arange(len(a)), np.bincount(zrow, minlength=len(a)) + 1)
-    at = np.arange(len(zrow)) + zrow  # the span that ends at each zero
-    l, r = a[rows], b[rows]
-    r[at], l[at + 1] = zloc, zloc
-    gap = np.concatenate([(r - l)[at], (r - l)[at + 1]])  # before, after
-    both = np.concatenate([zrow, zrow])
-    d = _offsets(amps[both], g, np.concatenate([zloc, zloc]), gap)
-    dl, dr, cl, cr = np.zeros((4, len(rows)))  # offsets and corrections
-    dr[at], dl[at + 1] = d[: len(at)], d[len(at) :]
-    fs = float(np.abs(g).sum())
-    n0 = np.maximum(64, np.ceil(8 * fs * (r - dr - l - dl) / TWO_PI)).astype(int)
-    inc, ok = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
-    ends, tracked = np.zeros((len(rows), 2)), []
+    amps, g, m = U._amps, U._freqs, len(zloc)
+    l, r = np.append(a, zloc), np.append(zloc, b)
+    gap = np.append(r[:-1] - l[:-1], r[1:] - l[1:])  # before, after each zero
+    d = _offsets(np.tile(amps, (2 * m, 1)), g, np.tile(zloc, 2), gap)
+    l[1:] += d[m:]
+    r[:-1] -= d[:m]
+    n0 = np.maximum(64, np.ceil(8 * U.frequency_scale * (r - l) / TWO_PI)).astype(int)
+    inc, ok, ends = np.zeros(m + 1), np.zeros(m + 1, dtype=bool), np.zeros((m + 1, 2))
+    samples = {}
     for n in np.unique(n0):
         k = np.flatnonzero(n0 == n)
-        own = amps[rows[k]]
-        t = np.linspace(l[k] + dl[k], r[k] - dr[k], n + 1, axis=-1)
-        v = _values(own, g, t)
+        t = np.linspace(l[k], r[k], n + 1, axis=-1)
+        v = U(t)
         ends[k] = np.angle(v[:, [0, -1]])
         inc[k], ok[k], passed = _refine_rows(
-            v, t, lambda i, t: _values(own[i], g, t), scale[rows[k]]
+            v, t, lambda _, t: U(t), np.full(len(k), U.amplitude_scale)
         )
-        tracked += [(k[i][done], ts[done], vs[done]) for i, done, ts, vs in passed]
-    if len(zrow):  # the Taylor limits
-        coef = (1j * g) ** zmult[:, None] * amps[zrow]
+        for i, done, ts, vs in passed:
+            samples.update(zip(k[i][done].tolist(), zip(ts[done], vs[done])))
+    cl, cr = np.zeros((2, m + 1))  # the Taylor limits
+    if m:
+        coef = (1j * g) ** zmult[:, None] * amps
         lead = np.exp(1j * g * zloc[:, None])[:, None] @ coef[..., None]
         limit = np.angle(lead[:, 0, 0])
-        cr[at] = _wrap(limit + zmult * math.pi - ends[at, 1])
-        cl[at + 1] = _wrap(ends[at + 1, 0] - limit)
-    smooth = np.bincount(rows, inc + cl + cr, minlength=len(a))
-
-    def spans():
-        samples = {j: (t, v) for k, ts, vs in tracked
-                   for j, t, v in zip(k.tolist(), ts, vs)}
-        for j in sorted(samples):
-            yield _Span(*samples[j], cl[j], cr[j])
-
-    return smooth, np.bincount(rows, ~ok, minlength=len(a)) == 0, spans()
+        cr[:-1] = _wrap(limit + zmult * math.pi - ends[:-1, 1])
+        cl[1:] = _wrap(ends[1:, 0] - limit)
+    spans = tuple(_Span(*samples[j], cl[j], cr[j]) for j in sorted(samples))
+    return float((inc + cl + cr).sum()), ok.all(), spans
 
 
 def arg_increment_pair(
@@ -432,81 +417,94 @@ def arg_increment_pair(
     (plus, minus), from a single zero search and smooth trace."""
     zeros = locate_zeros(U, interval)
     interval = (float(interval[0]), float(interval[1]))
-    loc = np.array([z.location for z in zeros])
-    mult = np.array([z.multiplicity for z in zeros], dtype=int)
-    smooth, ok, spans = _smooth_rows(
-        U._amps[None], U._freqs, np.array(interval[:1]), np.array(interval[1:]),
-        np.zeros_like(mult), loc, mult,
+    smooth, ok, spans = _smooth_spans(
+        U, *interval, np.array([z.location for z in zeros]),
+        np.array([z.multiplicity for z in zeros], dtype=int),
     )
-    if not ok[0]:
+    if not ok:
         raise TrackingError("a span between zeros failed the modulus or step rule")
-    smooth, zeros, spans = float(smooth[0]), tuple(zeros), tuple(spans)
+    zeros = tuple(zeros)
     jump = math.pi * sum(z.multiplicity for z in zeros)
+    if not math.isfinite(smooth - jump):
+        raise TrackingError("the increment is not finite")
     return (
         ArgTrace("plus", interval, zeros, smooth, -jump, smooth - jump, spans),
         ArgTrace("minus", interval, zeros, smooth, jump, smooth + jump, spans),
     )
 
 
-def _isolate_rows(shifted, g, centers):
-    """_isolate(U_b, c_b - 1/2, c_b + 1/2, 1/2, _COARSE_WIDTH) for many rows
-    at once, one subdivision level per _refine_rows pass.
-
-    U_b(s) = sum_k a_bk exp(i g[k] s), c_b = centers[b], and row b of
-    shifted is a_bk exp(i g[k] c_b), U_b seen from c_b. At depth d every
-    live rectangle has width 2^-d and half-height min(1/2, 2^-d), is split
-    at its midpoint and dropped when it holds no zero: the rectangles
-    _isolate makes while every count succeeds at its first height and first
-    split. A rectangle whose steps need bisection is refined in the batch.
-
-    Returns (clusters, clear). clusters[b] is row b's clusters (lo, hi,
-    count), in order, or None when a count of the row failed the modulus or
-    residual rule of count_zeros_rectangle, or its step rule after
-    refinement; _isolate would have tried another rectangle there, so
-    unit_increments leaves the row to arg_increment_pair.
-    clear[b] says that clusters[b] is [].
+def _step_ok(z0, z1, q0, q1, m1, m2, floor):
+    """The certified step rule, elementwise: whether q with q0 = q(z0),
+    q1 = q(z1), |q'| <= m1 and |q''| <= m2 on [z0, z1] has no zero there
+    and turns along it by exactly angle(q1 / q0) (Ying & Katz, Numer. Math.
+    53, 1988). With h = |z1 - z0|, q stays in the ellipse |w - q0| +
+    |w - q1| <= m1 h and within m2 h^2 / 8 of the chord [q0, q1]; the step
+    passes when 0 lies outside either by more than the rounding floor.
     """
-    fs = float(np.abs(g).sum())
-    row = np.arange(len(centers))
-    lo, hi = centers - 0.5, centers + 0.5
-    off = np.zeros(len(row))  # rectangle centre - window centre, dyadic
-    amps = shifted  # each live rectangle's row, seen from its centre
-    regular = np.ones(len(row), dtype=bool)
-    found: dict[int, list] = {}
-    w, h = 1.0, 0.5
-    while True:
-        rect = (-w / 2, w / 2, -h, h)
-        t, points = _first_sampling(rect, _rect_samples(fs, rect))
-        winding, ok, _ = _refine_rows(
-            amps @ np.exp(1j * np.multiply.outer(g, points)), t,
-            lambda i, t: amps[i] @ np.exp(1j * np.multiply.outer(g, _rect_path(rect, t))),
+    h = np.abs(z1 - z0)
+    ok = np.abs(q0) + np.abs(q1) > m1 * h + floor
+    rest = ~ok
+    if rest.any():
+        q0, q1, reach = (
+            np.broadcast_to(a, ok.shape)[rest]
+            for a in (q0, q1, m2 * h * h / 8 + floor)
         )
-        turns = winding / TWO_PI
-        counts = np.round(turns)
-        ok &= np.abs(turns - counts) <= 0.1
-        live = ok & (counts != 0)
-        if not ok.all():  # drop the failed rows' other rectangles too
-            regular[row[~ok]] = False
-            live &= regular[row]
-        if not live.any():
+        d = q1 - q0
+        c0, c1 = d.conj() * q0, d.conj() * q1
+        inside = (c0.real < 0) & (c1.real > 0)  # 0 projects inside the chord
+        ok[rest] = np.where(
+            inside,
+            np.abs(c0.imag) > reach * np.abs(d),
+            np.minimum(np.abs(q0), np.abs(q1)) > reach,
+        )
+    return ok
+
+
+def _trace(shifted, g, rows, origin, step, t, stop):
+    """Certified phase change of row rows[p] of shifted, a sum in z, along
+    z = origin[p] + step t over the grid t, for every p; step is 1 or 1j.
+    Returns each path's phase change and whether it passed.
+
+    The samples at t are tested as one (paths x steps) array. The failing
+    steps form a ragged queue: each round cuts them all by _CUTS, each
+    evaluated on its own row, and tests them as one array. A path fails
+    when a step narrower than stop still fails, or when more than
+    4 max(64, len(t) - 1) of its steps fail at once: it is then in the
+    rounding noise of a multiple zero, and the cap bounds the queue.
+    """
+    amps = shifted[rows] * np.exp(1j * np.multiply.outer(origin, g))
+    e = np.exp(1j * step * np.multiply.outer(g, t))
+    grow = np.maximum(np.abs(e[:, 0]), np.abs(e[:, -1]))  # largest |exp(i g z)| on a path
+    mods = np.abs(amps) * grow
+    m1, m2 = mods @ np.abs(g), mods @ (g * g)
+    floor = _STEP_FLOOR * np.abs(shifted[rows]).sum(axis=1)
+    v = amps @ e
+    p, s, total = np.arange(len(rows)), t, np.zeros(len(rows))
+    passed, cap = np.ones(len(rows), dtype=bool), 4 * max(64, len(t) - 1)
+    width = t[1] - t[0]  # of every step in the current array
+    while True:
+        # on the real line one row of points serves every path
+        z = step * s if not origin.any() else origin[p, None] + step * s
+        ok = _step_ok(z[..., :-1], z[..., 1:], v[:, :-1], v[:, 1:],
+                      m1[p, None], m2[p, None], floor[p, None])
+        turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
+        total += np.bincount(p, turn.sum(axis=1), minlength=len(rows))
+        if ok.all() or width < stop:
             break
-        if w <= _COARSE_WIDTH:
-            for b, l, r, k in zip(row[live], lo[live], hi[live], counts[live]):
-                found.setdefault(b, []).append((float(l), float(r), int(k)))
-            break
-        row, lo, hi, off = row[live], lo[live], hi[live], off[live]
-        split = lo + 0.5 * (hi - lo)
-        row = np.concatenate([row, row])
-        lo, hi = np.concatenate([lo, split]), np.concatenate([split, hi])
-        off = np.concatenate([off - w / 4, off + w / 4])
-        amps = shifted[row] * np.exp(1j * np.multiply.outer(off, g))
-        w /= 2
-        h = min(h, w)
-    clusters = [[] if r else None for r in regular.tolist()]
-    for b, c in found.items():
-        clusters[b] = sorted(c)
-        regular[b] = False
-    return clusters, regular
+        i, j = np.nonzero(~ok)
+        if len(i) > cap:
+            crowded = np.bincount(p[i], minlength=len(rows)) > cap
+            passed[crowded] = False
+            i, j = i[~crowded[p[i]]], j[~crowded[p[i]]]
+        s = np.broadcast_to(s, v.shape)
+        p, s0, s1 = p[i], s[i, j], s[i, j + 1]
+        s = s0[:, None] + np.multiply.outer(s1 - s0, _CUTS)
+        s[:, -1] = s1
+        inner = np.exp(1j * step * np.multiply.outer(s[:, 1:-1], g)) @ amps[p, :, None]
+        v = np.column_stack([v[i, j], inner[..., 0], v[i, j + 1]])
+        width /= len(_CUTS) - 1
+    passed[p[~ok.all(axis=1)]] = False
+    return total, passed
 
 
 def unit_increments(
@@ -515,60 +513,50 @@ def unit_increments(
     centers: np.ndarray,
     floor: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """arg_increment_pair on the unit windows of B sums at once: (plus,
-    minus, done).
+    """Increments (plus, minus, done) of the arg+ and arg- branches of the
+    sums q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) over the windows
+    (centers[b] - 1/2, centers[b] + 1/2), each seen from its centre.
 
-    Row b is q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) on the window
-    (centers[b] - 1/2, centers[b] + 1/2). Its zeros are isolated by
-    _isolate_rows. A row whose isolation leaves no cluster and whose real
-    segment passes the modulus rule against sum |a_k|, which covers the
-    endpoint rule of locate_zeros, and the step rule with no refinement
-    holds no zero near the axis: the scalar path would trace the same
-    segment at the same sampling, so both branches gain its phase change.
-    The other rows with an isolation run the rest of the rules of
-    locate_zeros and the smooth trace together: the endpoint rule, _polish
-    on every cluster, end_tol and _smooth_rows.
-
-    done[b] is False for a row any rule rejects, whose isolation failed,
-    or with an amplitude at or below floor, which its restriction drops;
-    arg_increment_pair, which can try other rectangles and subdivide a
-    cluster further, then decides the window, and plus[b] and minus[b]
-    mean nothing.
-
-    Each row is shifted to its window or rectangle by a phase on its
-    amplitudes, so the samples of all rows at one stage come from one
-    (B x S) @ (S x n) product.
+    Every phase step is certified by _step_ok; no zero is located.
+    * Real-line pass: a window whose max(64, ceil(8 fs / 2pi)) steps all
+      pass, after cuts, holds no zero; both branches gain its phase change.
+    * +-delta pass: a window with a step still failing below _AXIS_WIDTH
+      has a zero on or next to the axis. Its arg+ (arg-) increment is the
+      phase change from its left end up to height +delta (down to -delta),
+      along that height and back to its right end: the one-sided limit
+      that passes every real zero above (below). A window that fails is
+      traced again at the next of _DELTAS.
+    done[b] is False for a row with an amplitude at or below floor, with
+    |q_b| at or below ZERO_THRESHOLD sum |a_k| at an end, or that fails at
+    every delta; arg_increment_pair then decides the window.
     """
     g = np.array([float(f) for f in freqs])
-    fs = float(np.abs(g).sum())
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
-    clusters, clear = _isolate_rows(shifted, g, centers)
-    _, segment = _first_sampling((-0.5, 0.5), max(64, math.ceil(8 * fs / TWO_PI)))
-    scale = np.abs(amps).sum(axis=1)
-    inc, seg_ok, good = _track_rows(
-        shifted @ np.exp(1j * np.multiply.outer(g, segment)), scale
-    )
-    full = (np.abs(amps) > floor).all(axis=1)
-    done = full & clear & seg_ok & good.all(axis=1)
-    plus, minus = inc.copy(), inc
-    traced = np.flatnonzero(full & ~done & [c is not None for c in clusters])
-    if not len(traced):
-        return plus, minus, done
-    amps, a, b = amps[traced], centers[traced] - 0.5, centers[traced] + 0.5
-    ends = np.abs(_values(amps, g, np.column_stack([a, b])))
-    ok = ends.min(axis=1) > ZERO_THRESHOLD * scale[traced]
-    owned = [clusters[r] if k else [] for r, k in zip(traced.tolist(), ok.tolist())]
-    owner = np.repeat(np.arange(len(traced)), [len(c) for c in owned])
-    lo, hi, cnt = np.reshape([c for cs in owned for c in cs], (-1, 3)).T
-    loc, state = _polish(amps[owner], g, lo, hi, cnt.astype(int))
-    ok[owner[state < 0]] = False
-    real = np.flatnonzero(state == 1)
-    real = real[np.lexsort((cnt[real], loc[real], owner[real]))]
-    zrow, zloc, zmult = owner[real], loc[real], cnt[real].astype(int)
-    end_tol = np.maximum(1e-9, 1e-7 * np.minimum(1.0, b - a))[zrow]
-    ok[zrow[(zloc - a[zrow] < end_tol) | (b[zrow] - zloc < end_tol)]] = False
-    smooth, spans_ok, _ = _smooth_rows(amps, g, a, b, zrow, zloc, zmult)
-    jump = math.pi * np.bincount(zrow, zmult, minlength=len(a))
-    plus[traced], minus[traced] = smooth - jump, smooth + jump
-    done[traced] = ok & spans_ok
+    ends = shifted @ np.exp(0.5j * np.multiply.outer(g, [-1.0, 1.0]))
+    usable = (np.abs(amps) > floor).all(axis=1)
+    usable &= np.abs(ends).min(axis=1) > ZERO_THRESHOLD * np.abs(amps).sum(axis=1)
+    n0 = max(64, math.ceil(8 * float(np.abs(g).sum()) / TWO_PI))
+    t = np.arange(n0 + 1) / n0 - 0.5
+    todo = np.flatnonzero(usable)
+    plus, minus, done = np.zeros(len(amps)), np.zeros(len(amps)), usable.copy()
+    plus[todo], done[todo] = _trace(shifted, g, todo, np.zeros(len(todo)), 1, t, _AXIS_WIDTH)
+    minus[todo] = plus[todo]
+    todo = todo[~done[todo]]
+    for delta in _DELTAS:
+        if not len(todo):
+            break
+        k = len(todo)
+        heights = np.repeat([1j * delta, -1j * delta], k)
+        level, ok = _trace(shifted, g, np.tile(todo, 2), heights, 1, t, delta / 100)
+        # the vertical ends, each traced upwards: at -1/2 and at 1/2, from
+        # the axis to +i delta and from -i delta to the axis
+        starts = np.repeat([-0.5, -0.5 - 1j * delta, 0.5, 0.5 - 1j * delta], k)
+        up, up_ok = _trace(shifted, g, np.tile(todo, 4), starts, 1j,
+                           np.array([0.0, delta]), delta / 100)
+        (la, lb, ra, rb), up_ok = up.reshape(4, k), up_ok.reshape(4, k).all(axis=0)
+        ok = ok[:k] & ok[k:] & up_ok
+        plus[todo[ok]] = (la + level[:k] - ra)[ok]
+        minus[todo[ok]] = (rb + level[k:] - lb)[ok]
+        done[todo[ok]] = True
+        todo = todo[~ok]
     return plus, minus, done

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine cross-validated properties of the two estimators.
+"""Acceptance gate: ten cross-validated properties of the two estimators.
 
 Each test prints a single pass/fail line and enforces its runtime budget.
 Targets are either analytically forced (pure exponentials, dominant-term
@@ -275,3 +275,31 @@ def test_09_deep_strip_limit():
         for v in (box_p.value, box_m.value, tor.plus, tor.minus):
             ok = ok and abs(v - lams[j]) < 0.05
     report(9, "deep-strip limit", ok)
+
+
+def test_10_multiple_real_zeros():
+    # 2 cos z - 2 = -4 sin^2(z/2) has a double zero every 2 pi and no
+    # smooth motion: c+- = -+1. (e^{iz} - 1)^3 has a triple zero every
+    # 2 pi on the smooth motion 3/2: c+ = 0, c- = 3. Both routes must meet
+    # the targets by the rule of `meanmotion verify`, and the deterministic
+    # torus grid within 0.05.
+    t0 = time.perf_counter()
+    sched = WindowSchedule(sizes=(25.0, 50.0, 100.0), lines_per_box=128)
+    ok = True
+    for pairs, targets in (
+        ([(1, ["1"]), (-2, ["0"]), (1, ["-1"])], (-1.0, 1.0)),
+        ([(1, ["3"]), (-3, ["2"]), (3, ["1"]), (-1, ["0"])], (0.0, 3.0)),
+    ):
+        P = ExpPolynomial.from_pairs(1, pairs)
+        rep = compare_estimators(P, [0.0], sched, samples=800)
+        grid = torus_mean(P, [0.0], group_basis(P.exponents), samples=1000,
+                          method="grid")
+        for conv, target, on_grid in zip(("plus", "minus"), targets, grid[::2]):
+            tol = max(rep["tolerance"][conv], 0.05)
+            ok = ok and rep["diff"][conv] <= rep["tolerance"][conv]
+            ok = ok and abs(rep["box"][conv]["value"] - target) <= tol
+            ok = ok and abs(rep["torus"][conv]["value"] - target) <= tol
+            ok = ok and abs(on_grid - target) <= 0.05
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 60.0
+    report(10, f"multiple real zeros ({elapsed:.1f}s)", ok)

@@ -91,12 +91,15 @@ class TestIo:
         ("terms", 5, "terms"),
         ("terms", None, "terms"),
         ("exponent", "1", "term 0"),
+        ("re", True, "term 0"),
+        ("im", "2", "term 0"),
     ])
     def test_malformed_types_rejected(self, field, value, match):
-        # no silent truncation, and no TypeError from iterating a non-list
+        # no silent truncation or conversion, and no TypeError from
+        # iterating a non-list
         term = {"re": 1, "im": 0, "exponent": ["1"]}
         obj = {"dimension": 1, "terms": [term]}
-        (term if field == "exponent" else obj)[field] = value
+        (obj if field in obj else term)[field] = value
         with pytest.raises(PolynomialLoadError, match=match):
             parse_polynomial(obj)
 
@@ -140,8 +143,9 @@ class TestEval:
         '{"dimension": 1, "terms": 5}',
         '{"dimension": 1, "terms": null}',
         '{"dimension": 1, "terms": [{"re": 1, "im": 0, "exponent": "1"}]}',
+        '{"dimension": 1, "terms": [{"re": true, "im": "2", "exponent": ["1"]}]}',
     ], ids=["float-dimension", "bool-dimension", "int-terms", "null-terms",
-            "string-exponent"])
+            "string-exponent", "bool-and-string-coefficient"])
     def test_malformed_file_is_input_error(self, tmp_path, capsys, body):
         path = tmp_path / "bad.json"
         path.write_text(body)
@@ -312,5 +316,5 @@ class TestVerify:
         assert rows[0] == [
             "case", "convention", "box", "torus", "diff", "tolerance", "pass"
         ]
-        assert len(rows) == 13
+        assert len(rows) == 17  # 8 cases, both conventions, and the header
         assert all(row[-1] == "pass" for row in rows[1:])

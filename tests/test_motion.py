@@ -146,19 +146,30 @@ class TestBoxMeanMotion:
 
     @pytest.mark.parametrize("case", ["sin", "random"])
     def test_rng_drawn_as_on_scalar_path(self, case, sin_poly, monkeypatch):
-        # a coarse zero threshold makes windows near zeros fail and retry,
-        # drawing perturbations from the box's rng; 80 lines span two batches
+        # a coarse zero threshold sends windows with an end near a zero to
+        # the scalar path, whose retries draw perturbations from the box's
+        # rng: only the windows unit_increments leaves undone draw, in line
+        # order, as a per-line loop over those windows would; 80 lines span
+        # two batches
         P = sin_poly if case == "sin" else random_poly(np.random.default_rng(1), 2, 3)
         y = [0.0] * P.dimension
         monkeypatch.setattr(tracker, "ZERO_THRESHOLD", 0.05)
         sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=80, seed=5)
 
         rng = np.random.default_rng(sched.seed)
-        want, skipped = [], 0
+        want, returned, skipped = [], 0, 0
         for L in sched.sizes:
             pairs = []
             xs = rng.uniform(-L / 2, L / 2, size=(sched.lines_per_box, P.dimension))
             for x in xs:
+                rows = P.line_rows(y, motion._perp_phases(P, x[None, 1:]))
+                plus, minus, done = tracker.unit_increments(
+                    rows.amps, rows.freqs, x[:1], rows.floor
+                )
+                if done[0]:
+                    pairs.append((plus[0], minus[0]))
+                    continue
+                returned += 1
                 try:
                     pairs.append(windowed_increment_pair(P, y, x, rng))
                 except SkippedLine:
@@ -168,7 +179,7 @@ class TestBoxMeanMotion:
         made = _recording_rngs(monkeypatch)
         plus, minus = box_mean_motion(P, y, sched)
         monkeypatch.undo()
-        assert skipped > 0 and plus.skipped_lines == skipped
+        assert returned >= skipped > 0 and plus.skipped_lines == skipped
         assert made[sched.seed][0].bit_generator.state == rng.bit_generator.state
         for (_, vp), (_, vm), w in zip(plus.per_window, minus.per_window, want):
             assert (vp, vm) == pytest.approx(tuple(w), abs=1e-12)
@@ -243,6 +254,15 @@ class TestTorusMean:
         assert got.plus == pytest.approx(-1.0, abs=0.01)
         assert got.minus == pytest.approx(-1.0, abs=0.01)
 
+    def test_split_double_zero_is_finite(self):
+        # 2 cos z - 2: rounding splits its double zeros on the torus rows;
+        # every window is still taken, and none is skipped or NaN
+        P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
+        got = torus_mean(P, [0.0], group_basis(P.exponents), samples=64, seed=0)
+        assert math.isfinite(got.plus) and math.isfinite(got.minus)
+        assert (got.samples, got.skipped) == (64, 0)
+        assert got.plus == pytest.approx(-1.0, abs=3 * got.plus_stderr)
+
     @pytest.mark.parametrize("method", ["random", "grid"])
     @pytest.mark.parametrize("samples, error", [
         (0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError),
@@ -266,46 +286,29 @@ def test_large_height_does_not_overflow(y, want):
     assert got.skipped == 0
 
 
-def _spans_refined_in_batch(monkeypatch):
-    """Count, in a one-item list, the spans _smooth_rows tracks within
-    unit_increments that pass the step rule only after bisection."""
-    refined, inside = [0], []
-    refine = tracker._refine_rows
+def _cut_steps_certified(monkeypatch):
+    """Count, in a one-item list, the steps the certified engine accepts
+    after cutting a failed step: those narrower than the first sampling's
+    1/64 (the lines of this module's test sums have n0 = 64)."""
+    cut, step_ok = [0], tracker._step_ok
 
-    def spy_refine(v, t, resample, floor=None):
-        total, ok, passed = refine(v, t, resample, floor)
-        traced = inside == ["unit_increments", "_smooth_rows"]
-        refined[0] += traced * sum(done.sum() for _, done, _, _ in passed[1:])
-        return total, ok, passed
+    def spy(z0, z1, *rest):
+        ok = step_ok(z0, z1, *rest)
+        cut[0] += int((ok & (np.abs(z1 - z0) < 1 / 64 - 1e-12)).sum())
+        return ok
 
-    def spy(owner, name):
-        fn = getattr(owner, name)
-
-        def within(*args):
-            inside.append(name)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(owner, name, within)
-
-    monkeypatch.setattr(tracker, "_refine_rows", spy_refine)
-    spy(motion, "unit_increments")
-    spy(tracker, "_smooth_rows")
-    return refined
+    monkeypatch.setattr(tracker, "_step_ok", spy)
+    return cut
 
 
 @pytest.mark.parametrize("case", ["sin", "double", "near-axis", "offaxis"])
 def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
-    # at the real zero threshold, flagged windows are traced in the batch
-    # from its clusters, or go to arg_increment_pair with them; rng draws
-    # are those of the loop, and values too, but for the rounding of
-    # certified windows' batched increments
+    # at the real zero threshold the batch takes every window; rng draws
+    # are those of the loop, and values too, but for rounding
     if case in ("sin", "near-axis"):
-        # near the axis, the zeros of sin sit 0.003 below it: they are
-        # dropped, and the spans that pass them need their steps bisected
-        P, y = sin_poly, [0.0 if case == "sin" else 0.003]
+        # near the axis, the zeros of sin sit 1e-5 below it: the steps
+        # that pass them are certified only after a cut
+        P, y = sin_poly, [0.0 if case == "sin" else 1e-5]
     elif case == "double":  # 2(cos s - 1)
         P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (1, ["-1"]), (-2, ["0"])])
         y = [0.0]
@@ -320,19 +323,18 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
         pairs = [windowed_increment_pair(P, y, x, rng) for x in xs]
         want.append(tuple(float(np.mean(v)) for v in zip(*pairs)))
     made = _recording_rngs(monkeypatch)
-    refined = _spans_refined_in_batch(monkeypatch)
+    cut = _cut_steps_certified(monkeypatch)
     plus, minus = box_mean_motion(P, y, sched)
     monkeypatch.undo()
     assert made[sched.seed][0].bit_generator.state == rng.bit_generator.state
     assert (plus.skipped_lines, minus.skipped_lines) == (0, 0)
     got = [(vp, vm) for (_, vp), (_, vm) in zip(plus.per_window, minus.per_window)]
     assert np.array(got) == pytest.approx(np.array(want), abs=1e-12)
-    # spans that fail the step rule at their first sampling stay in the batch
-    assert case != "near-axis" or refined[0] >= 40
+    # steps that fail the step rule at their first sampling stay in the batch
+    assert case != "near-axis" or cut[0] >= 40
     if case == "double":
-        # on the torus the double zero's amplitudes are complex, it splits
-        # into two off-axis zeros, and both the loop and torus_mean drop it
-        # after a fine subdivision that takes tens of seconds per window
+        # on the torus rounding splits the double zero off the axis, where
+        # the scalar path subdivides it for seconds per window and may raise
         return
 
     basis = group_basis(P.exponents)

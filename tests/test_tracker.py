@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import iv
 from scipy.integrate import quad
 
 from meanmotion import tracker
-from meanmotion.core import ExpPolynomial, UnivariateExpSum
+from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
 from meanmotion.errors import (
     DegenerateInputError,
     EndpointZeroError,
@@ -14,15 +15,13 @@ from meanmotion.errors import (
     TrackingError,
 )
 from meanmotion.tracker import (
-    _COARSE_WIDTH,
-    _isolate,
-    _isolate_rows,
     arg_increment_pair,
     count_zeros_rectangle,
     locate_zeros,
     unit_increments,
     winding_number,
 )
+from meanmotion.lattice import group_basis
 from conftest import random_poly
 
 PI = math.pi
@@ -202,24 +201,24 @@ def _triple():
     )
 
 
-def _isolated(amps, freqs, centers):
-    """The clusters _isolate_rows finds in the unit windows at centers."""
-    g = np.array([float(f) for f in freqs])
-    shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
-    return _isolate_rows(shifted, g, centers)[0]
-
-
 def _offaxis_row(seed, p, b):
     """Row b of 64 seeded lines of a p-variate sum: its restriction and
-    unit window, which holds a cluster _isolate_rows isolates."""
+    unit window, which holds one zero within 0.02 of the axis."""
     rng = np.random.default_rng(seed)
     P = random_poly(rng, p, 5, max_num=6)
     y = rng.uniform(-0.3, 0.3, p)
     rows = P.line_rows(y, rng.uniform(0, 2 * PI, (64, len(P.terms))))
-    centers = rng.uniform(-20, 20, 64)
-    assert _isolated(rows.amps, rows.freqs, centers)[b]
-    c = float(centers[b])
-    return rows.restriction(b), (c - 0.5, c + 0.5)
+    c = float(rng.uniform(-20, 20, 64)[b])
+    U = rows.restriction(b)
+    assert count_zeros_rectangle(U, (c - 0.5, c + 0.5, -0.02, 0.02)) == 1
+    return U, (c - 0.5, c + 0.5)
+
+
+def _pinned_window(which, interval, sin_sum, cos_minus_one):
+    if isinstance(which, tuple):
+        return _offaxis_row(*which)
+    U = {"sin": sin_sum, "double": cos_minus_one, "triple": _triple()}[which]
+    return U, interval
 
 
 # arg_increment_pair's (plus, minus, zeros) on seeded windows, as the
@@ -253,16 +252,49 @@ PINNED = [
 @pytest.mark.parametrize("which, interval, plus, minus, zeros", PINNED)
 def test_pinned_increments(which, interval, plus, minus, zeros,
                            sin_sum, cos_minus_one):
-    if isinstance(which, tuple):
-        U, interval = _offaxis_row(*which)
-    else:
-        U = {"sin": sin_sum, "double": cos_minus_one, "triple": _triple()}[which]
+    U, interval = _pinned_window(which, interval, sin_sum, cos_minus_one)
     tp, tm = arg_increment_pair(U, interval)
     assert tp.total_increment == pytest.approx(plus, abs=1e-12)
     assert tm.total_increment == pytest.approx(minus, abs=1e-12)
     got = [(z.location, z.multiplicity) for z in tp.zeros]
     assert [m for _, m in got] == [m for _, m in zeros]
     assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=1e-12)
+
+
+def _unit_rows(U, centers):
+    """unit_increments on the unit windows of U at the given centres."""
+    amps = np.array([[a for a, _ in U.terms]] * len(centers))
+    return unit_increments(amps, [g for _, g in U.terms], np.asarray(centers), 0.0)
+
+
+@pytest.mark.parametrize("which, interval, plus, minus, zeros", [
+    case for case in PINNED if case[1] is None or case[1][1] - case[1][0] < 1.5
+])
+def test_pinned_unit_windows(which, interval, plus, minus, zeros,
+                             sin_sum, cos_minus_one):
+    # the certified engine gives the scalar tracker's pinned increments,
+    # real zeros of multiplicity 1 to 3 included, without locating them
+    U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
+    got_plus, got_minus, done = _unit_rows(U, [0.5 * (a + b)])
+    assert done[0]
+    assert got_plus[0] == pytest.approx(plus, abs=1e-12)
+    assert got_minus[0] == pytest.approx(minus, abs=1e-12)
+
+
+def test_rounding_split_double_zero():
+    # 2 cos z - 2 at the torus point u below (row 38 of the seed-0 uniform
+    # points on [0, 2 pi)): rounding splits the double zero at 0.414 into
+    # two zeros 1e-8 off the axis. The scalar tracker's rectangle count
+    # there came out -2 and its increments NaN; it now raises, and the
+    # certified engine passes above and below the pair.
+    P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
+    K = lift(P, group_basis(P.exponents))._K
+    rows = P.line_rows([0.0], np.array([[5.868768495722669]]) @ K.T)
+    with pytest.raises(TrackingError):
+        arg_increment_pair(rows.restriction(0), (-0.5, 0.5))
+    plus, minus, done = unit_increments(rows.amps, rows.freqs, np.zeros(1), rows.floor)
+    assert done[0]
+    assert (plus[0], minus[0]) == pytest.approx((-2 * PI, 2 * PI), abs=1e-12)
 
 
 def _dominant_poly(rng):
@@ -372,68 +404,76 @@ class TestUnitIncrements:
                 arg_increment_pair(U, (c - 0.5, c + 0.5))
 
 
-def _first_pass_isolate(U, a, b, monkeypatch):
-    """_isolate with one height and one split: its clusters, or None where
-    _isolate would need another height or split."""
-    with monkeypatch.context() as m:
-        m.setattr(tracker, "_H_FACTORS", (1.0,))
-        m.setattr(tracker, "_SPLIT_OFFSETS", (0.5,))
-        try:
-            return _isolate(U, a, b, 0.5, _COARSE_WIDTH)
-        except (SingularContourError, TrackingError):
-            return None
+def _iv_q(amps, g, z):
+    """Interval enclosure (re, im) of sum_k amps[k] exp(i g[k] z) at the
+    complex double z."""
+    x, y = iv.mpf(z.real), iv.mpf(z.imag)
+    re = im = iv.mpf(0)
+    for a, gk in zip(amps, g):
+        e = iv.exp(-iv.mpf(gk) * y)
+        c, s = e * iv.cos(iv.mpf(gk) * x), e * iv.sin(iv.mpf(gk) * x)
+        ar, ai = iv.mpf(a.real), iv.mpf(a.imag)
+        re, im = re + ar * c - ai * s, im + ar * s + ai * c
+    return re, im
 
 
-class TestIsolateRows:
-    @staticmethod
-    def check(amps, freqs, centers, monkeypatch):
-        """Batched clusters equal the scalar ones row by row; returns how
-        many rows were isolated in the batch and how many were returned."""
-        got = _isolated(amps, freqs, centers)
-        for b, c in enumerate(centers):
-            U = UnivariateExpSum(tuple(zip(amps[b], freqs)))
-            want = _first_pass_isolate(U, c - 0.5, c + 0.5, monkeypatch)
-            assert got[b] == want
-            if want is not None:
-                assert want == _isolate(U, c - 0.5, c + 0.5, 0.5, _COARSE_WIDTH)
-        isolated = sum(c is not None for c in got)
-        return isolated, len(got) - isolated
+def _iv_abs(q):
+    return iv.sqrt(q[0] ** 2 + q[1] ** 2)
 
-    @staticmethod
-    def rows_of(U, n):
-        return np.array([[a for a, _ in U.terms]] * n), [g for _, g in U.terms]
 
-    @pytest.mark.parametrize("which", ["sin", "double"])
-    def test_real_zeros(self, which, sin_sum, cos_minus_one, monkeypatch):
-        U, spacing = (sin_sum, PI) if which == "sin" else (cos_minus_one, 2 * PI)
-        rng = np.random.default_rng(61)
-        amps, freqs = self.rows_of(U, 64)
-        zeros = spacing * rng.integers(-20, 21, 64)
-        centers = zeros + rng.uniform(-0.49, 0.49, 64)
-        # a double zero near a side of a small rectangle needs its steps
-        # bisected, which the batch does too
-        isolated, _ = self.check(amps, freqs, centers, monkeypatch)
-        assert isolated >= 60
+def _iv_step_holds(amps, g, c, z0, z1, floor):
+    """Whether one of the two step inequalities of the certified engine
+    holds in interval arithmetic on the segment [c + z0, c + z1] of the sum
+    sum_k amps[k] exp(i g[k] s), with q0, q1, h, M1 and M2 recomputed."""
+    q0, q1 = _iv_q(amps, g, c + z0), _iv_q(amps, g, c + z1)
+    dx, dy = iv.mpf(z1.real) - iv.mpf(z0.real), iv.mpf(z1.imag) - iv.mpf(z0.imag)
+    h = iv.sqrt(dx ** 2 + dy ** 2)
+    # |a_k exp(i g_k z)| is largest at an end of the segment
+    grow = [max(iv.exp(-iv.mpf(gk) * iv.mpf(z.imag)).b for z in (z0, z1)) for gk in g]
+    mods = [_iv_abs((iv.mpf(a.real), iv.mpf(a.imag))).b for a in amps]
+    m1 = iv.mpf(sum(m * w * abs(gk) for m, w, gk in zip(mods, grow, g)))
+    m2 = iv.mpf(sum(m * w * gk * gk for m, w, gk in zip(mods, grow, g)))
+    a0, a1 = _iv_abs(q0), _iv_abs(q1)
+    if (a0 + a1).a > (m1 * h + floor).b:
+        return True
+    # the distance from 0 to the chord: to its line, or to its nearer end
+    # when 0 projects outside it for sure
+    dr, di = q1[0] - q0[0], q1[1] - q0[1]
+    along0, along1 = dr * q0[0] + di * q0[1], dr * q1[0] + di * q1[1]
+    cross = dr * q0[1] - di * q0[0]
+    dist = (abs(cross) / iv.sqrt(dr ** 2 + di ** 2)).a
+    if along0.a >= 0 or along1.b <= 0:
+        dist = min(a0.a, a1.a)
+    return dist > (m2 * h * h / 8 + floor).b
 
-    def test_zero_at_or_near_edge(self, sin_sum, monkeypatch):
-        # zeros on the window's edge or on a split line need the scalar path;
-        # zeros just inside the edge do not; all sit in one batch
-        rng = np.random.default_rng(62)
-        amps, freqs = self.rows_of(sin_sum, 64)
-        zeros = PI * rng.integers(-20, 21, 64)
-        offsets = np.tile([0.5, -0.5, 0.0, 0.499, -0.497, 0.3, -0.2, 0.1], 8)
-        isolated, returned = self.check(amps, freqs, zeros + offsets, monkeypatch)
-        assert isolated >= 40 and returned >= 24
 
-    def test_offaxis_rows(self, monkeypatch):
-        rng = np.random.default_rng(63)
-        isolated = returned = 0
-        for name, P, y, phases in _row_families(rng):
-            if name != "offaxis":
-                continue
-            rows = P.line_rows(y, phases)
-            centers = rng.uniform(-50.0, 50.0, len(phases))
-            i, r = self.check(rows.amps, rows.freqs, centers, monkeypatch)
-            isolated, returned = isolated + i, returned + r
-        # step-rule failures are refined in the batch, so few rows go back
-        assert isolated > 0 and returned <= 4
+@pytest.mark.parametrize("which, interval", [
+    ("sin", (-0.2, 0.8)), ("double", (-0.3, 0.7)),
+    ((7, 2, 14), None), ((7, 2, 21), None), ((9, 3, 8), None),
+], ids=["sin", "double", "offaxis-7-14", "offaxis-7-21", "offaxis-9-8"])
+def test_accepted_steps_hold_in_interval_arithmetic(
+    which, interval, sin_sum, cos_minus_one, monkeypatch
+):
+    # every step the engine accepts, on the real line, at +-delta and on
+    # the vertical ends, satisfies its inequality with q0, q1, M1 and M2
+    # re-evaluated in interval arithmetic from the row's own amplitudes
+    U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
+    accepted, step_ok = [], tracker._step_ok
+
+    def spy(*args):
+        ok = step_ok(*args)
+        *steps, ok_ = np.broadcast_arrays(*args, ok)
+        accepted.append([s[ok_] for s in steps])
+        return ok
+
+    monkeypatch.setattr(tracker, "_step_ok", spy)
+    c = 0.5 * (a + b)
+    assert _unit_rows(U, [c])[2][0]
+    monkeypatch.undo()
+    z0, z1, _, _, _, _, floor = (np.concatenate(s) for s in zip(*accepted))
+    amps, g = [a for a, _ in U.terms], [float(f) for _, f in U.terms]
+    heights = set(np.round(np.concatenate([z0.imag, z1.imag]), 12).tolist())
+    # the rows with a real zero are traced off the axis too
+    assert len(z0) >= 64 and (len(heights) > 1) == (interval is not None)
+    for s0, s1, f in zip(z0.tolist(), z1.tolist(), floor.tolist()):
+        assert _iv_step_holds(amps, g, c, complex(s0), complex(s1), f)
