@@ -10,9 +10,9 @@ Two routes to c+(y), c-(y) that sample separately:
 Both build their line restrictions with ExpPolynomial.line_rows and track
 them with one window engine: tracker.unit_increments settles up to _BATCH
 windows at once from certified phase steps, on the real segment or, past
-a real zero, at heights +-delta, and arg_increment_pair, with seeded
-retries, decides each window it leaves undone. Agreement of the two
-within the dispersion-aware tolerance is the artifact's core property.
+a real zero, at heights +-delta, and traces each window it leaves undone
+again alone at seeded perturbed centres. Agreement of the two within the
+dispersion-aware tolerance is the artifact's core property.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import ExpPolynomial, UnivariateExpSum, lift
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    EndpointZeroError,
-    SingularContourError,
-    TrackingError,
-)
+from .errors import DegenerateInputError, DimensionError
 from .lattice import LatticeBasis, group_basis
-from .tracker import arg_increment_pair, unit_increments
+from .tracker import unit_increments
 
 _RETRIES = 8
 _PERTURB = 1e-6
@@ -107,67 +101,52 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 
 
-def _pair_with_retries(U, center, width, rng):
-    """(plus, minus) increments over (center - w/2, center + w/2).
-
-    Endpoint-zero and contour failures retry with the window centre
-    perturbed by a seeded epsilon in (0, 1e-6); after 8 failures the line
-    is skipped.
-    """
-    c = center
-    for _ in range(_RETRIES):
-        try:
-            tp, tm = arg_increment_pair(U, (c - width / 2, c + width / 2))
-            return tp.total_increment, tm.total_increment
-        except (EndpointZeroError, SingularContourError, TrackingError):
-            c = center + rng.uniform(0.0, _PERTURB)
-    raise SkippedLine
-
-
 def windowed_increment_pair(P, y, x, rng=None):
-    """(plus, minus) unit-window increments of arg P along the line x + iy."""
+    """(plus, minus) unit-window increments of arg P along the line x + iy,
+    the window centred at x; SkippedLine if it cannot be tracked."""
     if rng is None:
         rng = np.random.default_rng(0)
-    U = _line_sum(P, y, x[1:])
-    if U.is_identically_zero:
+    x = np.asarray(x, dtype=float)
+    vp, vm, skipped = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]), rng, None)
+    if skipped:
         raise SkippedLine
-    return _pair_with_retries(U, float(x[0]), 1.0, rng)
+    return float(vp[0]), float(vm[0])
 
 
-def _unit_windows(P, y, centers, phases, rng, on_zero):
-    """Unit-window increments of the lines with the given window centres and
-    B x S phases (see ExpPolynomial.line_rows): plus values, minus values
-    and the number of untrackable lines, in line order.
+def _unit_windows(P, y, centers, phases, rng, on_zero, width=1.0):
+    """Increments of the windows of the given width and centres on the
+    lines with B x S phases (see ExpPolynomial.line_rows): plus values,
+    minus values and the number of untrackable lines, in line order.
 
-    Per _BATCH windows, one unit_increments call takes every window whose
-    increments it can settle; such a window draws nothing from rng. Every
-    other window goes through _pair_with_retries, as all of them would
-    without the batch, so rng is drawn in the same order.
-    An identically-zero line contributes the pair on_zero, or is skipped
-    when on_zero is None.
+    Per _BATCH windows, one unit_increments call settles every window it
+    can; such a window draws nothing from rng. Each window it leaves undone
+    is traced alone again, in line order, at up to _RETRIES centres
+    perturbed by seeded draws from rng in (0, _PERTURB), and is skipped
+    when all fail. An identically-zero line contributes the pair on_zero,
+    or is skipped when on_zero is None.
     """
-    vp, vm, skipped = [], [], 0
+    vp, vm = [], []
     for k in range(0, len(centers), _BATCH):
         rows = P.line_rows(y, phases[k : k + _BATCH])
         batch = centers[k : k + _BATCH]
-        plus, minus, done = unit_increments(rows.amps, rows.freqs, batch, rows.floor)
-        for b, center in enumerate(batch):
-            U = None if done[b] else rows.restriction(b)
-            if U is None:
-                pair = (float(plus[b]), float(minus[b]))
-            elif U.is_identically_zero:
-                pair = on_zero
-            else:
-                try:
-                    pair = _pair_with_retries(U, float(center), 1.0, rng)
-                except SkippedLine:
-                    pair = None
-            if pair is None:
-                skipped += 1
-            else:
-                vp.append(pair[0])
-                vm.append(pair[1])
-    return vp, vm, skipped
+        plus, minus, done = unit_increments(rows.amps, rows.freqs, batch, rows.floor, width)
+        for b in np.flatnonzero(~done):
+            if (np.abs(rows.amps[b]) <= rows.floor).all():
+                if on_zero is not None:
+                    (plus[b], minus[b]), done[b] = on_zero, True
+                continue
+            for _ in range(_RETRIES):
+                c = batch[b] + rng.uniform(0.0, _PERTURB)
+                p, m, ok = unit_increments(
+                    rows.amps[b : b + 1], rows.freqs, np.array([c]), rows.floor, width
+                )
+                if ok[0]:
+                    plus[b], minus[b], done[b] = p[0], m[0], True
+                    break
+        vp.append(plus[done])
+        vm.append(minus[done])
+    vp, vm = np.concatenate(vp), np.concatenate(vm)
+    return vp, vm, len(centers) - len(vp)
 
 
 def _spread(per_window) -> float:
@@ -206,27 +185,16 @@ def direct_mean_motion(
     rng = np.random.default_rng(seed)
     a1, b1 = box.alpha[0], box.beta[0]
     if p == 1:
-        perps = [()]
+        perps = np.zeros((1, 0))
     else:
         lo = np.array(box.alpha[1:])
         hi = np.array(box.beta[1:])
-        perps = [rng.uniform(lo, hi) for _ in range(lines)]
-    vp, vm = [], []
-    skipped = 0
-    for xp in perps:
-        U = _line_sum(P, y, xp)
-        if U.is_identically_zero:
-            skipped += 1
-            continue
-        center = 0.5 * (a1 + b1)
-        try:
-            tp, tm = _pair_with_retries(U, center, b1 - a1, rng)
-        except SkippedLine:
-            skipped += 1
-            continue
-        vp.append(tp)
-        vm.append(tm)
-    if not vp:
+        perps = np.array([rng.uniform(lo, hi) for _ in range(lines)])
+    vp, vm, skipped = _unit_windows(
+        P, y, np.full(len(perps), 0.5 * (a1 + b1)), _perp_phases(P, perps),
+        rng, None, b1 - a1,
+    )
+    if not len(vp):
         raise DegenerateInputError("every sampled line was skipped")
     w = float(b1 - a1)
     per_p = [(w, float(np.mean(vp)) / w)]
@@ -252,8 +220,8 @@ def box_mean_motion(
             P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), rng, None
         )
         skipped += skip
-        per_p.append((float(L), float(np.mean(vp)) if vp else math.nan))
-        per_m.append((float(L), float(np.mean(vm)) if vm else math.nan))
+        per_p.append((float(L), float(np.mean(vp)) if len(vp) else math.nan))
+        per_m.append((float(L), float(np.mean(vm)) if len(vm) else math.nan))
     return _estimate_pair(y, per_p, per_m, skipped, total)
 
 
@@ -303,13 +271,12 @@ def torus_mean(
     n = len(vp)
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")
-    ap, am = np.array(vp), np.array(vm)
 
     def stderr(a):
         return float(a.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
     return TorusMean(
-        float(ap.mean()), stderr(ap), float(am.mean()), stderr(am), n, skipped
+        float(vp.mean()), stderr(vp), float(vm.mean()), stderr(vm), n, skipped
     )
 
 

@@ -2,25 +2,27 @@
 
 The arg+ / arg- branches along a real segment follow the convention that
 a zero of multiplicity m contributes a jump of -m*pi (plus branch) or
-+m*pi (minus branch). Two engines compute their increments:
++m*pi (minus branch). One engine computes their increments:
+unit_increments settles many windows at once without locating any zero.
+Every phase step is certified by the step rule of _step_ok. A window
+whose real segment certifies holds no zero; one whose segment does not is
+traced at heights +-delta, the one-sided limits that pass its real zeros
+above and below.
 
-* unit_increments, which both estimators use, settles many unit windows
-  at once without locating any zero. Every phase step is certified by
-  the step rule of _step_ok. A window whose real segment certifies holds
-  no zero; one whose segment does not is traced at heights +-delta, the
-  one-sided limits that pass its real zeros above and below;
-* arg_increment_pair, the scalar tracker, locates the real zeros by
-  rectangle subdivision with boundary winding counts, polishes them by
-  Newton's method and traces the spans between them. It decides the
-  windows unit_increments leaves undone, and serves the zeros and track
-  commands.
+locate_zeros and arg_increment_pair, which serve the zeros and track
+commands, run on the same engine: the failing steps of an interval's
+first sampling mark its zero clusters, and the engine's increments over
+a piece around each cluster give the cluster's multiplicity.
+
+count_zeros_rectangle and winding_number count zeros by the winding of a
+contour under the plain pi/2 step rule of _refine_path. They share no
+code with the engine, so they can serve as its oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +37,6 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-# Interval width at which the subdivision of an unsettled cluster stops.
-_FINE_WIDTH = 1e-8
-_H_FACTORS = (1.0, 0.87, 0.71, 0.55, 0.41, 0.26, 0.17, 0.11)
-_SPLIT_OFFSETS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.51, 0.61, 0.39, 0.55)
 _MULTIPLICITY_CAP = 50
 # A sample whose modulus is at or below ZERO_THRESHOLD times the scale
 # counts as a zero. Read at call time, never bound as a default argument.
@@ -50,6 +48,9 @@ _STEP_FLOOR = 1e-12
 _AXIS_WIDTH = 1e-5
 _DELTAS = (1e-5, 1e-4, 1e-3)
 _CUTS = np.linspace(0.0, 1.0, 9)
+# The finest step at which a cluster of zeros is scanned again: rounding
+# splits a quadruple zero over about this distance.
+_RESCAN_STEP = 1e-4
 # Phase-step bisection rounds, and radius perturbations in winding_number.
 _MAX_REFINEMENTS = 24
 _POINTS_PER_TURN = 64  # least samples on a winding circle
@@ -69,41 +70,8 @@ class ArgTrace:
     smooth_increment: float
     jump_increment: float
     total_increment: float
-    _spans: tuple[_Span, ...] = field(repr=False, compare=False)
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        """(n, 2) columns: s, unwrapped phase; built on first access."""
-        jump_sign = -math.pi if self.convention == "plus" else math.pi
-        spans = self._spans
-        ss, phs = [], []
-        base = 0.0
-        for i, sp in enumerate(spans):
-            steps = np.angle(sp.v[1:] / sp.v[:-1])
-            if i == 0:
-                base = float(np.angle(sp.v[0]))
-            else:
-                base += spans[i - 1].right_correction
-                base += jump_sign * self.zeros[i - 1].multiplicity
-                base += sp.left_correction
-            ph = base + np.concatenate([[0.0], np.cumsum(steps)])
-            ss.append(sp.t)
-            phs.append(ph)
-            base = float(ph[-1])
-        return np.column_stack([np.concatenate(ss), np.concatenate(phs)])
-
-
-@dataclass(frozen=True)
-class _Span:
-    t: np.ndarray
-    v: np.ndarray
-    left_correction: float
-    right_correction: float
-
-
-def _wrap(x):
-    """Reduce to [-pi, pi), elementwise."""
-    return x - TWO_PI * np.floor((x + math.pi) / TWO_PI)
+    # (n, 2) columns: s on the interval's first sampling, unwrapped phase
+    samples: np.ndarray = field(repr=False, compare=False)
 
 
 def winding_number(
@@ -125,13 +93,13 @@ def winding_number(
         bump = 0.065 * ((attempt + 1) // 2) * (1 if attempt % 2 else -1)
         r = radius * (1.0 + bump)
         n0 = max(_POINTS_PER_TURN, int(8 * U.frequency_scale * r) + 16)
-        fn = lambda _, th: U(center + r * np.exp(1j * th))[None]
+        fn = lambda th: U(center + r * np.exp(1j * th))
         th = np.linspace(0.0, TWO_PI, n0 + 1)
-        total, ok, _ = _refine_rows(fn(0, th), th, fn)
-        if not ok[0]:
+        total, ok = _refine_path(fn(th), th, fn)
+        if not ok:
             last = SingularContourError("circle passes too close to a zero")
             continue
-        w = total[0] / TWO_PI
+        w = total / TWO_PI
         k = round(w)
         if abs(w - k) > 0.1:
             last = TrackingError(f"winding residual {abs(w - k):.3f} turns")
@@ -168,14 +136,14 @@ def count_zeros_rectangle(
     s0, s1, t0, t1 = rect
     if not (s0 < s1 and t0 < t1):
         raise ValueError("rectangle must have positive extent")
-    fn = lambda _, t: U(_rect_path(rect, t))[None]
+    fn = lambda t: U(_rect_path(rect, t))
     perimeter = 2 * ((s1 - s0) + (t1 - t0))
     n0 = max(128, int(8 * U.frequency_scale * perimeter / TWO_PI) + 16)
     t = np.linspace(0.0, 4.0, n0 + 1)
-    total, ok, _ = _refine_rows(fn(0, t), t, fn)
-    if not ok[0]:
+    total, ok = _refine_path(fn(t), t, fn)
+    if not ok:
         raise SingularContourError("boundary passes too close to a zero")
-    w = total[0] / TWO_PI
+    w = total / TWO_PI
     k = round(w)
     if abs(w - k) > 0.1:
         raise TrackingError(f"boundary winding residual {abs(w - k):.3f}")
@@ -184,96 +152,104 @@ def count_zeros_rectangle(
     return int(k)
 
 
-def _rect_count_any_height(U, lo, hi, h) -> int:
-    for f in _H_FACTORS:
-        try:
-            return count_zeros_rectangle(U, (lo, hi, -h * f, h * f))
-        except (SingularContourError, TrackingError):
-            continue
-    raise SingularContourError(
-        f"no certifiable rectangle over ({lo}, {hi})"
-    )
-
-
-def _isolate(U, lo, hi, h, width_stop):
-    """Recursive subdivision; returns disjoint clusters (lo, hi, count)."""
-    h_eff = min(h, hi - lo)
-    cnt = _rect_count_any_height(U, lo, hi, h_eff)
-    if cnt == 0:
-        return []
-    if hi - lo <= width_stop:
-        return [(lo, hi, cnt)]
-    last = None
-    for off in _SPLIT_OFFSETS:
-        mid = lo + off * (hi - lo)
-        try:
-            return _isolate(U, lo, mid, h_eff, width_stop) + _isolate(
-                U, mid, hi, h_eff, width_stop
-            )
-        except (SingularContourError, TrackingError) as e:
-            last = e
-    raise last if last is not None else SingularContourError("isolation failed")
-
-
-def _values(amps, g, s):
-    """Row r of amps as a sum, sum_k amps[r, k] exp(i g[k] s), at the
-    points s[r], each row with the arithmetic of UnivariateExpSum.__call__."""
-    return (np.exp(1j * s[..., None] * g) @ amps[..., None])[..., 0]
-
-
-def _polish(amps, g, lo, hi, cnt):
-    """Newton's method on clusters (lo, hi, cnt) of zeros from their
-    midpoints, cluster c in the sum of row c of amps, with q and q' of every
-    unfinished cluster from one product per step. A cluster fails when q'
-    vanishes or 60 steps leave the last above 1e-14 max(1, |s|). Returns the
-    roots' real parts and each cluster's state: 1 for a real zero, 0 for an
-    off-axis zero of a count-1 cluster, -1 for a failure or neither.
+def _refine_path(v, t, resample):
+    """Phase change of a path from its samples v at parameters t, by the
+    plain rules of phase tracking: every modulus above ZERO_THRESHOLD
+    times the largest, every step's phase change below pi/2. Each step
+    that breaks the second rule is bisected, resample(t) giving the
+    samples at t, for at most _MAX_REFINEMENTS samplings in all. Returns
+    the total phase change and whether the path passed.
     """
-    coef = np.stack([amps, 1j * g * amps], axis=1)[..., None]  # q, q'
-    s = (0.5 * (lo + hi)).astype(complex)
-    live, found = np.arange(len(s)), np.zeros(len(s), dtype=bool)
-    for _ in range(60):
-        if not len(live):
+    for _ in range(_MAX_REFINEMENTS):
+        mods = np.abs(v)
+        if not mods.min() > ZERO_THRESHOLD * mods.max():
             break
-        e = np.exp(1j * np.multiply.outer(s[live], g))[:, None, None]
-        q, dq = (e @ coef[live])[:, :, 0, 0].T
-        moving = dq != 0
-        live, q, dq = live[moving], q[moving], dq[moving]
-        # a multiple zero is found only to the rounding noise of q, so steps
-        # are divided as Python divides complex numbers, which numpy does not
-        step = ((cnt[live] * q).astype(object) / dq.astype(object)).astype(complex)
-        s[live] -= step
-        done = np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(s[live]))
-        found[live[done]] = True
-        live = live[~done]
-    q = np.abs(_values(amps, g, np.where(found, s, lo)[:, None]))[:, 0]
-    near = found & (q <= 1e-7 * np.abs(amps).sum(axis=1))
-    near &= (lo - (hi - lo) <= s.real) & (s.real <= hi + (hi - lo))
-    real = near & (np.abs(s.imag) <= 1e-7)
-    return s.real, np.where(real, 1, np.where(near & (cnt == 1), 0, -1))
+        steps = np.angle(v[1:] / v[:-1])
+        bad = np.flatnonzero(~(np.abs(steps) < HALF_PI))
+        if not len(bad):
+            return float(steps.sum()), True
+        t = np.insert(t, bad + 1, 0.5 * (t[bad] + t[bad + 1]))
+        v = resample(t)
+    return math.nan, False
 
 
-def _resolve_clusters(U, clusters, depth=0):
-    """Turn isolated clusters into real zero candidates (loc, mult); one
-    that _polish cannot settle is subdivided once, which must keep its
-    count, or taken at its middle."""
-    if not clusters:
-        return []
-    lo, hi, cnt = np.array(clusters).T
-    amps = np.broadcast_to(U._amps, (len(clusters), len(U._amps)))
-    loc, state = _polish(amps, U._freqs, lo, hi, cnt.astype(int))
-    out = []
-    for (lo, hi, cnt), x, st in zip(clusters, loc.tolist(), state.tolist()):
-        if st == 1:
-            out.append((x, cnt))
-        elif st < 0 and (depth >= 1 or hi - lo <= 10 * _FINE_WIDTH):
-            out.append((0.5 * (lo + hi), cnt))
-        elif st < 0:
-            subs = _isolate(U, lo, hi, hi - lo, _FINE_WIDTH)
-            if sum(k for _, _, k in subs) != cnt:
-                raise TrackingError(f"subdividing a cluster of {cnt} zeros lost some")
-            out.extend(_resolve_clusters(U, subs, depth + 1))
-    return out
+def _newton(U, lo, hi, m):
+    """A real zero of multiplicity m of U in [lo, hi], by Newton's method
+    for m q / q' on the real line from the middle: the iterate in [lo, hi]
+    of least |q| of at most 60, which stop once a step falls to 1e-14
+    max(1, |s|). Steps are divided as Python divides complex numbers,
+    since a multiple zero is found only to the rounding noise of q."""
+    coef = np.array([U._amps, 1j * U._freqs * U._amps])  # q, q'
+    s = best = 0.5 * (lo + hi)
+    least, done = math.inf, False
+    for _ in range(60):
+        q, dq = coef @ np.exp(1j * (s * U._freqs))
+        if abs(q) < least and lo <= s <= hi:
+            least, best = abs(q), s
+        if done or dq == 0:
+            break
+        step = (complex(m * q) / complex(dq)).real
+        s -= step
+        done = abs(step) <= 1e-14 * max(1.0, abs(s))
+    return float(best)
+
+
+def _scan(U, interval):
+    """Real zeros of U in the interval (a, b) and the increments around them.
+
+    Each step of the interval's first sampling, max(64, ceil(8 fs (b - a)
+    / 2pi)) steps, is traced as a path of its own; a run of steps that
+    still fail below _AXIS_WIDTH is a cluster of zeros on or next to the
+    axis. The interval is cut halfway between clusters, and
+    unit_increments traces each piece: (minus - plus) / 2pi is its
+    cluster's multiplicity. A cluster of two or more zeros is scanned again
+    over its neighbourhood, in 64 steps no finer than _RESCAN_STEP, which
+    may split it; otherwise Newton's method in the cluster locates its
+    zero. Returns the grid, the cuts (a and b included), each piece's
+    cluster as a step range [i, j) (an empty one in the middle when there
+    is none), the pieces' plus and minus increments, and the zeros.
+    """
+    if U.is_identically_zero:
+        raise DegenerateInputError("identically-zero sum")
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ValueError("empty interval")
+    if np.abs(U(np.array([a, b]))).min() <= ZERO_THRESHOLD * U.amplitude_scale:
+        raise EndpointZeroError("window endpoint sits on a zero")
+    n0 = max(64, math.ceil(8 * U.frequency_scale * (b - a) / TWO_PI))
+    grid = np.linspace(a, b, n0 + 1)
+    amps = U._amps[None]
+    fail = np.flatnonzero(~_trace(amps, U._freqs, np.zeros(n0, dtype=int), grid[:-1],
+                                  1, grid[:2] - a, _AXIS_WIDTH)[1])
+    runs = np.split(fail, np.flatnonzero(np.diff(fail) > 1) + 1) if len(fail) else []
+    clusters = [(r[0], r[-1] + 1) for r in runs] or [(n0 // 2, n0 // 2)]
+    cuts = [a] + [0.5 * (grid[j] + grid[i]) for (_, j), (i, _) in zip(clusters, clusters[1:])] + [b]
+    plus, minus = np.zeros(len(clusters)), np.zeros(len(clusters))
+    for k, (l, r) in enumerate(zip(cuts, cuts[1:])):
+        p, m, done = unit_increments(amps, U._freqs, np.array([0.5 * (l + r)]), 0.0, r - l)
+        if not done[0]:
+            raise TrackingError(f"the piece ({l}, {r}) of the interval failed")
+        plus[k], minus[k] = p[0], m[0]
+    turned = (minus - plus) / TWO_PI
+    mult = np.rint(turned)
+    if not (np.abs(turned - mult) <= 0.1).all() or (mult < 0).any():
+        raise TrackingError(f"pieces turned {turned.tolist()} times")
+    zeros = []
+    for (i, j), m in zip(clusters, mult):
+        # the cluster's neighbourhood, from the middle of the step before it
+        lo = a if i == 0 else 0.5 * (grid[i - 1] + grid[i])
+        hi = b if j == n0 else 0.5 * (grid[j] + grid[j + 1])
+        found = ()
+        if m > 1 and hi - lo > 64 * _RESCAN_STEP:
+            try:
+                found = _scan(U, (lo, hi))[-1]
+            except (EndpointZeroError, TrackingError):
+                pass
+        if len(found) > 1 and sum(z.multiplicity for z in found) == m:
+            zeros += found
+        elif m:
+            zeros.append(Zero(_newton(U, grid[i], grid[j], int(m)), int(m)))
+    return grid, cuts, clusters, plus, minus, tuple(zeros)
 
 
 def locate_zeros(
@@ -282,131 +258,14 @@ def locate_zeros(
 ) -> list[Zero]:
     """All real zeros of U in the open interval, with multiplicities.
 
-    Zeros are isolated by recursive subdivision with rectangle winding
-    counts and polished by Newton iteration; a zero's multiplicity is the
-    winding count of its isolating rectangle. A zero at either endpoint is
-    an EndpointZeroError; the caller is expected to perturb the window.
+    A run of steps of the interval's first sampling that the certified
+    step rule cannot pass is a cluster of zeros: its multiplicity is the
+    winding of the engine's +-delta traces around it. A finer scan of a
+    multiple cluster may split it; a cluster it does not split is one
+    zero, which Newton's method locates. A zero at either endpoint is an
+    EndpointZeroError; the caller is expected to perturb the window.
     """
-    if U.is_identically_zero:
-        raise DegenerateInputError("identically-zero sum")
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("empty interval")
-    ends = np.abs(U(np.array([a, b])))
-    if ends.min() <= ZERO_THRESHOLD * U.amplitude_scale:
-        raise EndpointZeroError("window endpoint sits on a zero")
-    clusters = _isolate(U, a, b, min(0.5, 0.5 * (b - a)), 0.02)
-    candidates = sorted(_resolve_clusters(U, clusters))
-    end_tol = max(1e-9, 1e-7 * min(1.0, b - a))
-    for loc, _ in candidates:
-        if loc - a < end_tol or b - loc < end_tol:
-            raise EndpointZeroError(f"zero at {loc} abuts the window")
-    return [Zero(loc, cnt) for loc, cnt in candidates]
-
-
-def _offsets(amps, g, z, gap):
-    """Distances from zeros z, zero i in the sum of row i of amps, at which
-    |q| is safely above the noise floor: the first d = d0 3^k below 0.2 gap,
-    d0 = min(1e-6, 0.1 gap), with |q(z -+ d)| > 1e-7 sum |a_k|, else the
-    first d not below 0.2 gap. All candidates are evaluated at once."""
-    if not len(z):
-        return gap
-    n = 1 + int(math.log(max(2.0, 0.2 * gap.max() / 1e-6), 3))  # 3^n > 0.2 gap / d0
-    d = np.column_stack([np.minimum(1e-6, 0.1 * gap)] + [np.full(len(gap), 3.0)] * n)
-    d = np.cumprod(d, axis=1)  # rounded as repeated multiplication by 3
-    below = d < 0.2 * gap[:, None]
-    q = np.abs(_values(amps, g, np.hstack([z[:, None] - d, z[:, None] + d])))
-    floor = 1e-7 * np.abs(amps).sum(axis=1)[:, None]
-    clear = below & (np.minimum(q[:, : d.shape[1]], q[:, d.shape[1] :]) > floor)
-    k = np.where(clear.any(axis=1), clear.argmax(axis=1), below.sum(axis=1))
-    return d[np.arange(len(d)), k]
-
-
-def _track_rows(v, floor=None):
-    """The rules of phase tracking on rows of samples v, without refinement:
-    each row's total phase change, whether its moduli stay above
-    ZERO_THRESHOLD times floor (by default its largest sample), and which
-    of its steps change the phase by less than pi/2, as a mask."""
-    mods = np.abs(v)
-    scale = mods.max(axis=1) if floor is None else floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.angle(v[:, 1:] / v[:, :-1])
-    mod_ok = mods.min(axis=1) > ZERO_THRESHOLD * scale
-    return steps.sum(axis=1), mod_ok, np.abs(steps) < HALF_PI
-
-
-def _refine_rows(v, t, resample, floor=None):
-    """Phase tracking of many rows: v holds their samples at parameters t,
-    shared (n,) or one row each, and resample(rows, t) samples some rows.
-    Rows that fail only the step rule are resampled together, with every
-    step bad in any of them bisected, for at most _MAX_REFINEMENTS
-    samplings in all. Returns each row's total phase change, whether it
-    passed, and (rows, passed, t, v) for each sampling.
-    """
-    total, mod_ok, good = _track_rows(v, floor)
-    ok = mod_ok & good.all(axis=1)
-    passed = [(slice(None), ok.copy(), t, v)]
-    if ok.all():
-        return total, ok, passed
-    todo = np.flatnonzero(mod_ok & ~ok)
-    t, good = (t[todo] if t.ndim > 1 else t), good[todo]
-    for _ in range(_MAX_REFINEMENTS - 1):
-        if not len(todo):
-            break
-        split = np.flatnonzero(~good.all(axis=0))
-        mids = 0.5 * (t[..., split] + t[..., split + 1])
-        t = np.insert(t, split + 1, mids, axis=-1)
-        v = resample(todo, t)
-        turned, mod_ok, good = _track_rows(v, None if floor is None else floor[todo])
-        done = mod_ok & good.all(axis=1)
-        total[todo[done]], ok[todo[done]] = turned[done], True
-        passed.append((todo, done, t, v))
-        keep = mod_ok & ~done
-        todo, good = todo[keep], good[keep]
-        t = t[keep] if t.ndim > 1 else t
-    return total, ok, passed
-
-
-def _smooth_spans(U, a, b, zloc, zmult):
-    """Smooth branch increment of U on (a, b), with zeros of multiplicity
-    zmult at the sorted locations zloc.
-
-    Every span between consecutive points of a, the zeros and b stops
-    _offsets short of a zero and is tracked from max(64, ceil(8 fs length /
-    2pi)) samples with the modulus floor sum |a_k|, spans of one sampling
-    together. Wrap corrections below pi match its phase to the exact
-    limits at its zeros, the phase of q^(m)(z) / m! (plus m pi before the
-    zero). Returns the smooth increment, whether every span passed, and
-    the spans.
-    """
-    amps, g, m = U._amps, U._freqs, len(zloc)
-    l, r = np.append(a, zloc), np.append(zloc, b)
-    gap = np.append(r[:-1] - l[:-1], r[1:] - l[1:])  # before, after each zero
-    d = _offsets(np.tile(amps, (2 * m, 1)), g, np.tile(zloc, 2), gap)
-    l[1:] += d[m:]
-    r[:-1] -= d[:m]
-    n0 = np.maximum(64, np.ceil(8 * U.frequency_scale * (r - l) / TWO_PI)).astype(int)
-    inc, ok, ends = np.zeros(m + 1), np.zeros(m + 1, dtype=bool), np.zeros((m + 1, 2))
-    samples = {}
-    for n in np.unique(n0):
-        k = np.flatnonzero(n0 == n)
-        t = np.linspace(l[k], r[k], n + 1, axis=-1)
-        v = U(t)
-        ends[k] = np.angle(v[:, [0, -1]])
-        inc[k], ok[k], passed = _refine_rows(
-            v, t, lambda _, t: U(t), np.full(len(k), U.amplitude_scale)
-        )
-        for i, done, ts, vs in passed:
-            samples.update(zip(k[i][done].tolist(), zip(ts[done], vs[done])))
-    cl, cr = np.zeros((2, m + 1))  # the Taylor limits
-    if m:
-        coef = (1j * g) ** zmult[:, None] * amps
-        lead = np.exp(1j * g * zloc[:, None])[:, None] @ coef[..., None]
-        limit = np.angle(lead[:, 0, 0])
-        cr[:-1] = _wrap(limit + zmult * math.pi - ends[:-1, 1])
-        cl[1:] = _wrap(ends[1:, 0] - limit)
-    spans = tuple(_Span(*samples[j], cl[j], cr[j]) for j in sorted(samples))
-    return float((inc + cl + cr).sum()), ok.all(), spans
+    return list(_scan(U, interval)[-1])
 
 
 def arg_increment_pair(
@@ -414,23 +273,36 @@ def arg_increment_pair(
     interval: tuple[float, float],
 ) -> tuple[ArgTrace, ArgTrace]:
     """Increments of the arg+ and arg- branches of U over the interval,
-    (plus, minus), from a single zero search and smooth trace."""
-    zeros = locate_zeros(U, interval)
-    interval = (float(interval[0]), float(interval[1]))
-    smooth, ok, spans = _smooth_spans(
-        U, *interval, np.array([z.location for z in zeros]),
-        np.array([z.multiplicity for z in zeros], dtype=int),
-    )
-    if not ok:
-        raise TrackingError("a span between zeros failed the modulus or step rule")
-    zeros = tuple(zeros)
+    (plus, minus), from a single zero scan.
+
+    The smooth increment sums (plus + minus) / 2 over the scan's pieces,
+    and the jumps are -+pi times the zeros' multiplicities. The samples
+    are the branch's phase on the first sampling with the cuts inserted:
+    outside the clusters each step turns by the principal angle, which
+    the certified step rule makes exact, and each piece's remaining turn
+    goes on its cluster's middle step.
+    """
+    grid, cuts, clusters, plus, minus, zeros = _scan(U, interval)
+    smooth = float(np.sum(0.5 * (plus + minus)))
     jump = math.pi * sum(z.multiplicity for z in zeros)
-    if not math.isfinite(smooth - jump):
-        raise TrackingError("the increment is not finite")
-    return (
-        ArgTrace("plus", interval, zeros, smooth, -jump, smooth - jump, spans),
-        ArgTrace("minus", interval, zeros, smooth, jump, smooth + jump, spans),
-    )
+    s = np.sort(np.concatenate([grid, cuts[1:-1]]))
+    q = U(s)
+    turns = np.angle(q[1:] * q[:-1].conj())
+    # a cut sits between two clusters, so cluster k's steps move by k
+    for k, (i, j) in enumerate(clusters):
+        turns[i + k : j + k] = 0.0
+    mids = [(i + j) // 2 + k for k, (i, j) in enumerate(clusters)]
+    firsts = np.searchsorted(s, cuts[:-1])
+    traces = []
+    for convention, inc, sign in (("plus", plus, -1), ("minus", minus, 1)):
+        steps = turns.copy()
+        steps[mids] += inc - np.add.reduceat(turns, firsts)
+        phase = np.angle(q[0]) + np.concatenate([[0.0], np.cumsum(steps)])
+        traces.append(ArgTrace(
+            convention, (cuts[0], cuts[-1]), zeros, smooth, sign * jump,
+            smooth + sign * jump, np.column_stack([s, phase]),
+        ))
+    return traces[0], traces[1]
 
 
 def _step_ok(z0, z1, q0, q1, m1, m2, floor):
@@ -512,31 +384,35 @@ def unit_increments(
     freqs,
     centers: np.ndarray,
     floor: float,
+    width: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Increments (plus, minus, done) of the arg+ and arg- branches of the
     sums q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) over the windows
-    (centers[b] - 1/2, centers[b] + 1/2), each seen from its centre.
+    (centers[b] - width/2, centers[b] + width/2), each seen from its
+    centre. An amplitude at or below floor counts as 0.
 
     Every phase step is certified by _step_ok; no zero is located.
-    * Real-line pass: a window whose max(64, ceil(8 fs / 2pi)) steps all
-      pass, after cuts, holds no zero; both branches gain its phase change.
+    * Real-line pass: a window whose max(64, ceil(8 fs width / 2pi)) steps
+      all pass, after cuts, holds no zero; both branches gain its phase
+      change.
     * +-delta pass: a window with a step still failing below _AXIS_WIDTH
       has a zero on or next to the axis. Its arg+ (arg-) increment is the
       phase change from its left end up to height +delta (down to -delta),
       along that height and back to its right end: the one-sided limit
       that passes every real zero above (below). A window that fails is
       traced again at the next of _DELTAS.
-    done[b] is False for a row with an amplitude at or below floor, with
-    |q_b| at or below ZERO_THRESHOLD sum |a_k| at an end, or that fails at
-    every delta; arg_increment_pair then decides the window.
+    done[b] is False for a row with |q_b| at or below _STEP_FLOOR sum |a_k|
+    at an end, where no step can be certified, or that fails at every
+    delta.
     """
     g = np.array([float(f) for f in freqs])
+    amps = np.where(np.abs(amps) > floor, amps, 0)
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
-    ends = shifted @ np.exp(0.5j * np.multiply.outer(g, [-1.0, 1.0]))
-    usable = (np.abs(amps) > floor).all(axis=1)
-    usable &= np.abs(ends).min(axis=1) > ZERO_THRESHOLD * np.abs(amps).sum(axis=1)
-    n0 = max(64, math.ceil(8 * float(np.abs(g).sum()) / TWO_PI))
-    t = np.arange(n0 + 1) / n0 - 0.5
+    half = 0.5 * width
+    ends = shifted @ np.exp(1j * np.multiply.outer(g, [-half, half]))
+    usable = np.abs(ends).min(axis=1) > _STEP_FLOOR * np.abs(amps).sum(axis=1)
+    n0 = max(64, math.ceil(8 * float(np.abs(g).sum()) * width / TWO_PI))
+    t = (np.arange(n0 + 1) / n0 - 0.5) * width
     todo = np.flatnonzero(usable)
     plus, minus, done = np.zeros(len(amps)), np.zeros(len(amps)), usable.copy()
     plus[todo], done[todo] = _trace(shifted, g, todo, np.zeros(len(todo)), 1, t, _AXIS_WIDTH)
@@ -548,9 +424,9 @@ def unit_increments(
         k = len(todo)
         heights = np.repeat([1j * delta, -1j * delta], k)
         level, ok = _trace(shifted, g, np.tile(todo, 2), heights, 1, t, delta / 100)
-        # the vertical ends, each traced upwards: at -1/2 and at 1/2, from
-        # the axis to +i delta and from -i delta to the axis
-        starts = np.repeat([-0.5, -0.5 - 1j * delta, 0.5, 0.5 - 1j * delta], k)
+        # the vertical ends, each traced upwards: at -width/2 and at
+        # width/2, from the axis to +i delta and from -i delta to the axis
+        starts = np.repeat([-half, -half - 1j * delta, half, half - 1j * delta], k)
         up, up_ok = _trace(shifted, g, np.tile(todo, 4), starts, 1j,
                            np.array([0.0, delta]), delta / 100)
         (la, lb, ra, rb), up_ok = up.reshape(4, k), up_ok.reshape(4, k).all(axis=0)

@@ -48,8 +48,10 @@ class TestWindowedIncrement:
         P = ExpPolynomial.from_pairs(
             2, [(1.0, ["1", "0"]), (-1.0, ["1", "1"])]
         )
-        with pytest.raises(SkippedLine):
-            windowed_increment_pair(P, [0.0, 0.0], [0.2, 0.0])
+        # at x_2 = 2 pi the terms cancel only to rounding, below the floor
+        for x2 in (0.0, 2 * PI):
+            with pytest.raises(SkippedLine):
+                windowed_increment_pair(P, [0.0, 0.0], [0.2, x2])
 
     def test_modulation_shift(self, rng=np.random.default_rng(4)):
         # multiplying by e^{i g0 s} shifts every unit-window increment by
@@ -92,6 +94,14 @@ class TestDirectMeanMotion:
         assert minus.value == pytest.approx(1.0, abs=1e-9)
         assert (plus.convention, minus.convention) == ("plus", "minus")
 
+    def test_double_zero_long_interval(self):
+        # 2 cos z - 2 = -4 sin^2(z/2): a double zero every 2 pi, c+- = -+1
+        P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
+        plus, minus = direct_mean_motion(P, [0.0], BoxSpec((1.0,), (1.0 + 40 * PI,)))
+        assert plus.value == pytest.approx(-1.0, abs=1e-9)
+        assert minus.value == pytest.approx(1.0, abs=1e-9)
+        assert plus.skipped_lines == 0
+
     def test_box_dimension_mismatch(self, sin_poly):
         with pytest.raises(ValueError):
             direct_mean_motion(sin_poly, [0.0], BoxSpec((0, 0), (1, 1)))
@@ -120,6 +130,28 @@ def _recording_rngs(monkeypatch):
     return made
 
 
+def _with_sin_factor(P):
+    """P(z) sin z_1, expanded: every line along the first axis has the
+    zeros k pi of sin."""
+    terms = {}
+    for t in P.terms:
+        for c, d in ((-0.5j, 1), (0.5j, -1)):
+            e = (t.exponent[0] + d, *t.exponent[1:])
+            terms[e] = terms.get(e, 0) + c * t.coefficient
+    return ExpPolynomial.from_pairs(P.dimension, [(c, e) for e, c in terms.items()])
+
+
+def _lines_ending_on_zeros(P):
+    """80 seeded lines x (centre, transverse coordinates) and a mask of
+    those whose window's end is a zero k pi of sin z_1."""
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-20.0, 20.0, (80, P.dimension))
+    on_zero = rng.random(80) < 0.25
+    ends = PI * rng.integers(-6, 7, on_zero.sum())
+    xs[on_zero, 0] = ends + rng.choice([-0.5, 0.5], on_zero.sum())
+    return xs, on_zero
+
+
 class TestBoxMeanMotion:
     def test_sin_converges(self, sin_poly):
         sched = WindowSchedule(sizes=(50.0, 100.0, 200.0), lines_per_box=256)
@@ -145,60 +177,55 @@ class TestBoxMeanMotion:
         assert est_m.value == pytest.approx(-1.0, abs=0.01)
 
     @pytest.mark.parametrize("case", ["sin", "random"])
-    def test_rng_drawn_as_on_scalar_path(self, case, sin_poly, monkeypatch):
-        # a coarse zero threshold sends windows with an end near a zero to
-        # the scalar path, whose retries draw perturbations from the box's
-        # rng: only the windows unit_increments leaves undone draw, in line
-        # order, as a per-line loop over those windows would; 80 lines span
-        # two batches
-        P = sin_poly if case == "sin" else random_poly(np.random.default_rng(1), 2, 3)
-        y = [0.0] * P.dimension
-        monkeypatch.setattr(tracker, "ZERO_THRESHOLD", 0.05)
-        sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=80, seed=5)
-
-        rng = np.random.default_rng(sched.seed)
-        want, returned, skipped = [], 0, 0
-        for L in sched.sizes:
-            pairs = []
-            xs = rng.uniform(-L / 2, L / 2, size=(sched.lines_per_box, P.dimension))
-            for x in xs:
-                rows = P.line_rows(y, motion._perp_phases(P, x[None, 1:]))
-                plus, minus, done = tracker.unit_increments(
-                    rows.amps, rows.freqs, x[:1], rows.floor
-                )
-                if done[0]:
-                    pairs.append((plus[0], minus[0]))
-                    continue
-                returned += 1
-                try:
-                    pairs.append(windowed_increment_pair(P, y, x, rng))
-                except SkippedLine:
-                    skipped += 1
-            want.append(np.mean(pairs, axis=0))
-
-        made = _recording_rngs(monkeypatch)
-        plus, minus = box_mean_motion(P, y, sched)
-        monkeypatch.undo()
-        assert returned >= skipped > 0 and plus.skipped_lines == skipped
-        assert made[sched.seed][0].bit_generator.state == rng.bit_generator.state
-        for (_, vp), (_, vm), w in zip(plus.per_window, minus.per_window, want):
-            assert (vp, vm) == pytest.approx(tuple(w), abs=1e-12)
+    def test_rng_drawn_as_on_scalar_path(self, case, sin_poly):
+        # a window with an end exactly on a zero of sin z_1 is left undone by
+        # the batch and retried at perturbed centres, which draw from rng:
+        # over 80 lines in two batches, only those windows draw, in line
+        # order, as a per-line loop does, and the values are the loop's
+        P = sin_poly if case == "sin" else _with_sin_factor(
+            random_poly(np.random.default_rng(1), 2, 3)
+        )
+        y, xs, on_zero = [0.0] * P.dimension, *_lines_ending_on_zeros(P)
+        loop_rng, batch_rng = np.random.default_rng(7), np.random.default_rng(7)
+        want, skipped = [], 0
+        for x in xs:
+            try:
+                want.append(windowed_increment_pair(P, y, x, loop_rng))
+            except SkippedLine:
+                skipped += 1
+        vp, vm, skip = motion._unit_windows(
+            P, y, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), batch_rng, None
+        )
+        assert on_zero.sum() >= 10 and skip == skipped
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        untouched = np.random.default_rng(7).bit_generator.state
+        assert loop_rng.bit_generator.state != untouched
+        assert np.column_stack([vp, vm]) == pytest.approx(np.array(want), abs=1e-12)
 
     @pytest.mark.parametrize("case", ["sin", "random"])
     def test_window_tracked_once_per_centre(self, case, sin_poly, monkeypatch):
-        # the windows the batch rejects go to arg_increment_pair once at
-        # their centre, then only at perturbed centres
-        P = sin_poly if case == "sin" else random_poly(np.random.default_rng(1), 2, 3)
-        monkeypatch.setattr(tracker, "ZERO_THRESHOLD", 0.05)
-        calls = []
-        pair = motion.arg_increment_pair
-        monkeypatch.setattr(
-            motion, "arg_increment_pair",
-            lambda *a: calls.append(a[:2]) or pair(*a),
+        # the windows the batch rejects, those with an end on a zero, are
+        # traced again alone, only at distinct centres perturbed upwards
+        # by less than 1e-6
+        P = sin_poly if case == "sin" else _with_sin_factor(
+            random_poly(np.random.default_rng(1), 2, 3)
         )
-        sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=80, seed=5)
-        box_mean_motion(P, [0.0] * P.dimension, sched)
-        assert calls and len(set(calls)) == len(calls)
+        xs, on_zero = _lines_ending_on_zeros(P)
+        calls = []
+        increments = motion.unit_increments
+        monkeypatch.setattr(
+            motion, "unit_increments",
+            lambda *a: calls.append(a[2].tolist()) or increments(*a),
+        )
+        motion._unit_windows(
+            P, [0.0] * P.dimension, xs[:, 0], motion._perp_phases(P, xs[:, 1:]),
+            np.random.default_rng(7), None,
+        )
+        assert [len(c) for c in calls if len(c) > 1] == [64, 16]
+        retried = [c for (c,) in (c for c in calls if len(c) == 1)]
+        assert len(retried) >= on_zero.sum() and len(set(retried)) == len(retried)
+        gaps = np.subtract.outer(retried, xs[on_zero, 0])
+        assert ((gaps > 0) & (gaps < 1e-6)).any(axis=1).all()
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -333,22 +360,29 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     # steps that fail the step rule at their first sampling stay in the batch
     assert case != "near-axis" or cut[0] >= 40
     if case == "double":
-        # on the torus rounding splits the double zero off the axis, where
-        # the scalar path subdivides it for seconds per window and may raise
+        # on the torus rounding splits the double zero off the axis; see
+        # TestTorusMean.test_split_double_zero_is_finite
         return
 
+    # every torus window is taken in the batch, with the increments of a
+    # one-window call on the lift's own restriction at that point
     basis = group_basis(P.exponents)
     lifted = lift(P, basis)
-    rng = np.random.default_rng(11)
     vals = []
     for u in np.random.default_rng(11).uniform(0.0, 2 * PI, (300, basis.rank)):
         U = lifted.line_restriction(y, u)
-        vals.append(motion._pair_with_retries(U, 0.0, 1.0, rng))
+        amps = np.array([[a for a, _ in U.terms]])
+        plus, minus, done = tracker.unit_increments(
+            amps, [g for _, g in U.terms], np.zeros(1), 0.0
+        )
+        assert done[0]
+        vals.append((plus[0], minus[0]))
     made = _recording_rngs(monkeypatch)
     got = torus_mean(P, y, basis, samples=300, seed=11)
     monkeypatch.undo()
-    # torus_mean's first generator of seed 11 draws the retries
-    assert made[11][0].bit_generator.state == rng.bit_generator.state
+    # torus_mean's first generator of seed 11 would draw the retries
+    untouched = np.random.default_rng(11).bit_generator.state
+    assert made[11][0].bit_generator.state == untouched
     ap, am = np.array(vals).T.copy()
     assert got[4:] == (300, 0)
     assert got[:4] == pytest.approx((
@@ -359,18 +393,23 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
 
 @pytest.mark.parametrize("route", ["box", "torus"])
 def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
-    # sin's windows with a real zero are resolved and traced in the batch;
-    # _pair_with_retries calls arg_increment_pair by motion's name for it
-    calls = []
-    pair = motion.arg_increment_pair
-    monkeypatch.setattr(
-        motion, "arg_increment_pair", lambda *a: calls.append(a) or pair(*a)
-    )
+    # sin's windows with a real zero are traced in the batch: every batch
+    # call settles all its windows, so no window is traced again alone
+    settled = []
+    increments = motion.unit_increments
+
+    def spy(*args):
+        out = increments(*args)
+        settled.append((len(args[2]), bool(out[2].all())))
+        return out
+
+    monkeypatch.setattr(motion, "unit_increments", spy)
     if route == "box":
         box_mean_motion(sin_poly, [0.0], WindowSchedule(seed=3))
+        assert settled == [(64, True)] * 4
     else:
         torus_mean(sin_poly, [0.0], group_basis(sin_poly.exponents), samples=400)
-    assert calls == []
+        assert settled == [(64, True)] * 6 + [(16, True)]
 
 
 class TestCompareEstimators:

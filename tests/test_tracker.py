@@ -8,12 +8,7 @@ from scipy.integrate import quad
 
 from meanmotion import tracker
 from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
-from meanmotion.errors import (
-    DegenerateInputError,
-    EndpointZeroError,
-    SingularContourError,
-    TrackingError,
-)
+from meanmotion.errors import DegenerateInputError, EndpointZeroError
 from meanmotion.tracker import (
     arg_increment_pair,
     count_zeros_rectangle,
@@ -88,6 +83,16 @@ class TestLocateZeros:
         assert len(zeros) == 1
         assert zeros[0].multiplicity == 2
         assert zeros[0].location == pytest.approx(0.0, abs=1e-6)
+
+    def test_close_zeros_kept_apart(self):
+        # (e^{is} - e^{id})(e^{is} - e^{-id}): simple zeros at +-d, both in
+        # one step of the first sampling, are told apart by a finer scan
+        d = 0.005
+        a, b = np.exp(1j * d), np.exp(-1j * d)
+        U = UnivariateExpSum.from_terms([(1, 2.0), (-(a + b), 1.0), (a * b, 0.0)])
+        zeros = locate_zeros(U, (-0.5, 0.5))
+        assert [z.multiplicity for z in zeros] == [1, 1]
+        assert [z.location for z in zeros] == pytest.approx([-d, d], abs=1e-9)
 
     def test_nonvanishing(self):
         U = UnivariateExpSum.from_terms([(1, Fraction(1))])
@@ -221,10 +226,10 @@ def _pinned_window(which, interval, sin_sum, cos_minus_one):
     return U, interval
 
 
-# arg_increment_pair's (plus, minus, zeros) on seeded windows, as the
-# scalar tracker computed them one Newton iteration, endpoint offset and
-# span at a time. Multiple zeros are located only to the rounding noise of
-# the sum, so their locations pin the Newton arithmetic itself.
+# arg_increment_pair's (plus, minus, zeros) on seeded windows. Multiple
+# zeros are located only to the rounding noise of the sum: the double
+# zeros' locations pin Newton's arithmetic, and the triple zeros, found to
+# about 1e-5, are checked against their analytic location 0.
 PINNED = [
     ("sin", (-0.2, 0.8), -PI, PI, [(0.0, 1)]),
     ("sin", (2.9, 3.9), -PI, PI, [(3.141592653589793, 1)]),
@@ -237,10 +242,8 @@ PINNED = [
     ]),
     ("double", (-0.3, 0.7), -2 * PI, 2 * PI, [(-8.583085794183765e-09, 2)]),
     ("double", (5.5, 6.5), -2 * PI, 2 * PI, [(6.283185296825016, 2)]),
-    ("triple", (-0.75, 0.25), -7.924777960769384, 10.924777960769376,
-     [(-1.0209250019897455e-09, 3)]),
-    ("triple", (-0.7, 0.3), -7.924777960769392, 10.924777960769367,
-     [(1.2082756785527322e-09, 3)]),
+    ("triple", (-0.75, 0.25), -7.924777960769384, 10.924777960769376, [(0.0, 3)]),
+    ("triple", (-0.7, 0.3), -7.924777960769392, 10.924777960769367, [(0.0, 3)]),
     # off-axis zeros near the axis: one count-1 cluster each, dropped
     ((7, 2, 14), None, -1.6336112010471229, -1.6336112010471229, []),
     ((7, 2, 21), None, 4.340067188269012, 4.340067188269012, []),
@@ -258,7 +261,20 @@ def test_pinned_increments(which, interval, plus, minus, zeros,
     assert tm.total_increment == pytest.approx(minus, abs=1e-12)
     got = [(z.location, z.multiplicity) for z in tp.zeros]
     assert [m for _, m in got] == [m for _, m in zeros]
-    assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=1e-12)
+    tol = 1e-5 if which == "triple" else 1e-12
+    assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=tol)
+
+
+@pytest.mark.parametrize("center", np.append(np.arange(-0.45, 0.45, 0.05), [6.0, 6.5]))
+def test_triple_zero_windows(center):
+    # (e^{is} - 1)^3 = (2i sin(s/2))^3 e^{3is/2}: a triple zero at 2 pi k
+    # on a smooth motion of 3/2 per unit length
+    plus, minus = arg_increment_pair(_triple(), (center - 0.5, center + 0.5))
+    assert len(plus.zeros) == 1 and plus.zeros[0].multiplicity == 3
+    k = round(center / (2 * PI))
+    assert plus.zeros[0].location == pytest.approx(2 * PI * k, abs=1e-5)
+    assert plus.total_increment == pytest.approx(1.5 - 3 * PI, abs=1e-9)
+    assert minus.total_increment == pytest.approx(1.5 + 3 * PI, abs=1e-9)
 
 
 def _unit_rows(U, centers):
@@ -272,8 +288,8 @@ def _unit_rows(U, centers):
 ])
 def test_pinned_unit_windows(which, interval, plus, minus, zeros,
                              sin_sum, cos_minus_one):
-    # the certified engine gives the scalar tracker's pinned increments,
-    # real zeros of multiplicity 1 to 3 included, without locating them
+    # one unit_increments call gives the pinned increments, real zeros of
+    # multiplicity 1 to 3 included, without locating them
     U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
     got_plus, got_minus, done = _unit_rows(U, [0.5 * (a + b)])
     assert done[0]
@@ -284,14 +300,17 @@ def test_pinned_unit_windows(which, interval, plus, minus, zeros,
 def test_rounding_split_double_zero():
     # 2 cos z - 2 at the torus point u below (row 38 of the seed-0 uniform
     # points on [0, 2 pi)): rounding splits the double zero at 0.414 into
-    # two zeros 1e-8 off the axis. The scalar tracker's rectangle count
-    # there came out -2 and its increments NaN; it now raises, and the
-    # certified engine passes above and below the pair.
+    # two zeros 1e-8 off the axis. The +-delta traces pass above and below
+    # the pair, which is found as one double zero.
     P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
     K = lift(P, group_basis(P.exponents))._K
     rows = P.line_rows([0.0], np.array([[5.868768495722669]]) @ K.T)
-    with pytest.raises(TrackingError):
-        arg_increment_pair(rows.restriction(0), (-0.5, 0.5))
+    tp, tm = arg_increment_pair(rows.restriction(0), (-0.5, 0.5))
+    assert (tp.total_increment, tm.total_increment) == pytest.approx(
+        (-2 * PI, 2 * PI), abs=1e-12
+    )
+    assert [z.multiplicity for z in tp.zeros] == [2]
+    assert tp.zeros[0].location == pytest.approx(0.41441681, abs=1e-6)
     plus, minus, done = unit_increments(rows.amps, rows.freqs, np.zeros(1), rows.floor)
     assert done[0]
     assert (plus[0], minus[0]) == pytest.approx((-2 * PI, 2 * PI), abs=1e-12)
@@ -320,33 +339,41 @@ def _row_families(rng):
         yield "offaxis", P, y, rng.uniform(0, 2 * PI, (64, len(P.terms)))
 
 
+def _phase_rate(U):
+    """s -> Im(q'(s) / q(s)), computed from U's terms alone."""
+    a = np.array([c for c, _ in U.terms])
+    g = np.array([float(f) for _, f in U.terms])
+    return lambda s: (np.exp(1j * g * s) @ (1j * g * a) / (np.exp(1j * g * s) @ a)).imag
+
+
 class TestUnitIncrements:
-    def test_taken_rows_match_scalar_path(self, rng=np.random.default_rng(41)):
-        # a row the batch takes has arg_increment_pair's increments, and a
-        # row on whose window arg_increment_pair raises is not taken
+    def test_taken_rows_match_oracles(self, rng=np.random.default_rng(41)):
+        # a taken row passes (minus - plus) / 2 pi zeros of a strip of
+        # half-height 1e-3 around its window, by contour count. A row with
+        # none there, or of sin, whose zeros are real, has the quadrature of
+        # the phase rate as its smooth increment (plus + minus) / 2
         taken = dict.fromkeys(("sin", "dominant", "offaxis"), 0)
-        with_zeros = past_zero = 0  # taken rows with a real zero, or past one
+        with_zeros = past_zero = 0  # taken rows with a zero, or past one
         for name, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
             plus, minus, done = unit_increments(
                 rows.amps, rows.freqs, centers, rows.floor
             )
-            for b, c in enumerate(centers):
-                U = rows.restriction(b)
-                try:
-                    tp, tm = arg_increment_pair(U, (c - 0.5, c + 0.5))
-                except (EndpointZeroError, SingularContourError, TrackingError):
-                    assert not done[b]
+            for b in np.flatnonzero(done):
+                U, a = rows.restriction(b), centers[b] - 0.5
+                passed = (minus[b] - plus[b]) / (2 * PI)
+                assert passed == pytest.approx(round(passed), abs=1e-9)
+                strip = count_zeros_rectangle(U, (a, a + 1, -1e-3, 1e-3))
+                assert 0 <= round(passed) <= strip
+                with_zeros += round(passed) > 0
+                if strip and name != "sin":
                     continue
-                if not done[b]:
-                    continue
-                assert abs(tp.total_increment - plus[b]) <= 1e-12
-                assert abs(tm.total_increment - minus[b]) <= 1e-12
-                with_zeros += tp.zeros != ()
-                if name == "offaxis" and not tp.zeros:
-                    rect = (c - 0.5, c + 0.5, -0.5, 0.5)
-                    past_zero += count_zeros_rectangle(U, rect) != 0
+                assert round(passed) == strip
+                oracle, _ = quad(_phase_rate(U), a, a + 1, limit=200)
+                assert 0.5 * (plus[b] + minus[b]) == pytest.approx(oracle, abs=1e-6)
+                if name == "offaxis":
+                    past_zero += count_zeros_rectangle(U, (a, a + 1, -0.5, 0.5)) != 0
             taken[name] += int(done.sum())
         # rows of every family are taken, sin's real zeros among them, and
         # off-axis rows past zeros near the axis
@@ -354,9 +381,9 @@ class TestUnitIncrements:
         assert with_zeros > 0 and past_zero > 0
 
     def test_rows_with_zeros(self, rng=np.random.default_rng(43)):
-        # a window the scalar path finds a zero in, or on the edge of, is
-        # taken only where arg_increment_pair resolves it, with its increments
-        with_zeros = taken = 0
+        # a window with zeros within 1e-5 of the axis and none further out
+        # to 1e-3, by contour count, is taken, and passes all of them
+        with_zeros = 0
         for _, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
@@ -364,24 +391,16 @@ class TestUnitIncrements:
                 rows.amps, rows.freqs, centers, rows.floor
             )
             for b, c in enumerate(centers):
-                U, window = rows.restriction(b), (c - 0.5, c + 0.5)
-                try:
-                    found = locate_zeros(U, window)
-                except EndpointZeroError:
-                    found = True
-                if not found:
+                U = rows.restriction(b)
+                near = count_zeros_rectangle(U, (c - 0.5, c + 0.5, -1e-5, 1e-5))
+                if not near or near != count_zeros_rectangle(
+                    U, (c - 0.5, c + 0.5, -1e-3, 1e-3)
+                ):
                     continue
                 with_zeros += 1
-                try:
-                    tp, tm = arg_increment_pair(U, window)
-                except (EndpointZeroError, SingularContourError, TrackingError):
-                    assert not done[b]
-                    continue
-                if done[b]:
-                    taken += 1
-                    assert abs(tp.total_increment - plus[b]) <= 1e-12
-                    assert abs(tm.total_increment - minus[b]) <= 1e-12
-        assert with_zeros > 0 and taken > 0
+                assert done[b]
+                assert minus[b] - plus[b] == pytest.approx(2 * PI * near, abs=1e-9)
+        assert with_zeros > 0
 
     @pytest.mark.parametrize("which", ["sin", "double"])
     def test_zero_windows(self, which, sin_sum, cos_minus_one):
@@ -402,6 +421,18 @@ class TestUnitIncrements:
         for c in centers:
             with pytest.raises(EndpointZeroError):
                 arg_increment_pair(U, (c - 0.5, c + 0.5))
+
+    def test_triple_zero_near_an_end(self):
+        # 1e-3 from a triple zero |q| is about 1e-9 sum |a_k|, which the
+        # step rule still certifies: the window is taken. Rounding leaves
+        # the phase of q there uncertain by about 1e-6
+        U = _triple()
+        amps = np.array([[a for a, _ in U.terms]] * 4)
+        centers = np.array([-0.499, 0.499, 2 * PI - 0.499, 2 * PI + 0.499])
+        plus, minus, done = unit_increments(amps, [g for _, g in U.terms], centers, 0.0)
+        assert done.all()
+        assert plus == pytest.approx(np.full(4, 1.5 - 3 * PI), abs=1e-5)
+        assert minus == pytest.approx(np.full(4, 1.5 + 3 * PI), abs=1e-5)
 
 
 def _iv_q(amps, g, z):
