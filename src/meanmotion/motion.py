@@ -11,8 +11,10 @@ Both build their line restrictions with ExpPolynomial.line_rows and track
 them with one window engine: tracker.unit_increments settles up to _BATCH
 windows at once from certified phase steps, on the real segment or, past
 a real zero, at heights +-delta, and traces each window it leaves undone
-again alone at seeded perturbed centres. Agreement of the two within the
-dispersion-aware tolerance is the artifact's core property.
+again alone at the centres shifted by _SHIFTS. No random number is drawn
+for a window, so each route's generator gives its sample points only.
+Agreement of the two within the dispersion-aware tolerance is the
+artifact's core property.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .errors import DegenerateInputError, DimensionError
 from .lattice import LatticeBasis, group_basis
 from .tracker import unit_increments
 
-_RETRIES = 8
-_PERTURB = 1e-6
+# Centre shifts, in order, at which a window the batch leaves undone is
+# traced again: a zero of order m at an end needs |shift|^m above the step
+# floor 1e-12 sum |a_k|.
+_SHIFTS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 _BATCH = 64  # windows per batched pass; bounds its sample arrays
 
 
@@ -53,6 +57,8 @@ class BoxSpec:
     def __post_init__(self):
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha/beta length mismatch")
+        if not all(math.isfinite(v) for v in (*self.alpha, *self.beta)):
+            raise ValueError("box edges must be finite")
         if not all(a < b for a, b in zip(self.alpha, self.beta)):
             raise ValueError("box requires alpha_j < beta_j for all j")
 
@@ -101,29 +107,26 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 
 
-def windowed_increment_pair(P, y, x, rng=None):
+def windowed_increment_pair(P, y, x):
     """(plus, minus) unit-window increments of arg P along the line x + iy,
     the window centred at x; SkippedLine if it cannot be tracked."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = np.asarray(x, dtype=float)
-    vp, vm, skipped = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]), rng, None)
+    vp, vm, skipped = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]), None)
     if skipped:
         raise SkippedLine
     return float(vp[0]), float(vm[0])
 
 
-def _unit_windows(P, y, centers, phases, rng, on_zero, width=1.0):
+def _unit_windows(P, y, centers, phases, on_zero, width=1.0):
     """Increments of the windows of the given width and centres on the
     lines with B x S phases (see ExpPolynomial.line_rows): plus values,
     minus values and the number of untrackable lines, in line order.
 
     Per _BATCH windows, one unit_increments call settles every window it
-    can; such a window draws nothing from rng. Each window it leaves undone
-    is traced alone again, in line order, at up to _RETRIES centres
-    perturbed by seeded draws from rng in (0, _PERTURB), and is skipped
-    when all fail. An identically-zero line contributes the pair on_zero,
-    or is skipped when on_zero is None.
+    can. Each window it leaves undone, typically one with an end on a
+    zero, is traced alone again at its centre plus each of _SHIFTS in
+    turn, and is skipped when all fail. An identically-zero line
+    contributes the pair on_zero, or is skipped when on_zero is None.
     """
     vp, vm = [], []
     for k in range(0, len(centers), _BATCH):
@@ -135,10 +138,10 @@ def _unit_windows(P, y, centers, phases, rng, on_zero, width=1.0):
                 if on_zero is not None:
                     (plus[b], minus[b]), done[b] = on_zero, True
                 continue
-            for _ in range(_RETRIES):
-                c = batch[b] + rng.uniform(0.0, _PERTURB)
+            for shift in _SHIFTS:
                 p, m, ok = unit_increments(
-                    rows.amps[b : b + 1], rows.freqs, np.array([c]), rows.floor, width
+                    rows.amps[b : b + 1], rows.freqs, batch[b : b + 1] + shift,
+                    rows.floor, width,
                 )
                 if ok[0]:
                     plus[b], minus[b], done[b] = p[0], m[0], True
@@ -192,7 +195,7 @@ def direct_mean_motion(
         perps = np.array([rng.uniform(lo, hi) for _ in range(lines)])
     vp, vm, skipped = _unit_windows(
         P, y, np.full(len(perps), 0.5 * (a1 + b1)), _perp_phases(P, perps),
-        rng, None, b1 - a1,
+        None, b1 - a1,
     )
     if not len(vp):
         raise DegenerateInputError("every sampled line was skipped")
@@ -216,9 +219,7 @@ def box_mean_motion(
     for L in schedule.sizes:
         xs = rng.uniform(-L / 2, L / 2, size=(schedule.lines_per_box, p))
         total += len(xs)
-        vp, vm, skip = _unit_windows(
-            P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), rng, None
-        )
+        vp, vm, skip = _unit_windows(P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), None)
         skipped += skip
         per_p.append((float(L), float(np.mean(vp)) if len(vp) else math.nan))
         per_m.append((float(L), float(np.mean(vm)) if len(vm) else math.nan))
@@ -262,11 +263,10 @@ def torus_mean(
     """Average of the unit-window increment of the lifted sum over the torus."""
     _check_count("samples", samples, 1)
     lifted = lift(P, basis)
-    rng = np.random.default_rng(seed)
     us = _torus_points(basis.rank, samples, seed, method)
     # exceptional torus points (fully cancelled sum): I+- := 0
     vp, vm, skipped = _unit_windows(
-        P, y, np.zeros(len(us)), us @ lifted._K.T, rng, (0.0, 0.0)
+        P, y, np.zeros(len(us)), us @ lifted._K.T, (0.0, 0.0)
     )
     n = len(vp)
     if n == 0:

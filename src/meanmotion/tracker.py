@@ -51,6 +51,8 @@ _CUTS = np.linspace(0.0, 1.0, 9)
 # The finest step at which a cluster of zeros is scanned again: rounding
 # splits a quadruple zero over about this distance.
 _RESCAN_STEP = 1e-4
+# The most steps of a first sampling: it allocates rows x steps arrays.
+_MAX_STEPS = 2**16
 # Phase-step bisection rounds, and radius perturbations in winding_number.
 _MAX_REFINEMENTS = 24
 _POINTS_PER_TURN = 64  # least samples on a winding circle
@@ -194,20 +196,32 @@ def _newton(U, lo, hi, m):
     return float(best)
 
 
+def _first_steps(fs, width):
+    """Steps of the first sampling of a window of the given width on a sum
+    of frequency scale fs (sum |g_k|): max(64, ceil(8 fs width / 2pi)).
+    DegenerateInputError when that is not finite or above _MAX_STEPS."""
+    n = 8 * fs * width / TWO_PI
+    if not n <= _MAX_STEPS:
+        raise DegenerateInputError(
+            f"a window of width {width} needs {n:.3g} steps, over {_MAX_STEPS}"
+        )
+    return max(64, math.ceil(n))
+
+
 def _scan(U, interval):
     """Real zeros of U in the interval (a, b) and the increments around them.
 
-    Each step of the interval's first sampling, max(64, ceil(8 fs (b - a)
-    / 2pi)) steps, is traced as a path of its own; a run of steps that
-    still fail below _AXIS_WIDTH is a cluster of zeros on or next to the
-    axis. The interval is cut halfway between clusters, and
-    unit_increments traces each piece: (minus - plus) / 2pi is its
-    cluster's multiplicity. A cluster of two or more zeros is scanned again
-    over its neighbourhood, in 64 steps no finer than _RESCAN_STEP, which
-    may split it; otherwise Newton's method in the cluster locates its
-    zero. Returns the grid, the cuts (a and b included), each piece's
-    cluster as a step range [i, j) (an empty one in the middle when there
-    is none), the pieces' plus and minus increments, and the zeros.
+    Each step of the interval's first sampling (see _first_steps) is
+    traced as a path of its own; a run of steps that still fail below
+    _AXIS_WIDTH is a cluster of zeros on or next to the axis. The interval
+    is cut halfway between clusters, and unit_increments traces each
+    piece: (minus - plus) / 2pi is its cluster's multiplicity. A cluster of
+    two or more zeros is scanned again over its neighbourhood, in 64 steps
+    no finer than _RESCAN_STEP, which may split it; otherwise Newton's
+    method in the cluster locates its zero. Returns the grid, the cuts (a
+    and b included), each piece's cluster as a step range [i, j) (an empty
+    one in the middle when there is none), the pieces' plus and minus
+    increments, and the zeros.
     """
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
@@ -216,7 +230,7 @@ def _scan(U, interval):
         raise ValueError("empty interval")
     if np.abs(U(np.array([a, b]))).min() <= ZERO_THRESHOLD * U.amplitude_scale:
         raise EndpointZeroError("window endpoint sits on a zero")
-    n0 = max(64, math.ceil(8 * U.frequency_scale * (b - a) / TWO_PI))
+    n0 = _first_steps(U.frequency_scale, b - a)
     grid = np.linspace(a, b, n0 + 1)
     amps = U._amps[None]
     fail = np.flatnonzero(~_trace(amps, U._freqs, np.zeros(n0, dtype=int), grid[:-1],
@@ -392,9 +406,9 @@ def unit_increments(
     centre. An amplitude at or below floor counts as 0.
 
     Every phase step is certified by _step_ok; no zero is located.
-    * Real-line pass: a window whose max(64, ceil(8 fs width / 2pi)) steps
-      all pass, after cuts, holds no zero; both branches gain its phase
-      change.
+    * Real-line pass: a window whose first sampling (see _first_steps)
+      passes in every step, after cuts, holds no zero; both branches gain
+      its phase change.
     * +-delta pass: a window with a step still failing below _AXIS_WIDTH
       has a zero on or next to the axis. Its arg+ (arg-) increment is the
       phase change from its left end up to height +delta (down to -delta),
@@ -406,12 +420,12 @@ def unit_increments(
     delta.
     """
     g = np.array([float(f) for f in freqs])
+    n0 = _first_steps(float(np.abs(g).sum()), width)
     amps = np.where(np.abs(amps) > floor, amps, 0)
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     half = 0.5 * width
     ends = shifted @ np.exp(1j * np.multiply.outer(g, [-half, half]))
     usable = np.abs(ends).min(axis=1) > _STEP_FLOOR * np.abs(amps).sum(axis=1)
-    n0 = max(64, math.ceil(8 * float(np.abs(g).sum()) * width / TWO_PI))
     t = (np.arange(n0 + 1) / n0 - 0.5) * width
     todo = np.flatnonzero(usable)
     plus, minus, done = np.zeros(len(amps)), np.zeros(len(amps)), usable.copy()

@@ -220,6 +220,15 @@ class TestZerosAndTrack:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "EndpointZeroError"
 
+    @pytest.mark.parametrize("command", ["zeros", "track"])
+    def test_too_long_interval_is_input_error(self, sin_file, capsys, command):
+        # 2.5e8 first-sampling steps would need 1.9 GiB
+        code = main([command, "--poly", sin_file, "--interval=0.5,1e8"])
+        assert code == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DegenerateInputError"
+        assert "steps" in out["message"]
+
 
 class TestMm:
     def test_sin_report(self, sin_file, capsys):

@@ -20,6 +20,7 @@ from meanmotion.errors import (
     DegenerateInputError,
     DimensionError,
     InternalConsistencyError,
+    MembershipError,
 )
 from meanmotion.lattice import group_basis
 
@@ -232,6 +233,11 @@ class TestLift:
         bad = LiftedPolynomial(P, F.basis_vectors, ((999,), (-1,)), 1)
         with pytest.raises(InternalConsistencyError):
             _check_shift_identity(bad)
+
+    def test_exponent_outside_the_lattice_rejected(self, sin_poly):
+        # 1 is not an integer multiple of 2
+        with pytest.raises(MembershipError):
+            lift(sin_poly, group_basis([FrequencyVector.of("2")]))
 
     def test_mismatched_basis_rejected(self, sin_poly):
         other = ExpPolynomial.from_pairs(1, [(1.0, ["1/3"])])

@@ -6,6 +6,7 @@ import pytest
 
 from meanmotion import motion, tracker
 from meanmotion.core import ExpPolynomial, lift
+from meanmotion.errors import DegenerateInputError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
     BoxSpec,
@@ -21,6 +22,10 @@ from meanmotion.motion import (
 from conftest import random_poly
 
 PI = math.pi
+# 2 cos z - 2 = -4 sin^2(z/2) and (e^{iz} - 1)^3: a double and a triple
+# zero every 2 pi
+DOUBLE = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
+TRIPLE = ExpPolynomial.from_pairs(1, [(1, ["3"]), (-3, ["2"]), (3, ["1"]), (-1, ["0"])])
 
 
 def pure_exp(lam):
@@ -52,6 +57,21 @@ class TestWindowedIncrement:
         for x2 in (0.0, 2 * PI):
             with pytest.raises(SkippedLine):
                 windowed_increment_pair(P, [0.0, 0.0], [0.2, x2])
+
+    @pytest.mark.parametrize("P, center, plus, minus", [
+        (DOUBLE, -0.5, -2 * PI, 2 * PI),
+        (DOUBLE, 0.5, 0.0, 0.0),
+        (TRIPLE, -0.5, 1.5 - 3 * PI, 1.5 + 3 * PI),
+        (TRIPLE, 0.5, 1.5, 1.5),
+    ], ids=["double-left", "double-right", "triple-left", "triple-right"])
+    def test_multiple_zero_at_an_end(self, P, center, plus, minus):
+        # the window (-1, 0) or (0, 1) ends on a double or triple zero; it
+        # is traced at a centre shifted up, so the zero at 0 counts in the
+        # left window and not in the right one. At a shift h from a zero of
+        # order m, |q| is about h^m, and rounding of 1e-16 moves the phase
+        # of the end value by 1e-16 / h^m: 1e-6 for the triple zero at 1e-3
+        got = windowed_increment_pair(P, [0.0], [center])
+        assert got == pytest.approx((plus, minus), abs=1e-5)
 
     def test_modulation_shift(self, rng=np.random.default_rng(4)):
         # multiplying by e^{i g0 s} shifts every unit-window increment by
@@ -96,11 +116,31 @@ class TestDirectMeanMotion:
 
     def test_double_zero_long_interval(self):
         # 2 cos z - 2 = -4 sin^2(z/2): a double zero every 2 pi, c+- = -+1
-        P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
-        plus, minus = direct_mean_motion(P, [0.0], BoxSpec((1.0,), (1.0 + 40 * PI,)))
+        plus, minus = direct_mean_motion(DOUBLE, [0.0], BoxSpec((1.0,), (1.0 + 40 * PI,)))
         assert plus.value == pytest.approx(-1.0, abs=1e-9)
         assert minus.value == pytest.approx(1.0, abs=1e-9)
         assert plus.skipped_lines == 0
+
+    @pytest.mark.parametrize("P, plus, minus", [(DOUBLE, -1.0, 1.0), (TRIPLE, 0.0, 3.0)],
+                             ids=["double", "triple"])
+    def test_box_edges_on_multiple_zeros(self, P, plus, minus):
+        # both edges of (0, 20 pi) sit on a zero of order 2 or 3; the window
+        # is traced again at the shifted centres, not skipped
+        got = direct_mean_motion(P, [0.0], BoxSpec((0.0,), (20 * PI,)))
+        assert (got[0].value, got[1].value) == pytest.approx((plus, minus), abs=1e-8)
+        assert got[0].skipped_lines == 0
+
+    def test_box_edges_must_be_finite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                BoxSpec((0.5,), (bad,))
+            with pytest.raises(ValueError, match="finite"):
+                BoxSpec((0.0, bad), (1.0, 2.0))
+
+    def test_too_long_box_is_degenerate(self, sin_poly):
+        # 1e8 of sin would take 2.5e8 first-sampling steps
+        with pytest.raises(DegenerateInputError, match="steps"):
+            direct_mean_motion(sin_poly, [0.0], BoxSpec((0.5,), (1e8,)))
 
     def test_box_dimension_mismatch(self, sin_poly):
         with pytest.raises(ValueError):
@@ -141,13 +181,23 @@ def _with_sin_factor(P):
     return ExpPolynomial.from_pairs(P.dimension, [(c, e) for e, c in terms.items()])
 
 
-def _lines_ending_on_zeros(P):
+def _end_on_zero_case(case, sin_poly):
+    """The polynomial of a case, the spacing of the zeros of its lines and
+    the order of those zeros."""
+    if case == "sin":
+        return sin_poly, PI, 1
+    if case == "random":
+        return _with_sin_factor(random_poly(np.random.default_rng(1), 2, 3)), PI, 1
+    return (DOUBLE, 2 * PI, 2) if case == "double" else (TRIPLE, 2 * PI, 3)
+
+
+def _lines_ending_on_zeros(P, spacing=PI):
     """80 seeded lines x (centre, transverse coordinates) and a mask of
-    those whose window's end is a zero k pi of sin z_1."""
+    those whose window's end is a zero, one every spacing along x_1 = 0."""
     rng = np.random.default_rng(3)
     xs = rng.uniform(-20.0, 20.0, (80, P.dimension))
     on_zero = rng.random(80) < 0.25
-    ends = PI * rng.integers(-6, 7, on_zero.sum())
+    ends = spacing * rng.integers(-6, 7, on_zero.sum())
     xs[on_zero, 0] = ends + rng.choice([-0.5, 0.5], on_zero.sum())
     return xs, on_zero
 
@@ -176,56 +226,46 @@ class TestBoxMeanMotion:
         assert est_p.value == pytest.approx(-1.0, abs=0.01)
         assert est_m.value == pytest.approx(-1.0, abs=0.01)
 
-    @pytest.mark.parametrize("case", ["sin", "random"])
-    def test_rng_drawn_as_on_scalar_path(self, case, sin_poly):
-        # a window with an end exactly on a zero of sin z_1 is left undone by
-        # the batch and retried at perturbed centres, which draw from rng:
-        # over 80 lines in two batches, only those windows draw, in line
-        # order, as a per-line loop does, and the values are the loop's
-        P = sin_poly if case == "sin" else _with_sin_factor(
-            random_poly(np.random.default_rng(1), 2, 3)
-        )
-        y, xs, on_zero = [0.0] * P.dimension, *_lines_ending_on_zeros(P)
-        loop_rng, batch_rng = np.random.default_rng(7), np.random.default_rng(7)
-        want, skipped = [], 0
-        for x in xs:
-            try:
-                want.append(windowed_increment_pair(P, y, x, loop_rng))
-            except SkippedLine:
-                skipped += 1
+    @pytest.mark.parametrize("case", ["sin", "random", "double"])
+    def test_windows_ending_on_zeros_match_per_line_loop(self, case, sin_poly):
+        # a window with an end exactly on a zero is left undone by the batch
+        # and traced again alone at shifted centres: over 80 lines in two
+        # batches, every window is taken, with the values of a per-line loop.
+        # (Near a triple zero, rounding that differs between a batch and a
+        # single row is amplified past 1e-12: 1.2e-10 for a batch window
+        # ending 0.015 from one.)
+        P, spacing, _ = _end_on_zero_case(case, sin_poly)
+        y, (xs, on_zero) = [0.0] * P.dimension, _lines_ending_on_zeros(P, spacing)
+        want = [windowed_increment_pair(P, y, x) for x in xs]
         vp, vm, skip = motion._unit_windows(
-            P, y, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), batch_rng, None
+            P, y, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), None
         )
-        assert on_zero.sum() >= 10 and skip == skipped
-        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
-        untouched = np.random.default_rng(7).bit_generator.state
-        assert loop_rng.bit_generator.state != untouched
+        assert on_zero.sum() >= 10 and skip == 0
         assert np.column_stack([vp, vm]) == pytest.approx(np.array(want), abs=1e-12)
 
-    @pytest.mark.parametrize("case", ["sin", "random"])
+    @pytest.mark.parametrize("case", ["sin", "random", "double", "triple"])
     def test_window_tracked_once_per_centre(self, case, sin_poly, monkeypatch):
-        # the windows the batch rejects, those with an end on a zero, are
-        # traced again alone, only at distinct centres perturbed upwards
-        # by less than 1e-6
-        P = sin_poly if case == "sin" else _with_sin_factor(
-            random_poly(np.random.default_rng(1), 2, 3)
-        )
-        xs, on_zero = _lines_ending_on_zeros(P)
+        # the windows the batch rejects, those with an end on a zero of
+        # order m, are traced again alone, in line order, at their centre
+        # plus each of _SHIFTS up to the first whose m-th power clears the
+        # step floor 1e-12 sum |a_k|: 1e-7 for a simple zero, 1e-5 for the
+        # double zero (floor 4e-12), 1e-3 for the triple zero (floor 8e-12)
+        P, spacing, order = _end_on_zero_case(case, sin_poly)
+        xs, on_zero = _lines_ending_on_zeros(P, spacing)
         calls = []
         increments = motion.unit_increments
         monkeypatch.setattr(
             motion, "unit_increments",
             lambda *a: calls.append(a[2].tolist()) or increments(*a),
         )
-        motion._unit_windows(
-            P, [0.0] * P.dimension, xs[:, 0], motion._perp_phases(P, xs[:, 1:]),
-            np.random.default_rng(7), None,
+        vp, _, skip = motion._unit_windows(
+            P, [0.0] * P.dimension, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), None,
         )
         assert [len(c) for c in calls if len(c) > 1] == [64, 16]
+        rungs = {1: 1, 2: 3, 3: 5}[order]
         retried = [c for (c,) in (c for c in calls if len(c) == 1)]
-        assert len(retried) >= on_zero.sum() and len(set(retried)) == len(retried)
-        gaps = np.subtract.outer(retried, xs[on_zero, 0])
-        assert ((gaps > 0) & (gaps < 1e-6)).any(axis=1).all()
+        assert retried == [c + d for c in xs[on_zero, 0] for d in motion._SHIFTS[:rungs]]
+        assert (len(vp), skip) == (80, 0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -284,8 +324,7 @@ class TestTorusMean:
     def test_split_double_zero_is_finite(self):
         # 2 cos z - 2: rounding splits its double zeros on the torus rows;
         # every window is still taken, and none is skipped or NaN
-        P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
-        got = torus_mean(P, [0.0], group_basis(P.exponents), samples=64, seed=0)
+        got = torus_mean(DOUBLE, [0.0], group_basis(DOUBLE.exponents), samples=64, seed=0)
         assert math.isfinite(got.plus) and math.isfinite(got.minus)
         assert (got.samples, got.skipped) == (64, 0)
         assert got.plus == pytest.approx(-1.0, abs=3 * got.plus_stderr)
@@ -330,8 +369,9 @@ def _cut_steps_certified(monkeypatch):
 
 @pytest.mark.parametrize("case", ["sin", "double", "near-axis", "offaxis"])
 def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
-    # at the real zero threshold the batch takes every window; rng draws
-    # are those of the loop, and values too, but for rounding
+    # at the real zero threshold the batch takes every window, with the
+    # values of a per-line loop but for rounding; the schedule's generator
+    # draws the line positions only
     if case in ("sin", "near-axis"):
         # near the axis, the zeros of sin sit 1e-5 below it: the steps
         # that pass them are certified only after a cut
@@ -347,7 +387,7 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     want = []
     for L in sched.sizes:
         xs = rng.uniform(-L / 2, L / 2, size=(sched.lines_per_box, P.dimension))
-        pairs = [windowed_increment_pair(P, y, x, rng) for x in xs]
+        pairs = [windowed_increment_pair(P, y, x) for x in xs]
         want.append(tuple(float(np.mean(v)) for v in zip(*pairs)))
     made = _recording_rngs(monkeypatch)
     cut = _cut_steps_certified(monkeypatch)
@@ -380,9 +420,11 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     made = _recording_rngs(monkeypatch)
     got = torus_mean(P, y, basis, samples=300, seed=11)
     monkeypatch.undo()
-    # torus_mean's first generator of seed 11 would draw the retries
-    untouched = np.random.default_rng(11).bit_generator.state
-    assert made[11][0].bit_generator.state == untouched
+    # torus_mean makes one generator, which draws the torus points only
+    points = np.random.default_rng(11)
+    points.uniform(0.0, 2 * PI, (300, basis.rank))
+    assert len(made[11]) == 1
+    assert made[11][0].bit_generator.state == points.bit_generator.state
     ap, am = np.array(vals).T.copy()
     assert got[4:] == (300, 0)
     assert got[:4] == pytest.approx((

@@ -102,6 +102,13 @@ class TestLocateZeros:
         with pytest.raises(EndpointZeroError):
             locate_zeros(sin_sum, (0.0, 1.0))
 
+    def test_too_long_interval_is_degenerate(self, sin_sum):
+        # 1e8 of sin would take 2.5e8 first-sampling steps, 1.9 GiB
+        with pytest.raises(DegenerateInputError, match="steps"):
+            locate_zeros(sin_sum, (0.5, 1e8))
+        with pytest.raises(DegenerateInputError, match="steps"):
+            arg_increment_pair(sin_sum, (0.5, 1e8))
+
     def test_oracle_equivalence(self, rng=np.random.default_rng(5)):
         # located multiplicity totals match the rectangle count at small height
         for _ in range(20):
@@ -433,6 +440,19 @@ class TestUnitIncrements:
         assert done.all()
         assert plus == pytest.approx(np.full(4, 1.5 - 3 * PI), abs=1e-5)
         assert minus == pytest.approx(np.full(4, 1.5 + 3 * PI), abs=1e-5)
+
+
+def test_first_sampling_bounded():
+    # max(64, ceil(8 fs width / 2pi)) steps, up to _MAX_STEPS = 2^16
+    fs = 2 * PI / 8  # one step per unit of width
+    assert tracker._first_steps(fs, 10.0) == 64
+    assert tracker._first_steps(fs, 100.5) == 101
+    assert tracker._first_steps(fs, 2.0**16) == 2**16
+    for width in (2.0**16 + 1, math.inf, math.nan):
+        with pytest.raises(DegenerateInputError, match="steps"):
+            tracker._first_steps(fs, width)
+    with pytest.raises(DegenerateInputError):
+        tracker._first_steps(math.nan, 1.0)
 
 
 def _iv_q(amps, g, z):
