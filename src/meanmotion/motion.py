@@ -5,7 +5,9 @@ Two routes to c+(y), c-(y) that sample separately:
 * box route - average unit-window argument increments of P along lines
   parallel to the first axis, over boxes of growing edge length;
 * torus route - average the unit-window increment of the lifted sum
-  F(s + i y_1, i 'y, u) over uniform torus points u in [0, 2pi]^N.
+  F(s + i y_1, i 'y, u) over uniform torus points u in [0, 2pi]^N, where
+  N is the rank of lattice.group_basis(P.exponents) and the basis's exact
+  integer coordinates of each exponent give the line's phases.
 
 Both build their line restrictions with ExpPolynomial.line_rows and track
 them with one window engine: tracker.unit_increments settles up to _BATCH
@@ -25,9 +27,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ExpPolynomial, UnivariateExpSum, lift
+from .core import ExpPolynomial, UnivariateExpSum
 from .errors import DegenerateInputError, DimensionError
-from .lattice import LatticeBasis, group_basis
+from .lattice import group_basis
 from .tracker import unit_increments
 
 # Centre shifts, in order, at which a window the batch leaves undone is
@@ -255,19 +257,19 @@ class TorusMean(NamedTuple):
 def torus_mean(
     P: ExpPolynomial,
     y: Sequence[float],
-    basis: LatticeBasis,
     samples: int = 2000,
     seed: int = 0,
     method: str = "random",
 ) -> TorusMean:
-    """Average of the unit-window increment of the lifted sum over the torus."""
+    """Average of the unit-window increment of the lifted sum over the torus
+    of group_basis(P.exponents): the line at u has phases K u, where row j
+    of K holds the exact integer coordinates of exponent j in that basis."""
     _check_count("samples", samples, 1)
-    lifted = lift(P, basis)
+    basis = group_basis(P.exponents)
+    K = np.array(basis.coords, dtype=float)
     us = _torus_points(basis.rank, samples, seed, method)
     # exceptional torus points (fully cancelled sum): I+- := 0
-    vp, vm, skipped = _unit_windows(
-        P, y, np.zeros(len(us)), us @ lifted._K.T, (0.0, 0.0)
-    )
+    vp, vm, skipped = _unit_windows(P, y, np.zeros(len(us)), us @ K.T, (0.0, 0.0))
     n = len(vp)
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")
@@ -294,9 +296,8 @@ def compare_estimators(
     """
     if schedule is None:
         schedule = WindowSchedule(seed=seed)
-    basis = group_basis([t.exponent for t in P.terms])
     box_p, box_m = box_mean_motion(P, y, schedule)
-    tp, sp, tm, sm, t_n, t_skipped = torus_mean(P, y, basis, samples, seed + 1)
+    tp, sp, tm, sm, t_n, t_skipped = torus_mean(P, y, samples, seed + 1)
     report = {
         "y": [float(v) for v in y],
         "box": {},

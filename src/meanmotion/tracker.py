@@ -319,15 +319,14 @@ def arg_increment_pair(
     return traces[0], traces[1]
 
 
-def _step_ok(z0, z1, q0, q1, m1, m2, floor):
+def _step_ok(h, q0, q1, m1, m2, floor):
     """The certified step rule, elementwise: whether q with q0 = q(z0),
-    q1 = q(z1), |q'| <= m1 and |q''| <= m2 on [z0, z1] has no zero there
-    and turns along it by exactly angle(q1 / q0) (Ying & Katz, Numer. Math.
-    53, 1988). With h = |z1 - z0|, q stays in the ellipse |w - q0| +
+    q1 = q(z1), |q'| <= m1 and |q''| <= m2 on a segment [z0, z1] of length
+    h has no zero there and turns along it by exactly angle(q1 / q0) (Ying
+    & Katz, Numer. Math. 53, 1988). q stays in the ellipse |w - q0| +
     |w - q1| <= m1 h and within m2 h^2 / 8 of the chord [q0, q1]; the step
     passes when 0 lies outside either by more than the rounding floor.
     """
-    h = np.abs(z1 - z0)
     ok = np.abs(q0) + np.abs(q1) > m1 * h + floor
     rest = ~ok
     if rest.any():
@@ -349,7 +348,8 @@ def _step_ok(z0, z1, q0, q1, m1, m2, floor):
 def _trace(shifted, g, rows, origin, step, t, stop):
     """Certified phase change of row rows[p] of shifted, a sum in z, along
     z = origin[p] + step t over the grid t, for every p; step is 1 or 1j.
-    Returns each path's phase change and whether it passed.
+    Returns each path's phase change and whether it passed. Step lengths
+    come from t alone, so they do not round with a large origin.
 
     The samples at t are tested as one (paths x steps) array. The failing
     steps form a ragged queue: each round cuts them all by _CUTS, each
@@ -369,9 +369,7 @@ def _trace(shifted, g, rows, origin, step, t, stop):
     passed, cap = np.ones(len(rows), dtype=bool), 4 * max(64, len(t) - 1)
     width = t[1] - t[0]  # of every step in the current array
     while True:
-        # on the real line one row of points serves every path
-        z = step * s if not origin.any() else origin[p, None] + step * s
-        ok = _step_ok(z[..., :-1], z[..., 1:], v[:, :-1], v[:, 1:],
+        ok = _step_ok(np.diff(s), v[:, :-1], v[:, 1:],
                       m1[p, None], m2[p, None], floor[p, None])
         turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
         total += np.bincount(p, turn.sum(axis=1), minlength=len(rows))

@@ -285,46 +285,40 @@ class TestBoxMeanMotion:
 
 class TestTorusMean:
     def test_sin_grid(self, sin_poly):
-        basis = group_basis(sin_poly.exponents)
-        got = torus_mean(sin_poly, [0.0], basis, samples=4000, method="grid")
+        got = torus_mean(sin_poly, [0.0], samples=4000, method="grid")
         assert got.plus == pytest.approx(-1.0, abs=0.01)
         assert (got.samples, got.skipped) == (4000, 0)
 
     def test_sin_minus_grid(self, sin_poly):
-        basis = group_basis(sin_poly.exponents)
-        got = torus_mean(sin_poly, [0.0], basis, samples=4000, method="grid")
+        got = torus_mean(sin_poly, [0.0], samples=4000, method="grid")
         assert got.minus == pytest.approx(1.0, abs=0.01)
 
     def test_pure_exponential(self):
         P = pure_exp("-3")
-        basis = group_basis(P.exponents)
-        got = torus_mean(P, [0.0], basis, samples=64)
+        got = torus_mean(P, [0.0], samples=64)
         assert got.plus == pytest.approx(-3.0, abs=1e-9)
         assert got.minus == pytest.approx(-3.0, abs=1e-9)
 
     def test_random_matches_grid(self, sin_poly):
-        basis = group_basis(sin_poly.exponents)
-        r = torus_mean(sin_poly, [0.0], basis, samples=3000, seed=2)
-        g = torus_mean(sin_poly, [0.0], basis, samples=3000, method="grid")
+        r = torus_mean(sin_poly, [0.0], samples=3000, seed=2)
+        g = torus_mean(sin_poly, [0.0], samples=3000, method="grid")
         assert r.plus == pytest.approx(g.plus, abs=0.05)
         assert r.minus == pytest.approx(g.minus, abs=0.05)
 
     def test_deterministic(self, sin_poly):
-        basis = group_basis(sin_poly.exponents)
-        a = torus_mean(sin_poly, [0.0], basis, samples=500, seed=9)
-        b = torus_mean(sin_poly, [0.0], basis, samples=500, seed=9)
+        a = torus_mean(sin_poly, [0.0], samples=500, seed=9)
+        b = torus_mean(sin_poly, [0.0], samples=500, seed=9)
         assert a == b
 
     def test_deep_strip(self, sin_poly):
-        basis = group_basis(sin_poly.exponents)
-        got = torus_mean(sin_poly, [3.0], basis, samples=200)
+        got = torus_mean(sin_poly, [3.0], samples=200)
         assert got.plus == pytest.approx(-1.0, abs=0.01)
         assert got.minus == pytest.approx(-1.0, abs=0.01)
 
     def test_split_double_zero_is_finite(self):
         # 2 cos z - 2: rounding splits its double zeros on the torus rows;
         # every window is still taken, and none is skipped or NaN
-        got = torus_mean(DOUBLE, [0.0], group_basis(DOUBLE.exponents), samples=64, seed=0)
+        got = torus_mean(DOUBLE, [0.0], samples=64, seed=0)
         assert math.isfinite(got.plus) and math.isfinite(got.minus)
         assert (got.samples, got.skipped) == (64, 0)
         assert got.plus == pytest.approx(-1.0, abs=3 * got.plus_stderr)
@@ -334,9 +328,8 @@ class TestTorusMean:
         (0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError),
     ])
     def test_samples_validated(self, sin_poly, method, samples, error):
-        basis = group_basis(sin_poly.exponents)
         with pytest.raises(error, match="samples"):
-            torus_mean(sin_poly, [0.0], basis, samples=samples, method=method)
+            torus_mean(sin_poly, [0.0], samples=samples, method=method)
 
 
 @pytest.mark.parametrize("y, want", [(800.0, -1.0), (-800.0, 1.0)])
@@ -347,7 +340,7 @@ def test_large_height_does_not_overflow(y, want):
     for est in box_mean_motion(P, [y], sched):
         assert est.value == pytest.approx(want, abs=0.05)
         assert est.skipped_lines == 0
-    got = torus_mean(P, [y], group_basis(P.exponents), samples=64)
+    got = torus_mean(P, [y], samples=64)
     assert (got.plus, got.minus) == pytest.approx((want, want), abs=0.05)
     assert got.skipped == 0
 
@@ -358,9 +351,9 @@ def _cut_steps_certified(monkeypatch):
     1/64 (the lines of this module's test sums have n0 = 64)."""
     cut, step_ok = [0], tracker._step_ok
 
-    def spy(z0, z1, *rest):
-        ok = step_ok(z0, z1, *rest)
-        cut[0] += int((ok & (np.abs(z1 - z0) < 1 / 64 - 1e-12)).sum())
+    def spy(h, *rest):
+        ok = step_ok(h, *rest)
+        cut[0] += int((ok & (h < 1 / 64 - 1e-12)).sum())
         return ok
 
     monkeypatch.setattr(tracker, "_step_ok", spy)
@@ -408,6 +401,8 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     # one-window call on the lift's own restriction at that point
     basis = group_basis(P.exponents)
     lifted = lift(P, basis)
+    # the route reads group_basis's coordinates; lift solves them again
+    assert basis.coords == lifted.coords
     vals = []
     for u in np.random.default_rng(11).uniform(0.0, 2 * PI, (300, basis.rank)):
         U = lifted.line_restriction(y, u)
@@ -418,7 +413,7 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
         assert done[0]
         vals.append((plus[0], minus[0]))
     made = _recording_rngs(monkeypatch)
-    got = torus_mean(P, y, basis, samples=300, seed=11)
+    got = torus_mean(P, y, samples=300, seed=11)
     monkeypatch.undo()
     # torus_mean makes one generator, which draws the torus points only
     points = np.random.default_rng(11)
@@ -450,7 +445,7 @@ def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
         box_mean_motion(sin_poly, [0.0], WindowSchedule(seed=3))
         assert settled == [(64, True)] * 4
     else:
-        torus_mean(sin_poly, [0.0], group_basis(sin_poly.exponents), samples=400)
+        torus_mean(sin_poly, [0.0], samples=400)
         assert settled == [(64, True)] * 6 + [(16, True)]
 
 

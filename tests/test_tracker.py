@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,21 @@ class TestLocateZeros:
     def test_nonvanishing(self):
         U = UnivariateExpSum.from_terms([(1, Fraction(1))])
         assert locate_zeros(U, (-10, 10)) == []
+
+    @pytest.mark.parametrize("interval", [(10000.5, 11000.5), (20000.5, 21000.5)],
+                             ids=["1e4", "2e4"])
+    def test_far_from_origin(self, sin_sum, interval):
+        # the zeros k pi stay simple far from 0: step lengths come from the
+        # local parameter, not from positions near 2e4, whose rounding
+        # would exceed the step floor
+        k = np.arange(math.ceil(interval[0] / PI), math.floor(interval[1] / PI) + 1)
+        zeros = locate_zeros(sin_sum, interval)
+        assert len(k) == 318
+        assert [z.multiplicity for z in zeros] == [1] * 318
+        assert [z.location for z in zeros] == pytest.approx(k * PI, abs=1e-11)
+        plus, minus = arg_increment_pair(sin_sum, interval)
+        assert plus.total_increment == pytest.approx(-318 * PI, abs=1e-9)
+        assert minus.total_increment == pytest.approx(318 * PI, abs=1e-9)
 
     def test_endpoint_zero_raises(self, sin_sum):
         with pytest.raises(EndpointZeroError):
@@ -511,17 +527,24 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
     accepted, step_ok = [], tracker._step_ok
 
-    def spy(*args):
-        ok = step_ok(*args)
-        *steps, ok_ = np.broadcast_arrays(*args, ok)
-        accepted.append([s[ok_] for s in steps])
+    def spy(h, q0, q1, m1, m2, floor):
+        ok = step_ok(h, q0, q1, m1, m2, floor)
+        # _step_ok sees step lengths only; the caller's frame places each
+        # step on its path, z = origin[p] + step s
+        trace = sys._getframe(1).f_locals
+        s, step = trace["s"], trace["step"]
+        at = trace["origin"][trace["p"], None]
+        *steps, ok_ = np.broadcast_arrays(
+            at + step * s[..., :-1], at + step * s[..., 1:], floor, ok
+        )
+        accepted.append([v[ok_] for v in steps])
         return ok
 
     monkeypatch.setattr(tracker, "_step_ok", spy)
     c = 0.5 * (a + b)
     assert _unit_rows(U, [c])[2][0]
     monkeypatch.undo()
-    z0, z1, _, _, _, _, floor = (np.concatenate(s) for s in zip(*accepted))
+    z0, z1, floor = (np.concatenate(v) for v in zip(*accepted))
     amps, g = [a for a, _ in U.terms], [float(f) for _, f in U.terms]
     heights = set(np.round(np.concatenate([z0.imag, z1.imag]), 12).tolist())
     # the rows with a real zero are traced off the axis too
