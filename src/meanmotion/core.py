@@ -64,14 +64,6 @@ class FrequencyVector:
     def as_floats(self) -> np.ndarray:
         return np.array([float(c) for c in self.components], dtype=float)
 
-    def dot_exact(self, other: Sequence[RationalLike]) -> Fraction:
-        if len(other) != len(self.components):
-            raise DimensionError("vector lengths differ")
-        return sum(
-            (c * as_rational(o) for c, o in zip(self.components, other)),
-            Fraction(0),
-        )
-
 
 @dataclass(frozen=True)
 class ExpTerm:
@@ -106,6 +98,12 @@ class ExpPolynomial:
                     f"term {k}: exponent length {len(term.exponent)} != "
                     f"dimension {self.dimension}"
                 )
+            try:
+                term.exponent.as_floats()
+            except OverflowError:
+                raise DegenerateInputError(
+                    f"term {k}: exponent component too large for a double"
+                ) from None
             if term.exponent.components in seen:
                 raise DegenerateInputError(
                     f"term {k}: duplicate exponent {term.exponent.components}"
@@ -141,26 +139,17 @@ class ExpPolynomial:
         zv = np.asarray(z, dtype=complex)
         return complex(self._coeffs @ np.exp(1j * (self._lam @ zv)))
 
-    def restrict_line(
-        self,
-        base: Sequence[complex],
-        direction: Sequence[RationalLike] | None = None,
-    ) -> "UnivariateExpSum":
-        """Restriction s -> P(base + s * direction) as a univariate sum.
+    def restrict_line(self, base: Sequence[complex]) -> "UnivariateExpSum":
+        """Restriction s -> P(base + s e_1) along the first axis as a
+        univariate sum.
 
-        Frequencies stay exact rationals when the direction is rational;
-        amplitudes with equal frequency are merged and near-zero merged
-        amplitudes dropped. Amplitudes that overflow raise
-        DegenerateInputError; line_rows builds the same lines normalised.
+        Frequencies are the exact first exponent components; amplitudes
+        with equal frequency are merged and near-zero merged amplitudes
+        dropped. Amplitudes that overflow raise DegenerateInputError;
+        line_rows builds the same lines normalised.
         """
-        if direction is None:
-            direction = [1] + [0] * (self.dimension - 1)
-        if len(base) != self.dimension or len(direction) != self.dimension:
-            raise DimensionError("base/direction length mismatch")
-        exact = all(isinstance(d, (int, Fraction, str)) for d in direction)
-        if exact and all(as_rational(d) == 0 for d in direction):
-            raise DegenerateInputError("direction must be nonzero")
-        pairs = []
+        if len(base) != self.dimension:
+            raise DimensionError("base length mismatch")
         zv = np.asarray(base, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             amps = self._coeffs * np.exp(1j * (self._lam @ zv))
@@ -169,14 +158,9 @@ class ExpPolynomial:
                 f"amplitudes overflow at height y = {zv.imag.tolist()}; "
                 "ExpPolynomial.line_rows builds normalised restrictions"
             )
-        for k, term in enumerate(self.terms):
-            if exact:
-                gamma = term.exponent.dot_exact(direction)
-            else:
-                dv = np.asarray([float(d) for d in direction])
-                gamma = float(term.exponent.as_floats() @ dv)
-            pairs.append((complex(amps[k]), gamma))
-        return UnivariateExpSum.from_terms(pairs)
+        return UnivariateExpSum.from_terms(
+            zip(amps, (t.exponent[0] for t in self.terms))
+        )
 
     @cached_property
     def _first_merge(self) -> tuple[tuple[Fraction, ...], np.ndarray]:

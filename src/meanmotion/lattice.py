@@ -2,8 +2,10 @@
 
 Denominators are cleared with their LCM, the resulting integer matrix is
 put in row-style Hermite normal form by unimodular row operations, and the
-basis is read off the nonzero rows. All arithmetic uses Python
-ints / Fractions, so there is no overflow to guard against.
+basis is read off the nonzero rows. The same reduction carries the
+transformation matrix whose rows are each exponent's integer coordinates
+(Cohen, GTM 138, section 2.4). All arithmetic uses Python ints and
+Fractions, so there is no overflow to guard against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FrequencyVector, as_rational
+from .core import FrequencyVector
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -36,13 +38,30 @@ class LatticeBasis:
     coords: tuple[tuple[int, ...], ...]
 
 
-def hnf(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Nonzero rows of the row-style Hermite normal form of an integer
-    matrix; they span the same lattice as its rows."""
+def hnf(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style Hermite normal form of an integer matrix A, with the
+    coordinates of A's rows in it.
+
+    Returns (H, K): H holds the nonzero rows of the normal form, which
+    span the same lattice as A's rows, and K has one row per row of A
+    with K . H = A. K starts as the identity and undoes every row
+    operation on A as a column operation, so the coordinates come out of
+    the one reduction.
+    """
     m = [[int(v) for v in row] for row in matrix]
     if not m:
         raise DegenerateInputError("empty matrix")
     rows, cols = len(m), len(m[0])
+    # kt[k] is column k of K; it stays K . m = A throughout
+    kt = [[int(i == k) for i in range(rows)] for k in range(rows)]
+
+    def subtract(i, q, r):
+        # row i -= q * row r, so column r of K += q * column i
+        m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+        kt[r] = [a + q * b for a, b in zip(kt[r], kt[i])]
+
     r = 0
     for c in range(cols):
         while True:
@@ -52,48 +71,34 @@ def hnf(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
             piv = min(live, key=lambda i: abs(m[i][c]))
             if piv != r:
                 m[r], m[piv] = m[piv], m[r]
+                kt[r], kt[piv] = kt[piv], kt[r]
             if len(live) == 1:
                 break
             for i in range(r + 1, rows):
                 if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    subtract(i, m[i][c] // m[r][c], r)
         if m[r][c] == 0:
             continue
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
+            kt[r] = [-a for a in kt[r]]
         for i in range(r):
             q = m[i][c] // m[r][c]
             if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                subtract(i, q, r)
         r += 1
         if r == rows:
             break
-    return m[:r]
-
-
-def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over Q by fraction-free Gaussian elimination."""
-    m = [[as_rational(v) for v in row] for row in vectors]
-    rank = 0
-    rows, cols = len(m), len(m[0])
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, rows):
-            if m[i][c]:
-                f = m[i][c] / m[rank][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return m[:r], [[kt[k][j] for k in range(r)] for j in range(rows)]
 
 
 def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
-    """Z-basis of Lin_Z{l_1, ..., l_S} with exact coordinates for each l_j."""
+    """Z-basis of Lin_Z{l_1, ..., l_S} with exact coordinates for each l_j.
+
+    The basis is the HNF of the denominator-cleared exponent matrix and the
+    coordinates are hnf's K; an integer check that K . H rebuilds the
+    matrix guards both.
+    """
     if not exponents:
         raise DegenerateInputError("empty exponent list")
     p = len(exponents[0])
@@ -109,16 +114,16 @@ def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
     integer_rows = [
         [int(c * denom) for c in e.components] for e in exponents
     ]
-    h = hnf(integer_rows)
+    h, k = hnf(integer_rows)
+    for row, a in zip(k, integer_rows):
+        if [sum(x * hr[c] for x, hr in zip(row, h)) for c in range(p)] != a:
+            raise InternalConsistencyError(
+                f"HNF coordinates {row} do not rebuild exponent row {a}"
+            )
     basis = tuple(
         FrequencyVector(tuple(Fraction(v, denom) for v in row)) for row in h
     )
-    rank = len(basis)
-    if rank != rational_rank([e.components for e in exponents]):
-        raise InternalConsistencyError("HNF rank disagrees with rational rank")
-    probe = LatticeBasis(p, rank, basis, ())
-    coords = tuple(coordinates(e, probe) for e in exponents)
-    return LatticeBasis(p, rank, basis, coords)
+    return LatticeBasis(p, len(basis), basis, tuple(map(tuple, k)))
 
 
 def coordinates(lam: FrequencyVector, basis: LatticeBasis) -> tuple[int, ...]:

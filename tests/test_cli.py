@@ -165,6 +165,27 @@ class TestEval:
         assert out["error"] == "PolynomialLoadError"
         assert "term 0" in out["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--z", "0"],
+        ["basis"],
+        ["zeros", "--interval=0.5,1"],
+        ["track", "--interval=0.5,1"],
+        ["mm", "--torus-samples", "20"],
+    ], ids=lambda argv: argv[0])
+    def test_exponent_beyond_double_range(self, tmp_path, capsys, argv):
+        # "1e400" is an exact rational but no double: an input error, not
+        # an OverflowError traceback with the verification-failure code
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"dimension": 1, "terms": [{"re": 1, "im": 0, "exponent": ["1e400"]},'
+            ' {"re": 1, "im": 0, "exponent": ["1"]}]}'
+        )
+        code = main([argv[0], "--poly", str(path), *argv[1:]])
+        assert code == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "PolynomialLoadError"
+        assert "term 0" in out["message"]
+
 
 class TestBasis:
     def test_sin_basis(self, sin_file, capsys):

@@ -1,36 +1,65 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from meanmotion import lattice
 from meanmotion.core import FrequencyVector
 from meanmotion.errors import DegenerateInputError, MembershipError
-from meanmotion.lattice import (
-    coordinates,
-    group_basis,
-    hnf,
-    rational_rank,
-)
+from meanmotion.lattice import coordinates, group_basis, hnf
 
 
 def fv(*comps):
     return FrequencyVector.of(*comps)
 
 
+def rational_rank(vectors):
+    """Reference rank over Q by Gaussian elimination in Fractions."""
+    m = [[Fraction(v) for v in row] for row in vectors]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def exponent_sets(draw):
+    """Up to six exponents in p <= 3, with zero and dependent rows."""
+    p = draw(st.integers(1, 3))
+    comp = st.fractions(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append((Fraction(0),) * p)
+        elif kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+            rows.append(tuple(k * x + y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(draw(comp) for _ in range(p)))
+    assume(any(any(r) for r in rows))
+    return [FrequencyVector(r) for r in rows]
+
+
 class TestHnf:
     def test_identity(self):
-        assert hnf([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+        assert hnf([[1, 0], [0, 1]]) == ([[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
     def test_rows_have_integer_coordinates(self):
         mat = [[4, 6], [6, 9], [2, 5]]
-        h = hnf(mat)
+        h, k = hnf(mat)
         assert h == [[2, 1], [0, 2]]
-        # upper-triangular h: solve row = k1 * h[0] + k2 * h[1] exactly
-        for a, b in mat:
-            k1 = Fraction(a, h[0][0])
-            k2 = Fraction(b - k1 * h[0][1], h[1][1])
-            assert k1.denominator == 1 and k2.denominator == 1
+        assert k == [[2, 2], [3, 3], [1, 2]]
+        assert [[k1 * a + k2 * b for a, b in zip(*h)] for k1, k2 in k] == mat
 
 
 class TestGroupBasis:
@@ -107,25 +136,31 @@ class TestGroupBasis:
             for mu in base.basis_vectors:
                 coordinates(mu, other)
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.fractions(min_value=-3, max_value=3),
-                st.fractions(min_value=-3, max_value=3),
-            ),
-            min_size=1,
-            max_size=4,
-            unique=True,
-        )
-    )
-    def test_generated_lattice_contains_inputs(self, comps):
-        exps = [FrequencyVector((a, b)) for a, b in comps]
-        if all(e.is_zero for e in exps):
-            return
+    @settings(max_examples=150, deadline=None)
+    @given(exponent_sets())
+    def test_generated_lattice_contains_inputs(self, exps):
         basis = group_basis(exps)
+        assert basis.rank == rational_rank([e.components for e in exps])
         for e, row in zip(exps, basis.coords):
+            assert len(row) == basis.rank
+            rebuilt = tuple(
+                sum((k * mu[c] for k, mu in zip(row, basis.basis_vectors)),
+                    Fraction(0))
+                for c in range(len(e))
+            )
+            assert rebuilt == e.components
             assert coordinates(e, basis) == row
+
+    def test_route_does_not_solve_coordinates(self, monkeypatch):
+        # the coordinates come from the HNF itself, so lattice.coordinates
+        # (which core.lift runs) stays an independent oracle
+        exps = [fv("1/2", 0), fv("3/2", 1), fv(0, 2)]
+
+        def refuse(*args):
+            raise AssertionError("group_basis solved a coordinate")
+
+        monkeypatch.setattr(lattice, "coordinates", refuse)
+        assert group_basis(exps).coords == ((1, 0), (3, 1), (0, 2))
 
 
 class TestCoordinates:

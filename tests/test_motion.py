@@ -401,7 +401,8 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     # one-window call on the lift's own restriction at that point
     basis = group_basis(P.exponents)
     lifted = lift(P, basis)
-    # the route reads group_basis's coordinates; lift solves them again
+    # the route reads the coordinates that group_basis's HNF carries;
+    # lift solves them again with lattice.coordinates, a separate code path
     assert basis.coords == lifted.coords
     vals = []
     for u in np.random.default_rng(11).uniform(0.0, 2 * PI, (300, basis.rank)):
