@@ -5,12 +5,13 @@ put in row-style Hermite normal form by unimodular row operations, and the
 basis is read off the nonzero rows. The same reduction carries the
 transformation matrix whose rows are each exponent's integer coordinates
 (Cohen, GTM 138, section 2.4). All arithmetic uses Python ints and
-Fractions, so there is no overflow to guard against.
+Fractions; a coordinate beyond the double range is an input error.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -97,7 +98,8 @@ def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
 
     The basis is the HNF of the denominator-cleared exponent matrix and the
     coordinates are hnf's K; an integer check that K . H rebuilds the
-    matrix guards both.
+    matrix guards both. A coordinate above the largest double, such as
+    10**400 for the exponents 1e-400 and 1, is a DegenerateInputError.
     """
     if not exponents:
         raise DegenerateInputError("empty exponent list")
@@ -120,6 +122,8 @@ def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
             raise InternalConsistencyError(
                 f"HNF coordinates {row} do not rebuild exponent row {a}"
             )
+    if max(abs(x) for row in k for x in row) > sys.float_info.max:
+        raise DegenerateInputError("a lattice coordinate is beyond the double range")
     basis = tuple(
         FrequencyVector(tuple(Fraction(v, denom) for v in row)) for row in h
     )

@@ -10,13 +10,13 @@ Two routes to c+(y), c-(y) that sample separately:
   integer coordinates of each exponent give the line's phases.
 
 Both build their line restrictions with ExpPolynomial.line_rows and track
-them with one window engine: tracker.unit_increments settles up to _BATCH
-windows at once from certified phase steps, on the real segment or, past
-a real zero, at heights +-delta, and traces each window it leaves undone
-again alone at the centres shifted by _SHIFTS. No random number is drawn
-for a window, so each route's generator gives its sample points only.
-Agreement of the two within the dispersion-aware tolerance is the
-artifact's core property.
+them with one window engine: tracker.unit_increments settles as many
+windows per call as _BATCH_POINTS first-sampling points allow, from
+certified phase steps on the real segment or, past a real zero, at heights
++-delta, and traces each window it leaves undone again alone at the
+centres shifted by _SHIFTS. No random number is drawn for a window, so
+each route's generator gives its sample points only. Agreement of the two
+within the dispersion-aware tolerance is the artifact's core property.
 """
 
 from __future__ import annotations
@@ -28,15 +28,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import ExpPolynomial, UnivariateExpSum
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError
 from .lattice import group_basis
-from .tracker import unit_increments
+from .tracker import _first_steps, unit_increments
 
 # Centre shifts, in order, at which a window the batch leaves undone is
 # traced again: a zero of order m at an end needs |shift|^m above the step
 # floor 1e-12 sum |a_k|.
 _SHIFTS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
-_BATCH = 64  # windows per batched pass; bounds its sample arrays
+# First-sampling points per unit_increments call: bounds its sample arrays.
+_BATCH_POINTS = 2**14
 
 
 class SkippedLine(Exception):
@@ -103,8 +104,6 @@ def _perp_phases(P: ExpPolynomial, xperp: np.ndarray) -> np.ndarray:
 def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     """Restriction of P to s -> P((s, xperp) + iy) along the first axis,
     divided by a positive constant."""
-    if len(xperp) != P.dimension - 1:
-        raise DimensionError("xperp length mismatch")
     xperp = np.asarray(xperp, dtype=float)[None]
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 
@@ -113,8 +112,8 @@ def windowed_increment_pair(P, y, x):
     """(plus, minus) unit-window increments of arg P along the line x + iy,
     the window centred at x; SkippedLine if it cannot be tracked."""
     x = np.asarray(x, dtype=float)
-    vp, vm, skipped = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]), None)
-    if skipped:
+    vp, vm, done = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]), None)
+    if not done[0]:
         raise SkippedLine
     return float(vp[0]), float(vm[0])
 
@@ -122,36 +121,35 @@ def windowed_increment_pair(P, y, x):
 def _unit_windows(P, y, centers, phases, on_zero, width=1.0):
     """Increments of the windows of the given width and centres on the
     lines with B x S phases (see ExpPolynomial.line_rows): plus values,
-    minus values and the number of untrackable lines, in line order.
+    minus values and whether each window was tracked, in line order.
 
-    Per _BATCH windows, one unit_increments call settles every window it
-    can. Each window it leaves undone, typically one with an end on a
+    One unit_increments call settles every window it can of as many lines
+    as hold _BATCH_POINTS points of first sampling between them (at least
+    one). Each window it leaves undone, typically one with an end on a
     zero, is traced alone again at its centre plus each of _SHIFTS in
-    turn, and is skipped when all fail. An identically-zero line
-    contributes the pair on_zero, or is skipped when on_zero is None.
+    turn, and stays undone when all fail. An identically-zero line
+    contributes the pair on_zero, or stays undone when on_zero is None.
     """
-    vp, vm = [], []
-    for k in range(0, len(centers), _BATCH):
-        rows = P.line_rows(y, phases[k : k + _BATCH])
-        batch = centers[k : k + _BATCH]
-        plus, minus, done = unit_increments(rows.amps, rows.freqs, batch, rows.floor, width)
-        for b in np.flatnonzero(~done):
-            if (np.abs(rows.amps[b]) <= rows.floor).all():
-                if on_zero is not None:
-                    (plus[b], minus[b]), done[b] = on_zero, True
-                continue
-            for shift in _SHIFTS:
-                p, m, ok = unit_increments(
-                    rows.amps[b : b + 1], rows.freqs, batch[b : b + 1] + shift,
-                    rows.floor, width,
-                )
-                if ok[0]:
-                    plus[b], minus[b], done[b] = p[0], m[0], True
-                    break
-        vp.append(plus[done])
-        vm.append(minus[done])
-    vp, vm = np.concatenate(vp), np.concatenate(vm)
-    return vp, vm, len(centers) - len(vp)
+    rows = P.line_rows(y, phases)
+    fs = float(np.abs([float(f) for f in rows.freqs]).sum())
+    step = max(1, _BATCH_POINTS // (_first_steps(fs, width) + 1))
+    plus, minus, done = map(np.concatenate, zip(*[
+        unit_increments(rows.amps[k : k + step], rows.freqs,
+                        centers[k : k + step], rows.floor, width)
+        for k in range(0, len(centers), step)
+    ]))
+    for b in np.flatnonzero(~done):
+        if (np.abs(rows.amps[b]) <= rows.floor).all():
+            if on_zero is not None:
+                (plus[b], minus[b]), done[b] = on_zero, True
+            continue
+        for shift in _SHIFTS:
+            p, m, ok = unit_increments(rows.amps[b : b + 1], rows.freqs,
+                                       centers[b : b + 1] + shift, rows.floor, width)
+            if ok[0]:
+                plus[b], minus[b], done[b] = p[0], m[0], True
+                break
+    return plus, minus, done
 
 
 def _spread(per_window) -> float:
@@ -195,16 +193,15 @@ def direct_mean_motion(
         lo = np.array(box.alpha[1:])
         hi = np.array(box.beta[1:])
         perps = np.array([rng.uniform(lo, hi) for _ in range(lines)])
-    vp, vm, skipped = _unit_windows(
+    vp, vm, done = _unit_windows(
         P, y, np.full(len(perps), 0.5 * (a1 + b1)), _perp_phases(P, perps),
         None, b1 - a1,
     )
-    if not len(vp):
+    if not done.any():
         raise DegenerateInputError("every sampled line was skipped")
     w = float(b1 - a1)
-    per_p = [(w, float(np.mean(vp)) / w)]
-    per_m = [(w, float(np.mean(vm)) / w)]
-    return _estimate_pair(y, per_p, per_m, skipped, len(perps))
+    per_p, per_m = ([(w, float(np.mean(v[done])) / w)] for v in (vp, vm))
+    return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(perps))
 
 
 def box_mean_motion(
@@ -214,18 +211,15 @@ def box_mean_motion(
 ) -> tuple[MeanMotionEstimate, MeanMotionEstimate]:
     """(plus, minus) averages of unit-window increments over growing boxes."""
     rng = np.random.default_rng(schedule.seed)
-    p = P.dimension
-    per_p, per_m = [], []
-    skipped = 0
-    total = 0
-    for L in schedule.sizes:
-        xs = rng.uniform(-L / 2, L / 2, size=(schedule.lines_per_box, p))
-        total += len(xs)
-        vp, vm, skip = _unit_windows(P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), None)
-        skipped += skip
-        per_p.append((float(L), float(np.mean(vp)) if len(vp) else math.nan))
-        per_m.append((float(L), float(np.mean(vm)) if len(vm) else math.nan))
-    return _estimate_pair(y, per_p, per_m, skipped, total)
+    sizes, n = schedule.sizes, schedule.lines_per_box
+    xs = np.concatenate([rng.uniform(-L / 2, L / 2, (n, P.dimension)) for L in sizes])
+    vp, vm, done = _unit_windows(P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), None)
+    per_p, per_m = (
+        [(float(L), float(np.mean(r[d])) if d.any() else math.nan)
+         for L, r, d in zip(sizes, v.reshape(-1, n), done.reshape(-1, n))]
+        for v in (vp, vm)
+    )
+    return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(xs))
 
 
 def _torus_points(rank, samples, seed, method):
@@ -269,8 +263,8 @@ def torus_mean(
     K = np.array(basis.coords, dtype=float)
     us = _torus_points(basis.rank, samples, seed, method)
     # exceptional torus points (fully cancelled sum): I+- := 0
-    vp, vm, skipped = _unit_windows(P, y, np.zeros(len(us)), us @ K.T, (0.0, 0.0))
-    n = len(vp)
+    vp, vm, done = _unit_windows(P, y, np.zeros(len(us)), us @ K.T, (0.0, 0.0))
+    vp, vm, n = vp[done], vm[done], int(done.sum())
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")
 
@@ -278,7 +272,7 @@ def torus_mean(
         return float(a.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
     return TorusMean(
-        float(vp.mean()), stderr(vp), float(vm.mean()), stderr(vm), n, skipped
+        float(vp.mean()), stderr(vp), float(vm.mean()), stderr(vm), n, len(us) - n
     )
 
 

@@ -186,6 +186,24 @@ class TestEval:
         assert out["error"] == "PolynomialLoadError"
         assert "term 0" in out["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["basis"],
+        ["mm", "--torus-samples", "20", "--windows", "5", "--lines", "16"],
+    ], ids=lambda argv: argv[0])
+    def test_exponent_below_double_range(self, tmp_path, capsys, argv):
+        # "1e-400" loads (it is 0.0 as a double), but its lattice coordinate
+        # against "1" is 10**400: an input error, not an OverflowError
+        path = tmp_path / "tiny.json"
+        path.write_text(
+            '{"dimension": 1, "terms": [{"re": 1, "im": 0, "exponent": ["1e-400"]},'
+            ' {"re": 1, "im": 0, "exponent": ["1"]}]}'
+        )
+        code = main([argv[0], "--poly", str(path), *argv[1:]])
+        assert code == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DegenerateInputError"
+        assert "double range" in out["message"]
+
 
 class TestBasis:
     def test_sin_basis(self, sin_file, capsys):

@@ -229,18 +229,18 @@ class TestBoxMeanMotion:
     @pytest.mark.parametrize("case", ["sin", "random", "double"])
     def test_windows_ending_on_zeros_match_per_line_loop(self, case, sin_poly):
         # a window with an end exactly on a zero is left undone by the batch
-        # and traced again alone at shifted centres: over 80 lines in two
-        # batches, every window is taken, with the values of a per-line loop.
+        # and traced again alone at shifted centres: over 80 lines in one
+        # batch, every window is taken, with the values of a per-line loop.
         # (Near a triple zero, rounding that differs between a batch and a
         # single row is amplified past 1e-12: 1.2e-10 for a batch window
         # ending 0.015 from one.)
         P, spacing, _ = _end_on_zero_case(case, sin_poly)
         y, (xs, on_zero) = [0.0] * P.dimension, _lines_ending_on_zeros(P, spacing)
         want = [windowed_increment_pair(P, y, x) for x in xs]
-        vp, vm, skip = motion._unit_windows(
+        vp, vm, done = motion._unit_windows(
             P, y, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), None
         )
-        assert on_zero.sum() >= 10 and skip == 0
+        assert on_zero.sum() >= 10 and done.all()
         assert np.column_stack([vp, vm]) == pytest.approx(np.array(want), abs=1e-12)
 
     @pytest.mark.parametrize("case", ["sin", "random", "double", "triple"])
@@ -258,14 +258,14 @@ class TestBoxMeanMotion:
             motion, "unit_increments",
             lambda *a: calls.append(a[2].tolist()) or increments(*a),
         )
-        vp, _, skip = motion._unit_windows(
+        vp, _, done = motion._unit_windows(
             P, [0.0] * P.dimension, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), None,
         )
-        assert [len(c) for c in calls if len(c) > 1] == [64, 16]
+        assert [len(c) for c in calls if len(c) > 1] == [80]
         rungs = {1: 1, 2: 3, 3: 5}[order]
         retried = [c for (c,) in (c for c in calls if len(c) == 1)]
         assert retried == [c + d for c in xs[on_zero, 0] for d in motion._SHIFTS[:rungs]]
-        assert (len(vp), skip) == (80, 0)
+        assert (len(vp), done.sum()) == (80, 80)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -432,7 +432,9 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
 @pytest.mark.parametrize("route", ["box", "torus"])
 def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
     # sin's windows with a real zero are traced in the batch: every batch
-    # call settles all its windows, so no window is traced again alone
+    # call settles all its windows, so no window is traced again alone.
+    # A sin unit window samples 65 points, so a call takes 2**14 // 65 = 252
+    # windows: the box route's 4 x 64 in two calls, the torus's 400 in two
     settled = []
     increments = motion.unit_increments
 
@@ -444,10 +446,38 @@ def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
     monkeypatch.setattr(motion, "unit_increments", spy)
     if route == "box":
         box_mean_motion(sin_poly, [0.0], WindowSchedule(seed=3))
-        assert settled == [(64, True)] * 4
+        assert settled == [(252, True), (4, True)]
     else:
         torus_mean(sin_poly, [0.0], samples=400)
-        assert settled == [(64, True)] * 6 + [(16, True)]
+        assert settled == [(252, True), (148, True)]
+
+
+@pytest.mark.parametrize("route", ["direct", "box"])
+def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
+    # a call takes as many lines as _BATCH_POINTS first-sampling points
+    # allow, and at least one: a 25,000-wide window of a sum with first
+    # exponents +-1 takes 63,662 steps, one line a call, while the 3 x 64
+    # unit windows of a sin report, 65 points each, take one call
+    calls = []
+    increments = motion.unit_increments
+
+    def spy(amps, freqs, centers, floor, width):
+        fs = float(np.abs([float(f) for f in freqs]).sum())
+        calls.append((len(centers), tracker._first_steps(fs, width) + 1))
+        return increments(amps, freqs, centers, floor, width)
+
+    monkeypatch.setattr(motion, "unit_increments", spy)
+    if route == "direct":
+        P = ExpPolynomial.from_pairs(
+            2, [(1, ["1", "0"]), (-2, ["-1", "0"]), (0.5, ["1", "1"])]
+        )
+        box = BoxSpec((0.0, 0.0), (25000.0, 2 * PI))
+        direct_mean_motion(P, [0.0, 0.0], box, lines=6)
+        assert calls == [(1, 63663)] * 6
+    else:
+        box_mean_motion(sin_poly, [0.0], WindowSchedule((25.0, 50.0, 100.0), 64))
+        assert calls == [(192, 65)]
+    assert all(rows * n <= motion._BATCH_POINTS for rows, n in calls if rows > 1)
 
 
 class TestCompareEstimators:
