@@ -74,9 +74,9 @@ class ExpTerm:
 
     def __post_init__(self):
         if self.coefficient == 0:
-            raise DegenerateInputError("term coefficient must be nonzero")
+            raise DegenerateInputError("zero coefficient")
         if not cmath.isfinite(self.coefficient):
-            raise DegenerateInputError("term coefficient must be finite")
+            raise DegenerateInputError("non-finite coefficient")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class ExpPolynomial:
             raise DimensionError("dimension must be positive")
         if not self.terms:
             raise DegenerateInputError("polynomial needs at least one term")
-        seen = set()
+        seen: dict[tuple[Fraction, ...], int] = {}
         for k, term in enumerate(self.terms):
             if len(term.exponent) != self.dimension:
                 raise DimensionError(
@@ -106,9 +106,10 @@ class ExpPolynomial:
                 ) from None
             if term.exponent.components in seen:
                 raise DegenerateInputError(
-                    f"term {k}: duplicate exponent {term.exponent.components}"
+                    f"terms {seen[term.exponent.components]} and {k} share "
+                    f"exponent {[str(c) for c in term.exponent]}"
                 )
-            seen.add(term.exponent.components)
+            seen[term.exponent.components] = k
 
     @classmethod
     def from_pairs(cls, dimension, pairs) -> "ExpPolynomial":
@@ -224,33 +225,17 @@ class UnivariateExpSum:
 
     @classmethod
     def from_terms(cls, pairs) -> "UnivariateExpSum":
+        """Sum the amplitudes of equal frequencies, compared exactly: ints,
+        strs and Fractions as rationals, floats by equality. A merged
+        amplitude at or below MERGE_TOLERANCE times the largest given one
+        is dropped."""
         pairs = [(complex(a), g) for a, g in pairs]
-        if not pairs:
-            return cls(())
-        tol = MERGE_TOLERANCE * max(abs(a) for a, _ in pairs)
-        exact = all(isinstance(g, (int, Fraction)) for _, g in pairs)
-        merged: list[tuple[complex, Union[Fraction, float]]] = []
-        if exact:
-            groups: dict[Fraction, complex] = {}
-            for a, g in pairs:
-                key = as_rational(g)
-                groups[key] = groups.get(key, 0j) + a
-            merged = [(a, g) for g, a in sorted(groups.items())]
-        else:
-            fl = sorted(((float(g), a) for a, g in pairs), key=lambda t: t[0])
-            gtol = 1e-12 * max(1.0, max(abs(g) for g, _ in fl))
-            cur_g, cur_a = fl[0]
-            acc = []
-            for g, a in fl[1:]:
-                if g - cur_g <= gtol:
-                    cur_a += a
-                else:
-                    acc.append((cur_a, cur_g))
-                    cur_g, cur_a = g, a
-            acc.append((cur_a, cur_g))
-            merged = acc
-        kept = tuple((a, g) for a, g in merged if abs(a) > tol)
-        return cls(kept)
+        groups: dict[Union[Fraction, float], complex] = {}
+        for a, g in pairs:
+            key = as_rational(g) if isinstance(g, (int, str, Fraction)) else float(g)
+            groups[key] = groups.get(key, 0j) + a
+        tol = MERGE_TOLERANCE * max((abs(a) for a, _ in pairs), default=0.0)
+        return cls(tuple((a, g) for g, a in sorted(groups.items()) if abs(a) > tol))
 
     @property
     def is_identically_zero(self) -> bool:

@@ -6,8 +6,8 @@ a zero of multiplicity m contributes a jump of -m*pi (plus branch) or
 unit_increments settles many windows at once without locating any zero.
 Every phase step is certified by the step rule of _step_ok. A window
 whose real segment certifies holds no zero; one whose segment does not is
-traced at heights +-delta, the one-sided limits that pass its real zeros
-above and below.
+traced along two detours, through heights +delta and -delta: the
+one-sided limits that pass its real zeros above and below.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
 commands, run on the same engine: the failing steps of an interval's
@@ -234,7 +234,7 @@ def _scan(U, interval):
     grid = np.linspace(a, b, n0 + 1)
     amps = U._amps[None]
     fail = np.flatnonzero(~_trace(amps, U._freqs, np.zeros(n0, dtype=int), grid[:-1],
-                                  1, grid[:2] - a, _AXIS_WIDTH)[1])
+                                  grid[:2] - a, _AXIS_WIDTH)[1])
     runs = np.split(fail, np.flatnonzero(np.diff(fail) > 1) + 1) if len(fail) else []
     clusters = [(r[0], r[-1] + 1) for r in runs] or [(n0 // 2, n0 // 2)]
     cuts = [a] + [0.5 * (grid[j] + grid[i]) for (_, j), (i, _) in zip(clusters, clusters[1:])] + [b]
@@ -345,11 +345,12 @@ def _step_ok(h, q0, q1, m1, m2, floor):
     return ok
 
 
-def _trace(shifted, g, rows, origin, step, t, stop):
+def _trace(shifted, g, rows, origin, t, stop):
     """Certified phase change of row rows[p] of shifted, a sum in z, along
-    z = origin[p] + step t over the grid t, for every p; step is 1 or 1j.
-    Returns each path's phase change and whether it passed. Step lengths
-    come from t alone, so they do not round with a large origin.
+    the polyline z = origin[p] + t through the complex grid t, for every
+    p. Returns each path's phase change and whether it passed. Step
+    lengths |dt| come from t alone, so they do not round with a large
+    origin.
 
     The samples at t are tested as one (paths x steps) array. The failing
     steps form a ragged queue: each round cuts them all by _CUTS, each
@@ -359,17 +360,17 @@ def _trace(shifted, g, rows, origin, step, t, stop):
     rounding noise of a multiple zero, and the cap bounds the queue.
     """
     amps = shifted[rows] * np.exp(1j * np.multiply.outer(origin, g))
-    e = np.exp(1j * step * np.multiply.outer(g, t))
-    grow = np.maximum(np.abs(e[:, 0]), np.abs(e[:, -1]))  # largest |exp(i g z)| on a path
-    mods = np.abs(amps) * grow
+    e = np.exp(1j * np.multiply.outer(g, t))
+    # |exp(i g z)| is largest where Im z is extreme, at a vertex of the grid
+    mods = np.abs(amps) * np.abs(e).max(axis=1)
     m1, m2 = mods @ np.abs(g), mods @ (g * g)
     floor = _STEP_FLOOR * np.abs(shifted[rows]).sum(axis=1)
     v = amps @ e
     p, s, total = np.arange(len(rows)), t, np.zeros(len(rows))
     passed, cap = np.ones(len(rows), dtype=bool), 4 * max(64, len(t) - 1)
-    width = t[1] - t[0]  # of every step in the current array
+    width = np.abs(np.diff(t)).max()  # of the widest step in the current array
     while True:
-        ok = _step_ok(np.diff(s), v[:, :-1], v[:, 1:],
+        ok = _step_ok(np.abs(np.diff(s)), v[:, :-1], v[:, 1:],
                       m1[p, None], m2[p, None], floor[p, None])
         turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
         total += np.bincount(p, turn.sum(axis=1), minlength=len(rows))
@@ -384,7 +385,7 @@ def _trace(shifted, g, rows, origin, step, t, stop):
         p, s0, s1 = p[i], s[i, j], s[i, j + 1]
         s = s0[:, None] + np.multiply.outer(s1 - s0, _CUTS)
         s[:, -1] = s1
-        inner = np.exp(1j * step * np.multiply.outer(s[:, 1:-1], g)) @ amps[p, :, None]
+        inner = np.exp(1j * np.multiply.outer(s[:, 1:-1], g)) @ amps[p, :, None]
         v = np.column_stack([v[i, j], inner[..., 0], v[i, j + 1]])
         width /= len(_CUTS) - 1
     passed[p[~ok.all(axis=1)]] = False
@@ -409,9 +410,10 @@ def unit_increments(
       its phase change.
     * +-delta pass: a window with a step still failing below _AXIS_WIDTH
       has a zero on or next to the axis. Its arg+ (arg-) increment is the
-      phase change from its left end up to height +delta (down to -delta),
-      along that height and back to its right end: the one-sided limit
-      that passes every real zero above (below). A window that fails is
+      phase change along one path, the detour from its left end up to
+      height +delta (down to -delta), along that height and back down (up)
+      to its right end: the one-sided limit that passes every real zero
+      above (below). A window whose detour fails in either branch is
       traced again at the next of _DELTAS.
     done[b] is False for a row with |q_b| at or below _STEP_FLOOR sum |a_k|
     at an end, where no step can be certified, or that fails at every
@@ -427,24 +429,18 @@ def unit_increments(
     t = (np.arange(n0 + 1) / n0 - 0.5) * width
     todo = np.flatnonzero(usable)
     plus, minus, done = np.zeros(len(amps)), np.zeros(len(amps)), usable.copy()
-    plus[todo], done[todo] = _trace(shifted, g, todo, np.zeros(len(todo)), 1, t, _AXIS_WIDTH)
+    plus[todo], done[todo] = _trace(shifted, g, todo, np.zeros(len(todo)), t, _AXIS_WIDTH)
     minus[todo] = plus[todo]
     todo = todo[~done[todo]]
     for delta in _DELTAS:
         if not len(todo):
             break
-        k = len(todo)
-        heights = np.repeat([1j * delta, -1j * delta], k)
-        level, ok = _trace(shifted, g, np.tile(todo, 2), heights, 1, t, delta / 100)
-        # the vertical ends, each traced upwards: at -width/2 and at
-        # width/2, from the axis to +i delta and from -i delta to the axis
-        starts = np.repeat([-half, -half - 1j * delta, half, half - 1j * delta], k)
-        up, up_ok = _trace(shifted, g, np.tile(todo, 4), starts, 1j,
-                           np.array([0.0, delta]), delta / 100)
-        (la, lb, ra, rb), up_ok = up.reshape(4, k), up_ok.reshape(4, k).all(axis=0)
-        ok = ok[:k] & ok[k:] & up_ok
-        plus[todo[ok]] = (la + level[:k] - ra)[ok]
-        minus[todo[ok]] = (rb + level[k:] - lb)[ok]
+        detour = np.concatenate([[-half], t + 1j * delta, [half]])
+        origin = np.zeros(len(todo))
+        up, up_ok = _trace(shifted, g, todo, origin, detour, delta / 100)
+        down, down_ok = _trace(shifted, g, todo, origin, detour.conj(), delta / 100)
+        ok = up_ok & down_ok
+        plus[todo[ok]], minus[todo[ok]] = up[ok], down[ok]
         done[todo[ok]] = True
         todo = todo[~ok]
     return plus, minus, done

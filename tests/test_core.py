@@ -257,9 +257,11 @@ class TestUnivariateExpSum:
         assert U.is_identically_zero
 
     def test_float_frequency_merge(self):
+        # floats merge by equality, numpy scalars included; no tolerance
+        U = UnivariateExpSum.from_terms([(1.0, 0.5), (2.0, np.float64(0.5))])
+        assert U.terms == ((3.0, 0.5),)
         U = UnivariateExpSum.from_terms([(1.0, 0.5), (2.0, 0.5 + 1e-15)])
-        assert len(U.terms) == 1
-        assert U.terms[0][0] == pytest.approx(3.0)
+        assert U.terms == ((1.0, 0.5), (2.0, 0.5 + 1e-15))
 
     def test_derivative(self):
         U = UnivariateExpSum.from_terms([(1.0, Fraction(2))])

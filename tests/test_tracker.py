@@ -521,21 +521,21 @@ def _iv_step_holds(amps, g, c, z0, z1, floor):
 def test_accepted_steps_hold_in_interval_arithmetic(
     which, interval, sin_sum, cos_minus_one, monkeypatch
 ):
-    # every step the engine accepts, on the real line, at +-delta and on
-    # the vertical ends, satisfies its inequality with q0, q1, M1 and M2
-    # re-evaluated in interval arithmetic from the row's own amplitudes
+    # every step the engine accepts, on the real line and on the +-delta
+    # detours with their vertical legs, satisfies its inequality with q0,
+    # q1, M1 and M2 re-evaluated in interval arithmetic from the row's own
+    # amplitudes
     U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
     accepted, step_ok = [], tracker._step_ok
 
     def spy(h, q0, q1, m1, m2, floor):
         ok = step_ok(h, q0, q1, m1, m2, floor)
         # _step_ok sees step lengths only; the caller's frame places each
-        # step on its path, z = origin[p] + step s
+        # step on its path, z = origin[p] + s
         trace = sys._getframe(1).f_locals
-        s, step = trace["s"], trace["step"]
-        at = trace["origin"][trace["p"], None]
+        s, at = trace["s"], trace["origin"][trace["p"], None]
         *steps, ok_ = np.broadcast_arrays(
-            at + step * s[..., :-1], at + step * s[..., 1:], floor, ok
+            at + s[..., :-1], at + s[..., 1:], floor, ok
         )
         accepted.append([v[ok_] for v in steps])
         return ok
@@ -549,5 +549,8 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     heights = set(np.round(np.concatenate([z0.imag, z1.imag]), 12).tolist())
     # the rows with a real zero are traced off the axis too
     assert len(z0) >= 64 and (len(heights) > 1) == (interval is not None)
+    # and their detours' vertical legs are among the steps checked below
+    vertical = (z0.real == z1.real) & (z0.imag != z1.imag)
+    assert vertical.any() == (interval is not None)
     for s0, s1, f in zip(z0.tolist(), z1.tolist(), floor.tolist()):
         assert _iv_step_holds(amps, g, c, complex(s0), complex(s1), f)
