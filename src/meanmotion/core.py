@@ -179,7 +179,9 @@ class ExpPolynomial:
         Row b has the amplitudes c_j * exp(w_j - max w) * exp(i phases[b, j])
         with w_j = -<l_j, y>, merged over equal first components. Dividing
         every amplitude by exp(max w) keeps them finite at any |y| and
-        leaves the argument unchanged. A non-finite y is a
+        leaves the argument unchanged. A merged amplitude at or below
+        MERGE_TOLERANCE times the largest unmerged one is set to 0, as
+        UnivariateExpSum.from_terms drops it. A non-finite y is a
         DegenerateInputError.
         """
         yv = np.asarray(y, dtype=float)
@@ -190,26 +192,24 @@ class ExpPolynomial:
         w = -(self._lam @ yv)
         mags = self._coeffs * np.exp(w - w.max())
         freqs, merge = self._first_merge
-        floor = MERGE_TOLERANCE * float(np.abs(mags).max())
-        return LineRows((mags * np.exp(1j * phases)) @ merge, freqs, floor)
+        amps = (mags * np.exp(1j * phases)) @ merge
+        amps[np.abs(amps) <= MERGE_TOLERANCE * np.abs(mags).max()] = 0
+        return LineRows(amps, freqs)
 
 
 class LineRows(NamedTuple):
     """Merged line restrictions: row b is s -> sum_k amps[b, k] exp(i freqs[k] s).
 
-    An amplitude at or below `floor` (the merge tolerance times the largest
-    unmerged amplitude) is dropped, as UnivariateExpSum.from_terms does.
+    An amplitude that cancelled in the merge is exactly 0, so a line on
+    which P cancels identically has a row of zeros.
     """
 
     amps: np.ndarray  # B x S' complex
     freqs: tuple[Fraction, ...]  # distinct first exponent components, ascending
-    floor: float
 
     def restriction(self, b: int) -> "UnivariateExpSum":
         return UnivariateExpSum(tuple(
-            (complex(a), g)
-            for a, g in zip(self.amps[b], self.freqs)
-            if abs(a) > self.floor
+            (complex(a), g) for a, g in zip(self.amps[b], self.freqs) if a
         ))
 
 

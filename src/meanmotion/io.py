@@ -31,7 +31,9 @@ def parse_polynomial(obj: dict) -> ExpPolynomial:
                 raise TypeError("exponent must be a list")
             comps = tuple(Fraction(str(c)) for c in t["exponent"])
             terms.append(ExpTerm(complex(*map(float, parts)), FrequencyVector(comps)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        except ZeroDivisionError as e:
+            raise PolynomialLoadError(f"term {k}: zero denominator in {t['exponent']}") from e
+        except (KeyError, TypeError, ValueError) as e:
             raise PolynomialLoadError(f"term {k}: invalid ({e})") from e
     try:
         return ExpPolynomial(dimension, tuple(terms))

@@ -10,13 +10,15 @@ Two routes to c+(y), c-(y) that sample separately:
   integer coordinates of each exponent give the line's phases.
 
 Both build their line restrictions with ExpPolynomial.line_rows and track
-them with one window engine: tracker.unit_increments settles as many
-windows per call as _BATCH_POINTS first-sampling points allow, from
-certified phase steps on the real segment or, past a real zero, at heights
-+-delta, and traces each window it leaves undone again alone at the
-centres shifted by _SHIFTS. No random number is drawn for a window, so
-each route's generator gives its sample points only. Agreement of the two
-within the dispersion-aware tolerance is the artifact's core property.
+them with one window engine: one tracker.unit_increments call settles
+every window of a route it can, from certified phase steps on the real
+segment or, past a real zero, at heights +-delta, and each window it
+leaves undone is traced again alone at the centres shifted by _SHIFTS. A
+window on a line where P cancels identically has no increment: it is
+skipped and counted on every route. No random number is drawn for a
+window, so each route's generator gives its sample points only.
+Agreement of the two within the dispersion-aware tolerance is the
+artifact's core property.
 """
 
 from __future__ import annotations
@@ -30,14 +32,12 @@ import numpy as np
 from .core import ExpPolynomial, UnivariateExpSum
 from .errors import DegenerateInputError
 from .lattice import group_basis
-from .tracker import _first_steps, unit_increments
+from .tracker import unit_increments
 
-# Centre shifts, in order, at which a window the batch leaves undone is
+# Centre shifts, in order, at which a window the engine leaves undone is
 # traced again: a zero of order m at an end needs |shift|^m above the step
 # floor 1e-12 sum |a_k|.
 _SHIFTS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
-# First-sampling points per unit_increments call: bounds its sample arrays.
-_BATCH_POINTS = 2**14
 
 
 class SkippedLine(Exception):
@@ -112,40 +112,30 @@ def windowed_increment_pair(P, y, x):
     """(plus, minus) unit-window increments of arg P along the line x + iy,
     the window centred at x; SkippedLine if it cannot be tracked."""
     x = np.asarray(x, dtype=float)
-    vp, vm, done = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]), None)
+    vp, vm, done = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]))
     if not done[0]:
         raise SkippedLine
     return float(vp[0]), float(vm[0])
 
 
-def _unit_windows(P, y, centers, phases, on_zero, width=1.0):
+def _unit_windows(P, y, centers, phases, width=1.0):
     """Increments of the windows of the given width and centres on the
     lines with B x S phases (see ExpPolynomial.line_rows): plus values,
     minus values and whether each window was tracked, in line order.
 
-    One unit_increments call settles every window it can of as many lines
-    as hold _BATCH_POINTS points of first sampling between them (at least
-    one). Each window it leaves undone, typically one with an end on a
-    zero, is traced alone again at its centre plus each of _SHIFTS in
-    turn, and stays undone when all fail. An identically-zero line
-    contributes the pair on_zero, or stays undone when on_zero is None.
+    One unit_increments call settles every window it can. Each window it
+    leaves undone, typically one with an end on a zero, is traced again at
+    its centre plus each of _SHIFTS in turn, and stays undone when all
+    fail. It is traced alone: |q| of about shift^m there magnifies rounding
+    that would vary with the batch. A window on an identically-zero line
+    stays undone.
     """
     rows = P.line_rows(y, phases)
-    fs = float(np.abs([float(f) for f in rows.freqs]).sum())
-    step = max(1, _BATCH_POINTS // (_first_steps(fs, width) + 1))
-    plus, minus, done = map(np.concatenate, zip(*[
-        unit_increments(rows.amps[k : k + step], rows.freqs,
-                        centers[k : k + step], rows.floor, width)
-        for k in range(0, len(centers), step)
-    ]))
-    for b in np.flatnonzero(~done):
-        if (np.abs(rows.amps[b]) <= rows.floor).all():
-            if on_zero is not None:
-                (plus[b], minus[b]), done[b] = on_zero, True
-            continue
+    plus, minus, done = unit_increments(rows.amps, rows.freqs, centers, width)
+    for b in np.flatnonzero(~done & rows.amps.any(axis=1)):
         for shift in _SHIFTS:
             p, m, ok = unit_increments(rows.amps[b : b + 1], rows.freqs,
-                                       centers[b : b + 1] + shift, rows.floor, width)
+                                       centers[b : b + 1] + shift, width)
             if ok[0]:
                 plus[b], minus[b], done[b] = p[0], m[0], True
                 break
@@ -194,8 +184,7 @@ def direct_mean_motion(
         hi = np.array(box.beta[1:])
         perps = np.array([rng.uniform(lo, hi) for _ in range(lines)])
     vp, vm, done = _unit_windows(
-        P, y, np.full(len(perps), 0.5 * (a1 + b1)), _perp_phases(P, perps),
-        None, b1 - a1,
+        P, y, np.full(len(perps), 0.5 * (a1 + b1)), _perp_phases(P, perps), b1 - a1
     )
     if not done.any():
         raise DegenerateInputError("every sampled line was skipped")
@@ -213,7 +202,7 @@ def box_mean_motion(
     rng = np.random.default_rng(schedule.seed)
     sizes, n = schedule.sizes, schedule.lines_per_box
     xs = np.concatenate([rng.uniform(-L / 2, L / 2, (n, P.dimension)) for L in sizes])
-    vp, vm, done = _unit_windows(P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]), None)
+    vp, vm, done = _unit_windows(P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]))
     per_p, per_m = (
         [(float(L), float(np.mean(r[d])) if d.any() else math.nan)
          for L, r, d in zip(sizes, v.reshape(-1, n), done.reshape(-1, n))]
@@ -237,7 +226,8 @@ def _torus_points(rank, samples, seed, method):
 class TorusMean(NamedTuple):
     """Torus averages of both branches with their standard errors.
 
-    `samples` counts the averaged points, `skipped` the untrackable ones.
+    `samples` counts the averaged points, `skipped` the untrackable ones,
+    among them points whose line P cancels identically.
     """
 
     plus: float
@@ -262,8 +252,7 @@ def torus_mean(
     basis = group_basis(P.exponents)
     K = np.array(basis.coords, dtype=float)
     us = _torus_points(basis.rank, samples, seed, method)
-    # exceptional torus points (fully cancelled sum): I+- := 0
-    vp, vm, done = _unit_windows(P, y, np.zeros(len(us)), us @ K.T, (0.0, 0.0))
+    vp, vm, done = _unit_windows(P, y, np.zeros(len(us)), us @ K.T)
     vp, vm, n = vp[done], vm[done], int(done.sum())
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")

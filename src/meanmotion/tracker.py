@@ -48,11 +48,9 @@ _STEP_FLOOR = 1e-12
 _AXIS_WIDTH = 1e-5
 _DELTAS = (1e-5, 1e-4, 1e-3)
 _CUTS = np.linspace(0.0, 1.0, 9)
-# The finest step at which a cluster of zeros is scanned again: rounding
-# splits a quadruple zero over about this distance.
-_RESCAN_STEP = 1e-4
 # The most steps of a first sampling: it allocates rows x steps arrays.
 _MAX_STEPS = 2**16
+_BATCH_POINTS = 2**14  # the most rows x points that one _trace batch samples
 # Phase-step bisection rounds, and radius perturbations in winding_number.
 _MAX_REFINEMENTS = 24
 _POINTS_PER_TURN = 64  # least samples on a winding circle
@@ -216,11 +214,13 @@ def _scan(U, interval):
     _AXIS_WIDTH is a cluster of zeros on or next to the axis. The interval
     is cut halfway between clusters, and unit_increments traces each
     piece: (minus - plus) / 2pi is its cluster's multiplicity. A cluster of
-    two or more zeros is scanned again over its neighbourhood, in 64 steps
-    no finer than _RESCAN_STEP, which may split it; otherwise Newton's
-    method in the cluster locates its zero. Returns the grid, the cuts (a
-    and b included), each piece's cluster as a step range [i, j) (an empty
-    one in the middle when there is none), the pieces' plus and minus
+    m >= 2 zeros is scanned again, which may split it, while its
+    neighbourhood is wider than 64 r: rounding splits an m-fold zero over
+    the radius r = (F / |c_m|)^(1/m), F the step floor and c_m the m-th
+    Taylor coefficient at the middle. Otherwise Newton's method in the
+    cluster locates its zero. Returns the grid, the cuts (a and b
+    included), each piece's cluster as a step range [i, j) (an empty one
+    in the middle when there is none), the pieces' plus and minus
     increments, and the zeros.
     """
     if U.is_identically_zero:
@@ -240,7 +240,7 @@ def _scan(U, interval):
     cuts = [a] + [0.5 * (grid[j] + grid[i]) for (_, j), (i, _) in zip(clusters, clusters[1:])] + [b]
     plus, minus = np.zeros(len(clusters)), np.zeros(len(clusters))
     for k, (l, r) in enumerate(zip(cuts, cuts[1:])):
-        p, m, done = unit_increments(amps, U._freqs, np.array([0.5 * (l + r)]), 0.0, r - l)
+        p, m, done = unit_increments(amps, U._freqs, np.array([0.5 * (l + r)]), r - l)
         if not done[0]:
             raise TrackingError(f"the piece ({l}, {r}) of the interval failed")
         plus[k], minus[k] = p[0], m[0]
@@ -253,8 +253,9 @@ def _scan(U, interval):
         # the cluster's neighbourhood, from the middle of the step before it
         lo = a if i == 0 else 0.5 * (grid[i - 1] + grid[i])
         hi = b if j == n0 else 0.5 * (grid[j] + grid[j + 1])
+        c = abs(U.leading_coefficient(0.5 * (lo + hi), int(m))) if m > 1 else 0.0
         found = ()
-        if m > 1 and hi - lo > 64 * _RESCAN_STEP:
+        if c and hi - lo > 64 * (_STEP_FLOOR * U.amplitude_scale / c) ** (1 / m):
             try:
                 found = _scan(U, (lo, hi))[-1]
             except (EndpointZeroError, TrackingError):
@@ -352,13 +353,21 @@ def _trace(shifted, g, rows, origin, t, stop):
     lengths |dt| come from t alone, so they do not round with a large
     origin.
 
-    The samples at t are tested as one (paths x steps) array. The failing
-    steps form a ragged queue: each round cuts them all by _CUTS, each
-    evaluated on its own row, and tests them as one array. A path fails
-    when a step narrower than stop still fails, or when more than
-    4 max(64, len(t) - 1) of its steps fail at once: it is then in the
-    rounding noise of a multiple zero, and the cap bounds the queue.
+    The paths are taken max(1, _BATCH_POINTS // len(t)) at a time, which
+    bounds the sample arrays; the samples at t of each batch are tested as
+    one (paths x steps) array. The failing steps form a ragged queue: each
+    round cuts them all by _CUTS, each evaluated on its own row, and tests
+    them as one array. A path fails when a step narrower than stop still
+    fails, or when more than 4 max(64, len(t) - 1) of its steps fail at
+    once: it is then in the rounding noise of a multiple zero, and the cap
+    bounds the queue.
     """
+    size = max(1, _BATCH_POINTS // len(t))
+    if len(rows) > size:
+        return tuple(map(np.concatenate, zip(*(
+            _trace(shifted, g, rows[k : k + size], origin[k : k + size], t, stop)
+            for k in range(0, len(rows), size)
+        ))))
     amps = shifted[rows] * np.exp(1j * np.multiply.outer(origin, g))
     e = np.exp(1j * np.multiply.outer(g, t))
     # |exp(i g z)| is largest where Im z is extreme, at a vertex of the grid
@@ -396,13 +405,13 @@ def unit_increments(
     amps: np.ndarray,
     freqs,
     centers: np.ndarray,
-    floor: float,
     width: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Increments (plus, minus, done) of the arg+ and arg- branches of the
     sums q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) over the windows
     (centers[b] - width/2, centers[b] + width/2), each seen from its
-    centre. An amplitude at or below floor counts as 0.
+    centre. The rows may be as many as a route has windows: _trace bounds
+    the arrays it samples.
 
     Every phase step is certified by _step_ok; no zero is located.
     * Real-line pass: a window whose first sampling (see _first_steps)
@@ -416,12 +425,11 @@ def unit_increments(
       above (below). A window whose detour fails in either branch is
       traced again at the next of _DELTAS.
     done[b] is False for a row with |q_b| at or below _STEP_FLOOR sum |a_k|
-    at an end, where no step can be certified, or that fails at every
-    delta.
+    at an end, where no step can be certified (an identically-zero row
+    among them), or that fails at every delta.
     """
     g = np.array([float(f) for f in freqs])
     n0 = _first_steps(float(np.abs(g).sum()), width)
-    amps = np.where(np.abs(amps) > floor, amps, 0)
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     half = 0.5 * width
     ends = shifted @ np.exp(1j * np.multiply.outer(g, [-half, half]))

@@ -153,6 +153,17 @@ class TestEval:
         assert code == EXIT_INPUT_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "PolynomialLoadError"
 
+    def test_zero_denominator_named(self, tmp_path, capsys):
+        # the message says what is wrong and shows the exponent as given
+        path = tmp_path / "zero-denominator.json"
+        path.write_text(
+            '{"dimension": 1, "terms": [{"re": 1, "im": 0, "exponent": ["1/0"]}]}'
+        )
+        assert main(["eval", "--poly", str(path), "--z", "0"]) == EXIT_INPUT_ERROR == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "PolynomialLoadError"
+        assert out["message"] == "term 0: zero denominator in ['1/0']"
+
     def test_non_finite_coefficient(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meanmotion import motion, tracker
-from meanmotion.core import ExpPolynomial, lift
+from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
 from meanmotion.errors import DegenerateInputError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
@@ -237,9 +237,7 @@ class TestBoxMeanMotion:
         P, spacing, _ = _end_on_zero_case(case, sin_poly)
         y, (xs, on_zero) = [0.0] * P.dimension, _lines_ending_on_zeros(P, spacing)
         want = [windowed_increment_pair(P, y, x) for x in xs]
-        vp, vm, done = motion._unit_windows(
-            P, y, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), None
-        )
+        vp, vm, done = motion._unit_windows(P, y, xs[:, 0], motion._perp_phases(P, xs[:, 1:]))
         assert on_zero.sum() >= 10 and done.all()
         assert np.column_stack([vp, vm]) == pytest.approx(np.array(want), abs=1e-12)
 
@@ -259,7 +257,7 @@ class TestBoxMeanMotion:
             lambda *a: calls.append(a[2].tolist()) or increments(*a),
         )
         vp, _, done = motion._unit_windows(
-            P, [0.0] * P.dimension, xs[:, 0], motion._perp_phases(P, xs[:, 1:]), None,
+            P, [0.0] * P.dimension, xs[:, 0], motion._perp_phases(P, xs[:, 1:]),
         )
         assert [len(c) for c in calls if len(c) > 1] == [80]
         rungs = {1: 1, 2: 3, 3: 5}[order]
@@ -292,6 +290,15 @@ class TestTorusMean:
     def test_sin_minus_grid(self, sin_poly):
         got = torus_mean(sin_poly, [0.0], samples=4000, method="grid")
         assert got.minus == pytest.approx(1.0, abs=0.01)
+
+    def test_cancelled_points_skipped(self):
+        # e^{iz_1} (1 + e^{iz_2}) cancels identically on the lines through
+        # u_2 = pi: the 3 such points of a 9-point grid have no increment
+        # and are counted as skipped, not averaged in as 0
+        P = ExpPolynomial.from_pairs(2, [(1, ["1", "0"]), (1, ["1", "1"])])
+        got = torus_mean(P, [0.0, 0.0], samples=9, method="grid")
+        assert (got.samples, got.skipped) == (6, 3)
+        assert (got.plus, got.minus) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_pure_exponential(self):
         P = pure_exp("-3")
@@ -408,9 +415,7 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     for u in np.random.default_rng(11).uniform(0.0, 2 * PI, (300, basis.rank)):
         U = lifted.line_restriction(y, u)
         amps = np.array([[a for a, _ in U.terms]])
-        plus, minus, done = tracker.unit_increments(
-            amps, [g for _, g in U.terms], np.zeros(1), 0.0
-        )
+        plus, minus, done = tracker.unit_increments(amps, [g for _, g in U.terms], np.zeros(1))
         assert done[0]
         vals.append((plus[0], minus[0]))
     made = _recording_rngs(monkeypatch)
@@ -431,10 +436,10 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
 
 @pytest.mark.parametrize("route", ["box", "torus"])
 def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
-    # sin's windows with a real zero are traced in the batch: every batch
-    # call settles all its windows, so no window is traced again alone.
-    # A sin unit window samples 65 points, so a call takes 2**14 // 65 = 252
-    # windows: the box route's 4 x 64 in two calls, the torus's 400 in two
+    # sin's windows with a real zero are traced in the batch: a route's
+    # one unit_increments call takes all its windows and settles them all,
+    # so no window is traced again alone: the box route's 4 x 64 windows
+    # and the torus's 400
     settled = []
     increments = motion.unit_increments
 
@@ -446,38 +451,54 @@ def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
     monkeypatch.setattr(motion, "unit_increments", spy)
     if route == "box":
         box_mean_motion(sin_poly, [0.0], WindowSchedule(seed=3))
-        assert settled == [(252, True), (4, True)]
+        assert settled == [(256, True)]
     else:
         torus_mean(sin_poly, [0.0], samples=400)
-        assert settled == [(252, True), (148, True)]
+        assert settled == [(400, True)]
 
 
-@pytest.mark.parametrize("route", ["direct", "box"])
+@pytest.mark.parametrize("route", ["direct", "box", "zeros"])
 def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
-    # a call takes as many lines as _BATCH_POINTS first-sampling points
-    # allow, and at least one: a 25,000-wide window of a sum with first
-    # exponents +-1 takes 63,662 steps, one line a call, while the 3 x 64
-    # unit windows of a sin report, 65 points each, take one call
-    calls = []
-    increments = motion.unit_increments
+    # _trace takes its paths max(1, _BATCH_POINTS // len(t)) at a time, in
+    # calls of its own: a 25,000-wide window of a sum with first exponents
+    # +-1 samples 63,663 points, one line a call; the 3 x 64 unit windows
+    # of a sin report, 65 points each, take one call; and the 50,930
+    # two-point steps of e^{is} + 1/2 over (0, 40000) take 8192 a call.
+    # Only a call that does not split its paths samples them
+    calls, depth = [], [0]
+    trace = tracker._trace
 
-    def spy(amps, freqs, centers, floor, width):
-        fs = float(np.abs([float(f) for f in freqs]).sum())
-        calls.append((len(centers), tracker._first_steps(fs, width) + 1))
-        return increments(amps, freqs, centers, floor, width)
+    def spy(*args):
+        calls.append((depth[0], len(args[2]), len(args[4])))
+        depth[0] += 1
+        try:
+            return trace(*args)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(motion, "unit_increments", spy)
+    monkeypatch.setattr(tracker, "_trace", spy)
     if route == "direct":
         P = ExpPolynomial.from_pairs(
             2, [(1, ["1", "0"]), (-2, ["-1", "0"]), (0.5, ["1", "1"])]
         )
         box = BoxSpec((0.0, 0.0), (25000.0, 2 * PI))
         direct_mean_motion(P, [0.0, 0.0], box, lines=6)
-        assert calls == [(1, 63663)] * 6
-    else:
+    elif route == "box":
         box_mean_motion(sin_poly, [0.0], WindowSchedule((25.0, 50.0, 100.0), 64))
-        assert calls == [(192, 65)]
-    assert all(rows * n <= motion._BATCH_POINTS for rows, n in calls if rows > 1)
+    else:
+        U = UnivariateExpSum.from_terms([(1, 1), (0.5, 0)])
+        assert tracker.locate_zeros(U, (0.0, 40000.0)) == []
+    # the sampling calls: those that no deeper call follows
+    sampled = [(rows, n) for (d, rows, n), (after, *_) in zip(calls, calls[1:] + [(0,)])
+               if after <= d]
+    if route == "direct":
+        assert sampled == [(1, 63663)] * 6
+    elif route == "box":
+        # the real-line pass, then the +-delta detours of the windows on zeros
+        assert sampled[0] == (192, 65) and [n for _, n in sampled[1:]] == [67, 67]
+    else:
+        assert sampled == [(8192, 2)] * 6 + [(1778, 2), (1, 50931)]
+    assert all(rows * n <= tracker._BATCH_POINTS for rows, n in sampled if rows > 1)
 
 
 class TestCompareEstimators:

@@ -87,13 +87,15 @@ class TestLocateZeros:
 
     def test_close_zeros_kept_apart(self):
         # (e^{is} - e^{id})(e^{is} - e^{-id}): simple zeros at +-d, both in
-        # one step of the first sampling, are told apart by a finer scan
-        d = 0.005
-        a, b = np.exp(1j * d), np.exp(-1j * d)
-        U = UnivariateExpSum.from_terms([(1, 2.0), (-(a + b), 1.0), (a * b, 0.0)])
-        zeros = locate_zeros(U, (-0.5, 0.5))
-        assert [z.multiplicity for z in zeros] == [1, 1]
-        assert [z.location for z in zeros] == pytest.approx([-d, d], abs=1e-9)
+        # one step of the first sampling, are told apart by finer scans,
+        # down to 64 times the radius 2e-6 over which rounding would split
+        # a double zero there
+        for d in (5e-3, 5e-4, 5e-5):
+            a, b = np.exp(1j * d), np.exp(-1j * d)
+            U = UnivariateExpSum.from_terms([(1, 2.0), (-(a + b), 1.0), (a * b, 0.0)])
+            zeros = locate_zeros(U, (-0.5, 0.5))
+            assert [z.multiplicity for z in zeros] == [1, 1]
+            assert [z.location for z in zeros] == pytest.approx([-d, d], abs=1e-9)
 
     def test_nonvanishing(self):
         U = UnivariateExpSum.from_terms([(1, Fraction(1))])
@@ -303,7 +305,7 @@ def test_triple_zero_windows(center):
 def _unit_rows(U, centers):
     """unit_increments on the unit windows of U at the given centres."""
     amps = np.array([[a for a, _ in U.terms]] * len(centers))
-    return unit_increments(amps, [g for _, g in U.terms], np.asarray(centers), 0.0)
+    return unit_increments(amps, [g for _, g in U.terms], np.asarray(centers))
 
 
 @pytest.mark.parametrize("which, interval, plus, minus, zeros", [
@@ -334,7 +336,7 @@ def test_rounding_split_double_zero():
     )
     assert [z.multiplicity for z in tp.zeros] == [2]
     assert tp.zeros[0].location == pytest.approx(0.41441681, abs=1e-6)
-    plus, minus, done = unit_increments(rows.amps, rows.freqs, np.zeros(1), rows.floor)
+    plus, minus, done = unit_increments(rows.amps, rows.freqs, np.zeros(1))
     assert done[0]
     assert (plus[0], minus[0]) == pytest.approx((-2 * PI, 2 * PI), abs=1e-12)
 
@@ -380,9 +382,7 @@ class TestUnitIncrements:
         for name, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
-            plus, minus, done = unit_increments(
-                rows.amps, rows.freqs, centers, rows.floor
-            )
+            plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
             for b in np.flatnonzero(done):
                 U, a = rows.restriction(b), centers[b] - 0.5
                 passed = (minus[b] - plus[b]) / (2 * PI)
@@ -410,9 +410,7 @@ class TestUnitIncrements:
         for _, P, y, phases in _row_families(rng):
             rows = P.line_rows(y, phases)
             centers = rng.uniform(-50.0, 50.0, len(phases))
-            plus, minus, done = unit_increments(
-                rows.amps, rows.freqs, centers, rows.floor
-            )
+            plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
             for b, c in enumerate(centers):
                 U = rows.restriction(b)
                 near = count_zeros_rectangle(U, (c - 0.5, c + 0.5, -1e-5, 1e-5))
@@ -435,12 +433,12 @@ class TestUnitIncrements:
         freqs = [g for _, g in U.terms]
         # a zero of multiplicity m inside: minus - plus = 2 pi m
         centers = zeros + rng.uniform(-0.49, 0.49, 64)
-        plus, minus, done = unit_increments(amps, freqs, centers, 0.0)
+        plus, minus, done = unit_increments(amps, freqs, centers)
         assert done.all()
         assert minus - plus == pytest.approx(2 * PI * m, abs=1e-12)
         # a zero at an endpoint: arg_increment_pair raises, nothing is taken
         centers = zeros + rng.choice([-0.5, 0.5], 64)
-        assert not unit_increments(amps, freqs, centers, 0.0)[2].any()
+        assert not unit_increments(amps, freqs, centers)[2].any()
         for c in centers:
             with pytest.raises(EndpointZeroError):
                 arg_increment_pair(U, (c - 0.5, c + 0.5))
@@ -452,7 +450,7 @@ class TestUnitIncrements:
         U = _triple()
         amps = np.array([[a for a, _ in U.terms]] * 4)
         centers = np.array([-0.499, 0.499, 2 * PI - 0.499, 2 * PI + 0.499])
-        plus, minus, done = unit_increments(amps, [g for _, g in U.terms], centers, 0.0)
+        plus, minus, done = unit_increments(amps, [g for _, g in U.terms], centers)
         assert done.all()
         assert plus == pytest.approx(np.full(4, 1.5 - 3 * PI), abs=1e-5)
         assert minus == pytest.approx(np.full(4, 1.5 + 3 * PI), abs=1e-5)
