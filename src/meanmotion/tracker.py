@@ -4,10 +4,12 @@ The arg+ / arg- branches along a real segment follow the convention that
 a zero of multiplicity m contributes a jump of -m*pi (plus branch) or
 +m*pi (minus branch). One engine computes their increments:
 unit_increments settles many windows at once without locating any zero.
-Every phase step is certified by the step rule of _step_ok. A window
-whose real segment certifies holds no zero; one whose segment does not is
-traced along two detours, through heights +delta and -delta: the
-one-sided limits that pass its real zeros above and below.
+A window in which one term outweighs the others settles from its two
+ends (Rouche's theorem on the line). Every other phase step is certified
+by the step rule of _step_ok. A window whose real segment certifies holds
+no zero; one whose segment does not is traced along two detours, through
+heights +delta and -delta: the one-sided limits that pass its real zeros
+above and below.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
 commands, run on the same engine: the failing steps of an interval's
@@ -354,51 +356,51 @@ def _trace(shifted, g, rows, origin, t, stop):
     origin.
 
     The paths are taken max(1, _BATCH_POINTS // len(t)) at a time, which
-    bounds the sample arrays; the samples at t of each batch are tested as
-    one (paths x steps) array. The failing steps form a ragged queue: each
-    round cuts them all by _CUTS, each evaluated on its own row, and tests
-    them as one array. A path fails when a step narrower than stop still
+    bounds the sample arrays. The batches share one exp(i g t) grid, and
+    the samples at t of each are tested as one (paths x steps) array. The
+    failing steps form a ragged queue: each round cuts them all by _CUTS,
+    each evaluated on its own row, and tests them as one array. A path fails when a step narrower than stop still
     fails, or when more than 4 max(64, len(t) - 1) of its steps fail at
     once: it is then in the rounding noise of a multiple zero, and the cap
     bounds the queue.
     """
-    size = max(1, _BATCH_POINTS // len(t))
-    if len(rows) > size:
-        return tuple(map(np.concatenate, zip(*(
-            _trace(shifted, g, rows[k : k + size], origin[k : k + size], t, stop)
-            for k in range(0, len(rows), size)
-        ))))
-    amps = shifted[rows] * np.exp(1j * np.multiply.outer(origin, g))
     e = np.exp(1j * np.multiply.outer(g, t))
     # |exp(i g z)| is largest where Im z is extreme, at a vertex of the grid
-    mods = np.abs(amps) * np.abs(e).max(axis=1)
-    m1, m2 = mods @ np.abs(g), mods @ (g * g)
-    floor = _STEP_FLOOR * np.abs(shifted[rows]).sum(axis=1)
-    v = amps @ e
-    p, s, total = np.arange(len(rows)), t, np.zeros(len(rows))
-    passed, cap = np.ones(len(rows), dtype=bool), 4 * max(64, len(t) - 1)
-    width = np.abs(np.diff(t)).max()  # of the widest step in the current array
-    while True:
-        ok = _step_ok(np.abs(np.diff(s)), v[:, :-1], v[:, 1:],
-                      m1[p, None], m2[p, None], floor[p, None])
-        turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
-        total += np.bincount(p, turn.sum(axis=1), minlength=len(rows))
-        if ok.all() or width < stop:
-            break
-        i, j = np.nonzero(~ok)
-        if len(i) > cap:
-            crowded = np.bincount(p[i], minlength=len(rows)) > cap
-            passed[crowded] = False
-            i, j = i[~crowded[p[i]]], j[~crowded[p[i]]]
-        s = np.broadcast_to(s, v.shape)
-        p, s0, s1 = p[i], s[i, j], s[i, j + 1]
-        s = s0[:, None] + np.multiply.outer(s1 - s0, _CUTS)
-        s[:, -1] = s1
-        inner = np.exp(1j * np.multiply.outer(s[:, 1:-1], g)) @ amps[p, :, None]
-        v = np.column_stack([v[i, j], inner[..., 0], v[i, j + 1]])
-        width /= len(_CUTS) - 1
-    passed[p[~ok.all(axis=1)]] = False
-    return total, passed
+    grow = np.abs(e).max(axis=1)
+    size, out = max(1, _BATCH_POINTS // len(t)), []
+    cuts = range(size, len(rows), size)
+    # each batch rebinds rows and origin to its own slice of them
+    for rows, origin in zip(np.split(rows, cuts), np.split(origin, cuts)):
+        amps = shifted[rows] * np.exp(1j * np.multiply.outer(origin, g))
+        mods = np.abs(amps) * grow
+        m1, m2 = mods @ np.abs(g), mods @ (g * g)
+        floor = _STEP_FLOOR * np.abs(shifted[rows]).sum(axis=1)
+        v = amps @ e
+        p, s, total = np.arange(len(rows)), t, np.zeros(len(rows))
+        passed, cap = np.ones(len(rows), dtype=bool), 4 * max(64, len(t) - 1)
+        width = np.abs(np.diff(t)).max()  # of the widest step in the current array
+        while True:
+            ok = _step_ok(np.abs(np.diff(s)), v[:, :-1], v[:, 1:],
+                          m1[p, None], m2[p, None], floor[p, None])
+            turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
+            total += np.bincount(p, turn.sum(axis=1), minlength=len(rows))
+            if ok.all() or width < stop:
+                break
+            i, j = np.nonzero(~ok)
+            if len(i) > cap:
+                crowded = np.bincount(p[i], minlength=len(rows)) > cap
+                passed[crowded] = False
+                i, j = i[~crowded[p[i]]], j[~crowded[p[i]]]
+            s = np.broadcast_to(s, v.shape)
+            p, s0, s1 = p[i], s[i, j], s[i, j + 1]
+            s = s0[:, None] + np.multiply.outer(s1 - s0, _CUTS)
+            s[:, -1] = s1
+            inner = np.exp(1j * np.multiply.outer(s[:, 1:-1], g)) @ amps[p, :, None]
+            v = np.column_stack([v[i, j], inner[..., 0], v[i, j + 1]])
+            width /= len(_CUTS) - 1
+        passed[p[~ok.all(axis=1)]] = False
+        out.append((total, passed))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def unit_increments(
@@ -413,7 +415,13 @@ def unit_increments(
     centre. The rows may be as many as a route has windows: _trace bounds
     the arrays it samples.
 
-    Every phase step is certified by _step_ok; no zero is located.
+    No zero is located. Let F = _STEP_FLOOR sum |a_k| for a row.
+    * Dominated rows: when |a_j| - sum_{k != j} |a_k| > F for the largest
+      |a_j|, r = q / (a_j exp(i g_j s)) stays in |r - 1| < 1 on the real
+      line (Rouche), so both increments are g_j width + Arg r(width/2) -
+      Arg r(-width/2) (Forsberg, Passare & Tsikh, Adv. Math. 151, 2000),
+      from the two ends and no trace. The other rows take two passes, every
+      phase step certified by _step_ok.
     * Real-line pass: a window whose first sampling (see _first_steps)
       passes in every step, after cuts, holds no zero; both branches gain
       its phase change.
@@ -424,22 +432,29 @@ def unit_increments(
       to its right end: the one-sided limit that passes every real zero
       above (below). A window whose detour fails in either branch is
       traced again at the next of _DELTAS.
-    done[b] is False for a row with |q_b| at or below _STEP_FLOOR sum |a_k|
-    at an end, where no step can be certified (an identically-zero row
-    among them), or that fails at every delta.
+    done[b] is False for a row with |q_b| at or below F at an end, where no
+    step can be certified (an identically-zero row among them), or that
+    fails at every delta.
     """
     g = np.array([float(f) for f in freqs])
     n0 = _first_steps(float(np.abs(g).sum()), width)
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     half = 0.5 * width
     ends = shifted @ np.exp(1j * np.multiply.outer(g, [-half, half]))
-    usable = np.abs(ends).min(axis=1) > _STEP_FLOOR * np.abs(amps).sum(axis=1)
+    mods = np.abs(amps)
+    floor = _STEP_FLOOR * mods.sum(axis=1)
+    usable = np.abs(ends).min(axis=1) > floor
     t = (np.arange(n0 + 1) / n0 - 0.5) * width
-    todo = np.flatnonzero(usable)
     plus, minus, done = np.zeros(len(amps)), np.zeros(len(amps)), usable.copy()
-    plus[todo], done[todo] = _trace(shifted, g, todo, np.zeros(len(todo)), t, _AXIS_WIDTH)
-    minus[todo] = plus[todo]
-    todo = todo[~done[todo]]
+    dominated = usable & (2 * mods.max(axis=1) - mods.sum(axis=1) > floor)
+    b, j = np.flatnonzero(dominated), mods[dominated].argmax(axis=1)
+    r = ends[b] / (shifted[b, j, None] * np.exp(1j * np.multiply.outer(g[j], [-half, half])))
+    plus[b] = minus[b] = g[j] * width + np.angle(r[:, 1]) - np.angle(r[:, 0])
+    todo = np.flatnonzero(usable & ~dominated)
+    if len(todo):
+        plus[todo], done[todo] = _trace(shifted, g, todo, np.zeros(len(todo)), t, _AXIS_WIDTH)
+        minus[todo] = plus[todo]
+        todo = todo[~done[todo]]
     for delta in _DELTAS:
         if not len(todo):
             break

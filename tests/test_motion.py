@@ -372,10 +372,17 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
     # at the real zero threshold the batch takes every window, with the
     # values of a per-line loop but for rounding; the schedule's generator
     # draws the line positions only
-    if case in ("sin", "near-axis"):
-        # near the axis, the zeros of sin sit 1e-5 below it: the steps
-        # that pass them are certified only after a cut
-        P, y = sin_poly, [0.0 if case == "sin" else 1e-5]
+    if case == "sin":
+        P, y = sin_poly, [0.0]
+    elif case == "near-axis":
+        # sin z + sin(3z) / 3 = sin z (2 - 4/3 sin^2 z), whose real zeros sit
+        # 1e-5 below the line: the steps that pass them are certified only
+        # after a cut. No term outweighs the others, as the two terms of sin
+        # do off the axis, so unit_increments traces every line
+        P = ExpPolynomial.from_pairs(1, [
+            (-0.5j, ["1"]), (0.5j, ["-1"]), (-0.5j / 3, ["3"]), (0.5j / 3, ["-3"]),
+        ])
+        y = [1e-5]
     elif case == "double":  # 2(cos s - 1)
         P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (1, ["-1"]), (-2, ["0"])])
         y = [0.0]
@@ -459,27 +466,25 @@ def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
 
 @pytest.mark.parametrize("route", ["direct", "box", "zeros"])
 def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
-    # _trace takes its paths max(1, _BATCH_POINTS // len(t)) at a time, in
-    # calls of its own: a 25,000-wide window of a sum with first exponents
-    # +-1 samples 63,663 points, one line a call; the 3 x 64 unit windows
-    # of a sin report, 65 points each, take one call; and the 50,930
-    # two-point steps of e^{is} + 1/2 over (0, 40000) take 8192 a call.
-    # Only a call that does not split its paths samples them
-    calls, depth = [], [0]
-    trace = tracker._trace
+    # _trace takes its paths max(1, _BATCH_POINTS // len(t)) at a time and
+    # tests each batch's samples at t as one (paths x steps) array: a
+    # 25,000-wide window of a sum with first exponents +-1 that no term
+    # dominates samples 63,663 points, one line a batch; the 3 x 64 unit
+    # windows of a sin report, 65 points each, take one batch; and the
+    # 50,930 two-point steps of e^{is} + 1/2 over (0, 40000) take 8192 a
+    # batch. Its term 1 dominates the 1/2, so unit_increments settles the
+    # interval's one piece from its ends, and the piece samples nothing
+    sampled, step_ok = [], tracker._step_ok
 
-    def spy(*args):
-        calls.append((depth[0], len(args[2]), len(args[4])))
-        depth[0] += 1
-        try:
-            return trace(*args)
-        finally:
-            depth[0] -= 1
+    def spy(h, q0, *rest):
+        if h.ndim == 1:  # a batch's samples at t; a round of cuts is 2-D
+            sampled.append((len(q0), len(h) + 1))
+        return step_ok(h, q0, *rest)
 
-    monkeypatch.setattr(tracker, "_trace", spy)
+    monkeypatch.setattr(tracker, "_step_ok", spy)
     if route == "direct":
         P = ExpPolynomial.from_pairs(
-            2, [(1, ["1", "0"]), (-2, ["-1", "0"]), (0.5, ["1", "1"])]
+            2, [(1, ["1", "0"]), (-1, ["-1", "0"]), (0.5, ["0", "1"])]
         )
         box = BoxSpec((0.0, 0.0), (25000.0, 2 * PI))
         direct_mean_motion(P, [0.0, 0.0], box, lines=6)
@@ -488,16 +493,13 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     else:
         U = UnivariateExpSum.from_terms([(1, 1), (0.5, 0)])
         assert tracker.locate_zeros(U, (0.0, 40000.0)) == []
-    # the sampling calls: those that no deeper call follows
-    sampled = [(rows, n) for (d, rows, n), (after, *_) in zip(calls, calls[1:] + [(0,)])
-               if after <= d]
     if route == "direct":
         assert sampled == [(1, 63663)] * 6
     elif route == "box":
         # the real-line pass, then the +-delta detours of the windows on zeros
         assert sampled[0] == (192, 65) and [n for _, n in sampled[1:]] == [67, 67]
     else:
-        assert sampled == [(8192, 2)] * 6 + [(1778, 2), (1, 50931)]
+        assert sampled == [(8192, 2)] * 6 + [(1778, 2)]
     assert all(rows * n <= tracker._BATCH_POINTS for rows, n in sampled if rows > 1)
 
 

@@ -456,6 +456,88 @@ class TestUnitIncrements:
         assert minus == pytest.approx(np.full(4, 1.5 + 3 * PI), abs=1e-5)
 
 
+def _forced_trace(amps, g, centers):
+    """Every row's real-line pass of its unit window through _trace, as
+    unit_increments would make it if no row were dominated."""
+    shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
+    n0 = tracker._first_steps(float(np.abs(g).sum()), 1.0)
+    rows = np.arange(len(amps))
+    return tracker._trace(shifted, g, rows, np.zeros(len(rows)),
+                          np.arange(n0 + 1) / n0 - 0.5, tracker._AXIS_WIDTH)
+
+
+class TestDominatedRows:
+    # a row whose largest amplitude |a_j| outweighs the sum of the others by
+    # more than _STEP_FLOOR sum |a_k| settles from its two ends, with no trace
+    @staticmethod
+    def _dominated(amps):
+        mods = np.abs(amps)
+        margin = 2 * mods.max(axis=1) - mods.sum(axis=1)
+        return margin > tracker._STEP_FLOOR * mods.sum(axis=1)
+
+    @staticmethod
+    def _traced_rows(monkeypatch):
+        """The rows that each _trace call takes, in a list."""
+        taken, trace = [], tracker._trace
+
+        def spy(shifted, g, rows, *rest):
+            taken.append(rows.tolist())
+            return trace(shifted, g, rows, *rest)
+
+        monkeypatch.setattr(tracker, "_trace", spy)
+        return taken
+
+    def test_match_forced_trace(self, monkeypatch, rng=np.random.default_rng(47)):
+        sin = ExpPolynomial.from_pairs(1, [(-0.5j, ["1"]), (0.5j, ["-1"])])
+        families = list(_row_families(rng))
+        families.append(("sin-3", sin, [3.0], rng.uniform(0, 2 * PI, (64, 2))))
+        settled = dict.fromkeys(("dominant", "offaxis", "sin-3"), 0)
+        for name, P, y, phases in families:
+            rows = P.line_rows(y, phases)
+            g = np.array([float(f) for f in rows.freqs])
+            centers = rng.uniform(-50.0, 50.0, len(phases))
+            taken = self._traced_rows(monkeypatch)
+            plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
+            monkeypatch.undo()
+            want, passed = _forced_trace(rows.amps, g, centers)
+            dominated = self._dominated(rows.amps)
+            # the dominated rows never reach _trace; the others all do
+            traced = sorted(set(sum(taken, [])))
+            assert traced == np.flatnonzero(~dominated).tolist()
+            assert done[dominated].all() and passed[dominated].all()
+            assert plus[dominated] == pytest.approx(want[dominated], abs=1e-12)
+            assert (minus[dominated] == plus[dominated]).all()
+            if name in settled:
+                settled[name] += int(dominated.sum())
+        # every family but sin at y = 0, whose two terms balance, has some
+        assert min(settled.values()) > 0
+
+    def test_margin(self, monkeypatch):
+        # 1 + 1/2 e^{is} + (1/2 - d) e^{2is} is dominated by its 1 when d
+        # exceeds the floor 2e-12, and is about 2 on the window: the row
+        # just above the margin is settled, the one just below is traced,
+        # and both match the forced trace
+        floor = tracker._STEP_FLOOR * 2
+        amps = np.array([[1, 0.5, 0.5 - 2 * floor], [1, 0.5, 0.5 - floor / 2]],
+                        dtype=complex)
+        g = np.array([0.0, 1.0, 2.0])
+        assert self._dominated(amps).tolist() == [True, False]
+        taken = self._traced_rows(monkeypatch)
+        plus, minus, done = unit_increments(amps, [0, 1, 2], np.zeros(2))
+        monkeypatch.undo()
+        assert taken == [[1]] and done.all()
+        want, passed = _forced_trace(amps, g, np.zeros(2))
+        assert passed.all()
+        assert plus == pytest.approx(want, abs=1e-12)
+        assert minus == pytest.approx(want, abs=1e-12)
+
+    def test_too_wide_window_is_degenerate(self):
+        # the first sampling's bound still holds when no row is traced
+        amps = np.array([[4.0, 0.3, 0.3]], dtype=complex)
+        with pytest.raises(DegenerateInputError, match="steps"):
+            unit_increments(amps, [-1, 0, 1], np.zeros(1), width=1e6)
+
+
 def test_first_sampling_bounded():
     # max(64, ceil(8 fs width / 2pi)) steps, up to _MAX_STEPS = 2^16
     fs = 2 * PI / 8  # one step per unit of width
