@@ -9,14 +9,13 @@ Two routes to c+(y), c-(y) that sample separately:
   N is the rank of lattice.group_basis(P.exponents) and the basis's exact
   integer coordinates of each exponent give the line's phases.
 
-Both build their line restrictions with ExpPolynomial.line_rows and track
-them with one window engine: one tracker.unit_increments call settles
-every window of a route it can, from certified phase steps on the real
-segment or, past a real zero, at heights +-delta, and each window it
-leaves undone is traced again alone at the centres shifted by _SHIFTS. A
-window on a line where P cancels identically has no increment: it is
-skipped and counted on every route. No random number is drawn for a
-window, so each route's generator gives its sample points only.
+Both build their line restrictions with ExpPolynomial.line_rows and leave
+them to one window engine: one tracker.unit_increments call settles every
+window of a route it can, and this module only samples the lines and
+averages. A window the engine leaves undone, such as one on a line where
+P cancels identically, has no increment: it is skipped and counted on
+every route. No random number is drawn for a window, so each route's
+generator gives its sample points only.
 Agreement of the two within the dispersion-aware tolerance is the
 artifact's core property.
 """
@@ -33,11 +32,6 @@ from .core import ExpPolynomial, UnivariateExpSum
 from .errors import DegenerateInputError
 from .lattice import group_basis
 from .tracker import unit_increments
-
-# Centre shifts, in order, at which a window the engine leaves undone is
-# traced again: a zero of order m at an end needs |shift|^m above the step
-# floor 1e-12 sum |a_k|.
-_SHIFTS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 
 
 class SkippedLine(Exception):
@@ -112,34 +106,10 @@ def windowed_increment_pair(P, y, x):
     """(plus, minus) unit-window increments of arg P along the line x + iy,
     the window centred at x; SkippedLine if it cannot be tracked."""
     x = np.asarray(x, dtype=float)
-    vp, vm, done = _unit_windows(P, y, x[:1], _perp_phases(P, x[None, 1:]))
+    vp, vm, done = unit_increments(*P.line_rows(y, _perp_phases(P, x[None, 1:])), x[:1])
     if not done[0]:
         raise SkippedLine
     return float(vp[0]), float(vm[0])
-
-
-def _unit_windows(P, y, centers, phases, width=1.0):
-    """Increments of the windows of the given width and centres on the
-    lines with B x S phases (see ExpPolynomial.line_rows): plus values,
-    minus values and whether each window was tracked, in line order.
-
-    One unit_increments call settles every window it can. Each window it
-    leaves undone, typically one with an end on a zero, is traced again at
-    its centre plus each of _SHIFTS in turn, and stays undone when all
-    fail. It is traced alone: |q| of about shift^m there magnifies rounding
-    that would vary with the batch. A window on an identically-zero line
-    stays undone.
-    """
-    rows = P.line_rows(y, phases)
-    plus, minus, done = unit_increments(rows.amps, rows.freqs, centers, width)
-    for b in np.flatnonzero(~done & rows.amps.any(axis=1)):
-        for shift in _SHIFTS:
-            p, m, ok = unit_increments(rows.amps[b : b + 1], rows.freqs,
-                                       centers[b : b + 1] + shift, width)
-            if ok[0]:
-                plus[b], minus[b], done[b] = p[0], m[0], True
-                break
-    return plus, minus, done
 
 
 def _spread(per_window) -> float:
@@ -183,9 +153,8 @@ def direct_mean_motion(
         lo = np.array(box.alpha[1:])
         hi = np.array(box.beta[1:])
         perps = np.array([rng.uniform(lo, hi) for _ in range(lines)])
-    vp, vm, done = _unit_windows(
-        P, y, np.full(len(perps), 0.5 * (a1 + b1)), _perp_phases(P, perps), b1 - a1
-    )
+    vp, vm, done = unit_increments(*P.line_rows(y, _perp_phases(P, perps)),
+                                   np.full(len(perps), 0.5 * (a1 + b1)), b1 - a1)
     if not done.any():
         raise DegenerateInputError("every sampled line was skipped")
     w = float(b1 - a1)
@@ -202,7 +171,7 @@ def box_mean_motion(
     rng = np.random.default_rng(schedule.seed)
     sizes, n = schedule.sizes, schedule.lines_per_box
     xs = np.concatenate([rng.uniform(-L / 2, L / 2, (n, P.dimension)) for L in sizes])
-    vp, vm, done = _unit_windows(P, y, xs[:, 0], _perp_phases(P, xs[:, 1:]))
+    vp, vm, done = unit_increments(*P.line_rows(y, _perp_phases(P, xs[:, 1:])), xs[:, 0])
     per_p, per_m = (
         [(float(L), float(np.mean(r[d])) if d.any() else math.nan)
          for L, r, d in zip(sizes, v.reshape(-1, n), done.reshape(-1, n))]
@@ -252,7 +221,7 @@ def torus_mean(
     basis = group_basis(P.exponents)
     K = np.array(basis.coords, dtype=float)
     us = _torus_points(basis.rank, samples, seed, method)
-    vp, vm, done = _unit_windows(P, y, np.zeros(len(us)), us @ K.T)
+    vp, vm, done = unit_increments(*P.line_rows(y, us @ K.T), np.zeros(len(us)))
     vp, vm, n = vp[done], vm[done], int(done.sum())
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")

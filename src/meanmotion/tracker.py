@@ -9,7 +9,8 @@ ends (Rouche's theorem on the line). Every other phase step is certified
 by the step rule of _step_ok. A window whose real segment certifies holds
 no zero; one whose segment does not is traced along two detours, through
 heights +delta and -delta: the one-sided limits that pass its real zeros
-above and below.
+above and below. A window with an end on a zero is settled again alone at
+slightly shifted centres, where the one-sided limits still hold.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
 commands, run on the same engine: the failing steps of an interval's
@@ -49,6 +50,9 @@ ZERO_THRESHOLD = 1e-9
 _STEP_FLOOR = 1e-12
 _AXIS_WIDTH = 1e-5
 _DELTAS = (1e-5, 1e-4, 1e-3)
+# Centre shifts, in order, at which a window with an end on a zero is
+# settled again: a zero of order m at an end needs |shift|^m above the floor.
+_SHIFTS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 _CUTS = np.linspace(0.0, 1.0, 9)
 # The most steps of a first sampling: it allocates rows x steps arrays.
 _MAX_STEPS = 2**16
@@ -234,15 +238,16 @@ def _scan(U, interval):
         raise EndpointZeroError("window endpoint sits on a zero")
     n0 = _first_steps(U.frequency_scale, b - a)
     grid = np.linspace(a, b, n0 + 1)
-    amps = U._amps[None]
-    fail = np.flatnonzero(~_trace(amps, U._freqs, np.zeros(n0, dtype=int), grid[:-1],
-                                  grid[:2] - a, _AXIS_WIDTH)[1])
+    # each step is a row seen from its left end, so its length does not round with |a|
+    steps = U._amps * np.exp(1j * np.multiply.outer(grid[:-1], U._freqs))
+    fail = np.flatnonzero(~_trace(steps, U._freqs, grid[:2] - a, _AXIS_WIDTH)[1])
     runs = np.split(fail, np.flatnonzero(np.diff(fail) > 1) + 1) if len(fail) else []
     clusters = [(r[0], r[-1] + 1) for r in runs] or [(n0 // 2, n0 // 2)]
     cuts = [a] + [0.5 * (grid[j] + grid[i]) for (_, j), (i, _) in zip(clusters, clusters[1:])] + [b]
     plus, minus = np.zeros(len(clusters)), np.zeros(len(clusters))
     for k, (l, r) in enumerate(zip(cuts, cuts[1:])):
-        p, m, done = unit_increments(amps, U._freqs, np.array([0.5 * (l + r)]), r - l)
+        p, m, done = unit_increments(U._amps[None], U._freqs,
+                                     np.array([0.5 * (l + r)]), r - l)
         if not done[0]:
             raise TrackingError(f"the piece ({l}, {r}) of the interval failed")
         plus[k], minus[k] = p[0], m[0]
@@ -348,47 +353,43 @@ def _step_ok(h, q0, q1, m1, m2, floor):
     return ok
 
 
-def _trace(shifted, g, rows, origin, t, stop):
-    """Certified phase change of row rows[p] of shifted, a sum in z, along
-    the polyline z = origin[p] + t through the complex grid t, for every
-    p. Returns each path's phase change and whether it passed. Step
-    lengths |dt| come from t alone, so they do not round with a large
-    origin.
+def _trace(amps, g, t, stop):
+    """Certified phase change of each row of amps, a sum in z, along the
+    polyline z = t through the complex grid t. Returns each row's phase
+    change and whether it passed.
 
-    The paths are taken max(1, _BATCH_POINTS // len(t)) at a time, which
+    The rows are taken max(1, _BATCH_POINTS // len(t)) at a time, which
     bounds the sample arrays. The batches share one exp(i g t) grid, and
-    the samples at t of each are tested as one (paths x steps) array. The
+    the samples at t of each are tested as one (rows x steps) array. The
     failing steps form a ragged queue: each round cuts them all by _CUTS,
-    each evaluated on its own row, and tests them as one array. A path fails when a step narrower than stop still
-    fails, or when more than 4 max(64, len(t) - 1) of its steps fail at
-    once: it is then in the rounding noise of a multiple zero, and the cap
-    bounds the queue.
+    each evaluated on its own row, and tests them as one array. A row
+    fails when a step narrower than stop still fails, or when more than
+    4 max(64, len(t) - 1) of its steps fail at once: it is then in the
+    rounding noise of a multiple zero, and the cap bounds the queue.
     """
     e = np.exp(1j * np.multiply.outer(g, t))
     # |exp(i g z)| is largest where Im z is extreme, at a vertex of the grid
     grow = np.abs(e).max(axis=1)
     size, out = max(1, _BATCH_POINTS // len(t)), []
-    cuts = range(size, len(rows), size)
-    # each batch rebinds rows and origin to its own slice of them
-    for rows, origin in zip(np.split(rows, cuts), np.split(origin, cuts)):
-        amps = shifted[rows] * np.exp(1j * np.multiply.outer(origin, g))
+    # each batch rebinds amps to its own slice of the rows
+    for amps in np.split(amps, range(size, len(amps), size)):
         mods = np.abs(amps) * grow
         m1, m2 = mods @ np.abs(g), mods @ (g * g)
-        floor = _STEP_FLOOR * np.abs(shifted[rows]).sum(axis=1)
+        floor = _STEP_FLOOR * np.abs(amps).sum(axis=1)
         v = amps @ e
-        p, s, total = np.arange(len(rows)), t, np.zeros(len(rows))
-        passed, cap = np.ones(len(rows), dtype=bool), 4 * max(64, len(t) - 1)
+        p, s, total = np.arange(len(amps)), t, np.zeros(len(amps))
+        passed, cap = np.ones(len(amps), dtype=bool), 4 * max(64, len(t) - 1)
         width = np.abs(np.diff(t)).max()  # of the widest step in the current array
         while True:
             ok = _step_ok(np.abs(np.diff(s)), v[:, :-1], v[:, 1:],
                           m1[p, None], m2[p, None], floor[p, None])
             turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
-            total += np.bincount(p, turn.sum(axis=1), minlength=len(rows))
+            total += np.bincount(p, turn.sum(axis=1), minlength=len(amps))
             if ok.all() or width < stop:
                 break
             i, j = np.nonzero(~ok)
             if len(i) > cap:
-                crowded = np.bincount(p[i], minlength=len(rows)) > cap
+                crowded = np.bincount(p[i], minlength=len(amps)) > cap
                 passed[crowded] = False
                 i, j = i[~crowded[p[i]]], j[~crowded[p[i]]]
             s = np.broadcast_to(s, v.shape)
@@ -432,11 +433,29 @@ def unit_increments(
       to its right end: the one-sided limit that passes every real zero
       above (below). A window whose detour fails in either branch is
       traced again at the next of _DELTAS.
-    done[b] is False for a row with |q_b| at or below F at an end, where no
-    step can be certified (an identically-zero row among them), or that
-    fails at every delta.
+    * Centre shifts: a nonzero row with |q_b| at or below F at an end,
+      where no step can be certified, is settled again by the rules above
+      at its centre plus each of _SHIFTS in turn, until one takes it. It
+      is settled alone: |q| of about shift^m there magnifies rounding
+      that would vary with the batch.
+    done[b] is False for an identically-zero row, a row that fails at
+    every delta, and a row with an end on a zero that no shift settles.
     """
     g = np.array([float(f) for f in freqs])
+    plus, minus, done, on_zero = _increments(amps, g, centers, width)
+    for b in np.flatnonzero(on_zero):
+        for shift in _SHIFTS:
+            p, m, ok, _ = _increments(amps[b : b + 1], g, centers[b : b + 1] + shift, width)
+            if ok[0]:
+                plus[b], minus[b], done[b] = p[0], m[0], True
+                break
+    return plus, minus, done
+
+
+def _increments(amps, g, centers, width):
+    """unit_increments at the given centres, with no shift, on the float
+    frequencies g: (plus, minus, done, on_zero), on_zero marking the
+    nonzero rows with |q| at or below F at an end."""
     n0 = _first_steps(float(np.abs(g).sum()), width)
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     half = 0.5 * width
@@ -452,18 +471,17 @@ def unit_increments(
     plus[b] = minus[b] = g[j] * width + np.angle(r[:, 1]) - np.angle(r[:, 0])
     todo = np.flatnonzero(usable & ~dominated)
     if len(todo):
-        plus[todo], done[todo] = _trace(shifted, g, todo, np.zeros(len(todo)), t, _AXIS_WIDTH)
+        plus[todo], done[todo] = _trace(shifted[todo], g, t, _AXIS_WIDTH)
         minus[todo] = plus[todo]
         todo = todo[~done[todo]]
     for delta in _DELTAS:
         if not len(todo):
             break
         detour = np.concatenate([[-half], t + 1j * delta, [half]])
-        origin = np.zeros(len(todo))
-        up, up_ok = _trace(shifted, g, todo, origin, detour, delta / 100)
-        down, down_ok = _trace(shifted, g, todo, origin, detour.conj(), delta / 100)
+        up, up_ok = _trace(shifted[todo], g, detour, delta / 100)
+        down, down_ok = _trace(shifted[todo], g, detour.conj(), delta / 100)
         ok = up_ok & down_ok
         plus[todo[ok]], minus[todo[ok]] = up[ok], down[ok]
         done[todo[ok]] = True
         todo = todo[~ok]
-    return plus, minus, done
+    return plus, minus, done, ~usable & (floor > 0)

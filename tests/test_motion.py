@@ -228,41 +228,41 @@ class TestBoxMeanMotion:
 
     @pytest.mark.parametrize("case", ["sin", "random", "double"])
     def test_windows_ending_on_zeros_match_per_line_loop(self, case, sin_poly):
-        # a window with an end exactly on a zero is left undone by the batch
-        # and traced again alone at shifted centres: over 80 lines in one
-        # batch, every window is taken, with the values of a per-line loop.
+        # a window with an end exactly on a zero is settled again alone at
+        # shifted centres: over 80 lines in one unit_increments call, every
+        # window is taken, with the values of a per-line loop.
         # (Near a triple zero, rounding that differs between a batch and a
         # single row is amplified past 1e-12: 1.2e-10 for a batch window
         # ending 0.015 from one.)
         P, spacing, _ = _end_on_zero_case(case, sin_poly)
         y, (xs, on_zero) = [0.0] * P.dimension, _lines_ending_on_zeros(P, spacing)
         want = [windowed_increment_pair(P, y, x) for x in xs]
-        vp, vm, done = motion._unit_windows(P, y, xs[:, 0], motion._perp_phases(P, xs[:, 1:]))
+        rows = P.line_rows(y, motion._perp_phases(P, xs[:, 1:]))
+        vp, vm, done = tracker.unit_increments(*rows, xs[:, 0])
         assert on_zero.sum() >= 10 and done.all()
         assert np.column_stack([vp, vm]) == pytest.approx(np.array(want), abs=1e-12)
 
     @pytest.mark.parametrize("case", ["sin", "random", "double", "triple"])
     def test_window_tracked_once_per_centre(self, case, sin_poly, monkeypatch):
-        # the windows the batch rejects, those with an end on a zero of
-        # order m, are traced again alone, in line order, at their centre
-        # plus each of _SHIFTS up to the first whose m-th power clears the
-        # step floor 1e-12 sum |a_k|: 1e-7 for a simple zero, 1e-5 for the
-        # double zero (floor 4e-12), 1e-3 for the triple zero (floor 8e-12)
+        # the windows with an end on a zero of order m, which the batch
+        # cannot settle, are settled again alone, in line order, at their
+        # centre plus each of _SHIFTS up to the first whose m-th power clears
+        # the step floor 1e-12 sum |a_k|: 1e-7 for a simple zero, 1e-5 for
+        # the double zero (floor 4e-12), 1e-3 for the triple zero (floor 8e-12)
         P, spacing, order = _end_on_zero_case(case, sin_poly)
         xs, on_zero = _lines_ending_on_zeros(P, spacing)
         calls = []
-        increments = motion.unit_increments
+        increments = tracker._increments
         monkeypatch.setattr(
-            motion, "unit_increments",
+            tracker, "_increments",
             lambda *a: calls.append(a[2].tolist()) or increments(*a),
         )
-        vp, _, done = motion._unit_windows(
-            P, [0.0] * P.dimension, xs[:, 0], motion._perp_phases(P, xs[:, 1:]),
-        )
+        rows = P.line_rows([0.0] * P.dimension, motion._perp_phases(P, xs[:, 1:]))
+        vp, _, done = tracker.unit_increments(*rows, xs[:, 0])
         assert [len(c) for c in calls if len(c) > 1] == [80]
         rungs = {1: 1, 2: 3, 3: 5}[order]
         retried = [c for (c,) in (c for c in calls if len(c) == 1)]
-        assert retried == [c + d for c in xs[on_zero, 0] for d in motion._SHIFTS[:rungs]]
+        assert retried == [c + d for c in xs[on_zero, 0] for d in tracker._SHIFTS[:rungs]]
         assert (len(vp), done.sum()) == (80, 80)
 
     def test_schedule_validation(self):
@@ -444,18 +444,18 @@ def test_batched_windows_match_per_line_loop(case, sin_poly, monkeypatch):
 @pytest.mark.parametrize("route", ["box", "torus"])
 def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
     # sin's windows with a real zero are traced in the batch: a route's
-    # one unit_increments call takes all its windows and settles them all,
-    # so no window is traced again alone: the box route's 4 x 64 windows
-    # and the torus's 400
+    # one unit_increments call settles all its windows at their centres,
+    # so no window is settled again alone at a shifted centre: the box
+    # route's 4 x 64 windows and the torus's 400
     settled = []
-    increments = motion.unit_increments
+    increments = tracker._increments
 
     def spy(*args):
         out = increments(*args)
         settled.append((len(args[2]), bool(out[2].all())))
         return out
 
-    monkeypatch.setattr(motion, "unit_increments", spy)
+    monkeypatch.setattr(tracker, "_increments", spy)
     if route == "box":
         box_mean_motion(sin_poly, [0.0], WindowSchedule(seed=3))
         assert settled == [(256, True)]
@@ -470,7 +470,8 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     # tests each batch's samples at t as one (paths x steps) array: a
     # 25,000-wide window of a sum with first exponents +-1 that no term
     # dominates samples 63,663 points, one line a batch; the 3 x 64 unit
-    # windows of a sin report, 65 points each, take one batch; and the
+    # windows of a sin report, n + 1 points each for a first sampling of n
+    # steps, take one batch, and the detours add their two ends; and the
     # 50,930 two-point steps of e^{is} + 1/2 over (0, 40000) take 8192 a
     # batch. Its term 1 dominates the 1/2, so unit_increments settles the
     # interval's one piece from its ends, and the piece samples nothing
@@ -497,7 +498,8 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
         assert sampled == [(1, 63663)] * 6
     elif route == "box":
         # the real-line pass, then the +-delta detours of the windows on zeros
-        assert sampled[0] == (192, 65) and [n for _, n in sampled[1:]] == [67, 67]
+        n = tracker._first_steps(2.0, 1.0)
+        assert sampled[0] == (192, n + 1) and [k for _, k in sampled[1:]] == [n + 3, n + 3]
     else:
         assert sampled == [(8192, 2)] * 6 + [(1778, 2)]
     assert all(rows * n <= tracker._BATCH_POINTS for rows, n in sampled if rows > 1)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from meanmotion import tracker
 from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
-from meanmotion.errors import DegenerateInputError, EndpointZeroError
+from meanmotion.errors import DegenerateInputError, EndpointZeroError, TrackingError
 from meanmotion.tracker import (
     arg_increment_pair,
     count_zeros_rectangle,
@@ -290,6 +290,60 @@ def test_pinned_increments(which, interval, plus, minus, zeros,
     assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=tol)
 
 
+def _settle_calls(monkeypatch):
+    """The centres of every _increments call, in a list, with None at the
+    start of each unit_increments call: a call that does not follow a None
+    is one of the one-row calls of unit_increments' centre shifts."""
+    calls, outer, inner = [], tracker.unit_increments, tracker._increments
+
+    def entry(*args):
+        calls.append(None)
+        return outer(*args)
+
+    def settle(*args):
+        calls.append(args[2].tolist())
+        return inner(*args)
+
+    monkeypatch.setattr(tracker, "unit_increments", entry)
+    monkeypatch.setattr(tracker, "_increments", settle)
+    return calls
+
+
+@pytest.mark.parametrize("which, interval", [
+    *((w, i) for w, i, *_ in PINNED if isinstance(w, str)),
+    ("close", (-0.5, 0.5)), ("sin", (20000.5, 21000.5)),
+], ids=str)
+def test_scan_pieces_take_no_centre_shift(which, interval, sin_sum, cos_minus_one,
+                                         monkeypatch):
+    # the scan's pieces tile the interval, and the track command's total
+    # rests on that tiling: no piece is settled at a shifted centre, not
+    # even in the finer scans that keep the zeros +-5e-4 of "close" apart
+    if which == "close":
+        a, b = np.exp(5e-4j), np.exp(-5e-4j)
+        U = UnivariateExpSum.from_terms([(1, 2.0), (-(a + b), 1.0), (a * b, 0.0)])
+    else:
+        U, interval = _pinned_window(which, interval, sin_sum, cos_minus_one)
+    calls = _settle_calls(monkeypatch)
+    locate_zeros(U, interval)
+    arg_increment_pair(U, interval)
+    shifted = [c for before, c in zip(calls, calls[1:]) if None not in (before, c)]
+    assert calls.count(None) >= 2 and shifted == []
+
+
+def test_scan_piece_failing_every_delta_is_not_shifted(monkeypatch):
+    # e^{2is} - (1 + r) e^{is} + r, r = exp(-i/2 - 5e-6), has zeros at 0 and
+    # 5e-6 above the left end of (-0.5, 0.5), through which every delta's
+    # detour climbs. Its one piece fails every delta and the scan says so;
+    # settled at a shifted centre it would pass, over another interval
+    r = np.exp(-0.5j - 5e-6)
+    U = UnivariateExpSum.from_terms([(1, 2.0), (-(1 + r), 1.0), (r, 0.0)])
+    calls = _settle_calls(monkeypatch)
+    for find in (locate_zeros, arg_increment_pair):
+        with pytest.raises(TrackingError, match="piece"):
+            find(U, (-0.5, 0.5))
+    assert calls == [None, [0.0]] * 2
+
+
 @pytest.mark.parametrize("center", np.append(np.arange(-0.45, 0.45, 0.05), [6.0, 6.5]))
 def test_triple_zero_windows(center):
     # (e^{is} - 1)^3 = (2i sin(s/2))^3 e^{3is/2}: a triple zero at 2 pi k
@@ -436,10 +490,17 @@ class TestUnitIncrements:
         plus, minus, done = unit_increments(amps, freqs, centers)
         assert done.all()
         assert minus - plus == pytest.approx(2 * PI * m, abs=1e-12)
-        # a zero at an endpoint: arg_increment_pair raises, nothing is taken
+        # a zero at an endpoint: arg_increment_pair raises, while the engine
+        # takes the window alone at the first centre shift whose m-th power
+        # clears the floor F, with the values of a one-row call there
         centers = zeros + rng.choice([-0.5, 0.5], 64)
-        assert not unit_increments(amps, freqs, centers)[2].any()
-        for c in centers:
+        floor = tracker._STEP_FLOOR * np.abs(amps[0]).sum()
+        shift = next(d for d in tracker._SHIFTS if d**m > floor)
+        plus, minus, done = unit_increments(amps, freqs, centers)
+        assert done.all()
+        for b, c in enumerate(centers):
+            want_p, want_m, ok = unit_increments(amps[:1], freqs, np.array([c + shift]))
+            assert ok[0] and (plus[b], minus[b]) == (want_p[0], want_m[0])
             with pytest.raises(EndpointZeroError):
                 arg_increment_pair(U, (c - 0.5, c + 0.5))
 
@@ -461,9 +522,7 @@ def _forced_trace(amps, g, centers):
     unit_increments would make it if no row were dominated."""
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     n0 = tracker._first_steps(float(np.abs(g).sum()), 1.0)
-    rows = np.arange(len(amps))
-    return tracker._trace(shifted, g, rows, np.zeros(len(rows)),
-                          np.arange(n0 + 1) / n0 - 0.5, tracker._AXIS_WIDTH)
+    return tracker._trace(shifted, g, np.arange(n0 + 1) / n0 - 0.5, tracker._AXIS_WIDTH)
 
 
 class TestDominatedRows:
@@ -476,13 +535,16 @@ class TestDominatedRows:
         return margin > tracker._STEP_FLOOR * mods.sum(axis=1)
 
     @staticmethod
-    def _traced_rows(monkeypatch):
-        """The rows that each _trace call takes, in a list."""
+    def _traced_rows(monkeypatch, amps, g, centers):
+        """The rows of amps that each _trace call takes, in a list, told
+        apart by their amplitudes seen from their centres."""
+        shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
+        index = {row.tobytes(): b for b, row in enumerate(shifted)}
         taken, trace = [], tracker._trace
 
-        def spy(shifted, g, rows, *rest):
-            taken.append(rows.tolist())
-            return trace(shifted, g, rows, *rest)
+        def spy(amps, *rest):
+            taken.append([index[row.tobytes()] for row in amps])
+            return trace(amps, *rest)
 
         monkeypatch.setattr(tracker, "_trace", spy)
         return taken
@@ -496,7 +558,7 @@ class TestDominatedRows:
             rows = P.line_rows(y, phases)
             g = np.array([float(f) for f in rows.freqs])
             centers = rng.uniform(-50.0, 50.0, len(phases))
-            taken = self._traced_rows(monkeypatch)
+            taken = self._traced_rows(monkeypatch, rows.amps, g, centers)
             plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
             monkeypatch.undo()
             want, passed = _forced_trace(rows.amps, g, centers)
@@ -522,7 +584,7 @@ class TestDominatedRows:
                         dtype=complex)
         g = np.array([0.0, 1.0, 2.0])
         assert self._dominated(amps).tolist() == [True, False]
-        taken = self._traced_rows(monkeypatch)
+        taken = self._traced_rows(monkeypatch, amps, g, np.zeros(2))
         plus, minus, done = unit_increments(amps, [0, 1, 2], np.zeros(2))
         monkeypatch.undo()
         assert taken == [[1]] and done.all()
@@ -610,13 +672,10 @@ def test_accepted_steps_hold_in_interval_arithmetic(
 
     def spy(h, q0, q1, m1, m2, floor):
         ok = step_ok(h, q0, q1, m1, m2, floor)
-        # _step_ok sees step lengths only; the caller's frame places each
-        # step on its path, z = origin[p] + s
-        trace = sys._getframe(1).f_locals
-        s, at = trace["s"], trace["origin"][trace["p"], None]
-        *steps, ok_ = np.broadcast_arrays(
-            at + s[..., :-1], at + s[..., 1:], floor, ok
-        )
+        # _step_ok sees step lengths only; the caller's frame holds the
+        # steps' ends on their paths, z = s
+        s = sys._getframe(1).f_locals["s"]
+        *steps, ok_ = np.broadcast_arrays(s[..., :-1], s[..., 1:], floor, ok)
         accepted.append([v[ok_] for v in steps])
         return ok
 
@@ -627,8 +686,10 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     z0, z1, floor = (np.concatenate(v) for v in zip(*accepted))
     amps, g = [a for a, _ in U.terms], [float(f) for _, f in U.terms]
     heights = set(np.round(np.concatenate([z0.imag, z1.imag]), 12).tolist())
-    # the rows with a real zero are traced off the axis too
-    assert len(z0) >= 64 and (len(heights) > 1) == (interval is not None)
+    # at least the first sampling's steps are accepted, and the rows with a
+    # real zero are traced off the axis too
+    assert len(z0) >= tracker._first_steps(float(np.abs(g).sum()), 1.0)
+    assert (len(heights) > 1) == (interval is not None)
     # and their detours' vertical legs are among the steps checked below
     vertical = (z0.real == z1.real) & (z0.imag != z1.imag)
     assert vertical.any() == (interval is not None)
