@@ -1,8 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: it parses the flags and prints the results.
 
-Subcommands: eval, basis, zeros, track, mm, verify. Machine-readable
-output (JSON / CSV) goes to stdout or --out; human diagnostics go to
-stderr. Exit codes: 0 success, 1 verification failure, 2 input error.
+Subcommands: eval, basis, zeros, track, mm, verify. Every subcommand takes
+--out; all but verify take --poly; zeros, track and mm take --y (0 when
+not given), and zeros and track also --xperp and --interval. mm reports
+both conventions. Machine-readable output (JSON / CSV) goes to stdout or
+--out; human diagnostics go to stderr. Exit codes: 0 success, 1
+verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -30,18 +33,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _finite(values: tuple, text: str) -> tuple:
+def _parse_numbers(text: str, kind=float) -> tuple:
+    values = tuple(kind(v) for v in text.split(","))
     if not all(cmath.isfinite(v) for v in values):
         raise ValueError(f"non-finite value in {text!r}")
     return values
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return _finite(tuple(float(v) for v in text.split(",")), text)
-
-
-def _parse_complexes(text: str) -> tuple[complex, ...]:
-    return _finite(tuple(complex(v) for v in text.split(",")), text)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -55,21 +51,32 @@ def _dump_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
+def _height(args, P) -> tuple[float, ...]:
+    return _parse_numbers(args.y) if args.y else (0.0,) * P.dimension
+
+
+def _interval(text: str) -> tuple[float, float]:
+    ab = _parse_numbers(text)
+    if len(ab) != 2:
+        raise ValueError(f"--interval needs two numbers a,b, not {text!r}")
+    return ab
+
+
 def _line_inputs(args):
+    """The restriction of P to the line that --y and --xperp give, and the
+    interval."""
     P = parse_polynomial_file(args.poly)
-    y = _parse_floats(args.y) if args.y else (0.0,) * P.dimension
-    xperp = _parse_floats(args.xperp) if args.xperp else (0.0,) * (P.dimension - 1)
-    if len(y) != P.dimension or len(xperp) != P.dimension - 1:
-        raise MeanMotionError(
-            f"need {P.dimension} y components and {P.dimension - 1} "
-            "transverse coordinates"
-        )
-    return P, _line_sum(P, y, xperp)
+    xperp = _parse_numbers(args.xperp) if args.xperp else (0.0,) * (P.dimension - 1)
+    return _line_sum(P, _height(args, P), xperp), _interval(args.interval)
+
+
+def _zeros_json(zeros) -> list[dict]:
+    return [{"location": z.location, "multiplicity": z.multiplicity} for z in zeros]
 
 
 def cmd_eval(args) -> int:
     P = parse_polynomial_file(args.poly)
-    z = _parse_complexes(args.z)
+    z = _parse_numbers(args.z, complex)
     with np.errstate(over="ignore", invalid="ignore"):
         val = P.evaluate(z)
     if not cmath.isfinite(val):
@@ -94,26 +101,15 @@ def cmd_basis(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    _, U = _line_inputs(args)
-    a, b = _parse_floats(args.interval)
-    zeros = locate_zeros(U, (a, b))
-    _dump_json(
-        {
-            "interval": [a, b],
-            "zeros": [
-                {"location": z.location, "multiplicity": z.multiplicity}
-                for z in zeros
-            ],
-        },
-        args.out,
-    )
+    U, interval = _line_inputs(args)
+    zeros = _zeros_json(locate_zeros(U, interval))
+    _dump_json({"interval": list(interval), "zeros": zeros}, args.out)
     return EXIT_OK
 
 
 def cmd_track(args) -> int:
-    _, U = _line_inputs(args)
-    a, b = _parse_floats(args.interval)
-    plus, minus = arg_increment_pair(U, (a, b))
+    U, interval = _line_inputs(args)
+    plus, minus = arg_increment_pair(U, interval)
     trace = plus if args.convention == "plus" else minus
     if args.trace_csv:
         with open(args.trace_csv, "w", newline="") as fh:
@@ -124,10 +120,7 @@ def cmd_track(args) -> int:
         {
             "convention": trace.convention,
             "interval": list(trace.interval),
-            "zeros": [
-                {"location": z.location, "multiplicity": z.multiplicity}
-                for z in trace.zeros
-            ],
+            "zeros": _zeros_json(trace.zeros),
             "smooth_increment": trace.smooth_increment,
             "jump_increment": trace.jump_increment,
             "total_increment": trace.total_increment,
@@ -139,18 +132,12 @@ def cmd_track(args) -> int:
 
 def cmd_mm(args) -> int:
     P = parse_polynomial_file(args.poly)
-    y = _parse_floats(args.y) if args.y else (0.0,) * P.dimension
-    if len(y) != P.dimension:
-        raise MeanMotionError(f"y needs {P.dimension} components")
     schedule = WindowSchedule(
-        _parse_floats(args.windows), args.lines, args.seed
+        _parse_numbers(args.windows), args.lines, args.seed
     )
     report = compare_estimators(
-        P, y, schedule, samples=args.torus_samples, seed=args.seed
+        P, _height(args, P), schedule, samples=args.torus_samples, seed=args.seed
     )
-    if args.convention != "both":
-        for key in ("box", "torus", "diff", "tolerance"):
-            report[key] = {args.convention: report[key][args.convention]}
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     _dump_json(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
@@ -220,54 +207,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mean motions of multivariate exponential polynomials",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    # each parent adds flags to the one before: --out, --poly, --y, the line
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file, not stdout")
+    poly = argparse.ArgumentParser(add_help=False, parents=[out])
+    poly.add_argument("--poly", required=True, help="polynomial JSON file")
+    height = argparse.ArgumentParser(add_help=False, parents=[poly])
+    height.add_argument("--y", default=None, help="comma-separated y vector")
+    line = argparse.ArgumentParser(add_help=False, parents=[height])
+    line.add_argument(
+        "--xperp", default=None,
+        help="comma-separated transverse coordinates x_2..x_p",
+    )
+    line.add_argument("--interval", required=True, help="a,b")
 
-    def add_line_flags(p):
-        p.add_argument("--poly", required=True, help="polynomial JSON file")
-        p.add_argument("--y", default=None, help="comma-separated y vector")
-        p.add_argument(
-            "--xperp", default=None,
-            help="comma-separated transverse coordinates x_2..x_p",
-        )
-        p.add_argument("--interval", required=True, help="a,b")
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("eval", help="evaluate P at a complex point")
-    p.add_argument("--poly", required=True)
+    p = sub.add_parser("eval", parents=[poly], help="evaluate P at a complex point")
     p.add_argument("--z", required=True, help="comma-separated complex point")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("basis", help="lattice basis of the exponent group")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("basis", parents=[poly], help="basis of the exponent group")
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("zeros", help="real zeros of a line restriction")
-    add_line_flags(p)
+    p = sub.add_parser("zeros", parents=[line], help="real zeros of a line restriction")
     p.set_defaults(func=cmd_zeros)
 
-    p = sub.add_parser("track", help="argument branch along a line segment")
-    add_line_flags(p)
+    p = sub.add_parser("track", parents=[line], help="arg branch along a segment")
     p.add_argument("--convention", choices=["plus", "minus"], default="plus")
     p.add_argument("--trace-csv", default=None)
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("mm", help="box vs torus mean-motion report")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--y", default=None)
-    p.add_argument(
-        "--convention", choices=["plus", "minus", "both"], default="both"
-    )
+    p = sub.add_parser("mm", parents=[height], help="box vs torus mean-motion report")
     p.add_argument("--windows", default="25,50,100,200")
     p.add_argument("--lines", type=int, default=64)
     p.add_argument("--torus-samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mm)
 
-    p = sub.add_parser("verify", help="run the bundled regression suite")
+    p = sub.add_parser("verify", parents=[out], help="run the bundled regression suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
     return ap
 

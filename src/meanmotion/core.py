@@ -132,6 +132,10 @@ class ExpPolynomial:
         # S x p float image of the exponent matrix
         return np.array([t.exponent.as_floats() for t in self.terms])
 
+    @cached_property
+    def _lam_max(self) -> float:
+        return float(np.abs(self._lam).max())
+
     def evaluate(self, z: Sequence[complex]) -> complex:
         if len(z) != self.dimension:
             raise DimensionError(
@@ -178,19 +182,29 @@ class ExpPolynomial:
 
         Row b has the amplitudes c_j * exp(w_j - max w) * exp(i phases[b, j])
         with w_j = -<l_j, y>, merged over equal first components. Dividing
-        every amplitude by exp(max w) keeps them finite at any |y| and
-        leaves the argument unchanged. A merged amplitude at or below
+        every amplitude by exp(max w) keeps them finite at any finite y,
+        including where <l_j, y> is beyond the double range: l_j / max|l| is
+        then paired with y / max|y_i| and the differences scaled back, one
+        that overflows giving amplitude 0. A merged amplitude at or below
         MERGE_TOLERANCE times the largest unmerged one is set to 0, as
         UnivariateExpSum.from_terms drops it. A non-finite y is a
         DegenerateInputError.
         """
         yv = np.asarray(y, dtype=float)
         if yv.shape != (self.dimension,):
-            raise DimensionError("y length mismatch")
-        if not np.isfinite(yv).all():
+            raise DimensionError(f"y has {yv.size} components, not {self.dimension}")
+        if not all(map(math.isfinite, yv.tolist())):
             raise DegenerateInputError(f"height y = {yv.tolist()} is not finite")
-        w = -(self._lam @ yv)
-        mags = self._coeffs * np.exp(w - w.max())
+        top = max(map(abs, yv.tolist()))
+        # |<l_j, y>| <= p max|l| max|y_i|, so below 1e307 no difference overflows
+        if top * self._lam_max < 1e307 / self.dimension:
+            w = -(self._lam @ yv)
+            w -= w.max()
+        else:
+            with np.errstate(over="ignore"):
+                w = -((self._lam / self._lam_max) @ (yv / top))
+                w = (w - w.max()) * self._lam_max * top
+        mags = self._coeffs * np.exp(w)
         freqs, merge = self._first_merge
         amps = (mags * np.exp(1j * phases)) @ merge
         amps[np.abs(amps) <= MERGE_TOLERANCE * np.abs(mags).max()] = 0
@@ -341,7 +355,7 @@ def _check_shift_identity(lifted: LiftedPolynomial, n: int = 8, rtol: float = 1e
     rng = np.random.default_rng(0x5EED)
     p = lifted.base.dimension
     mu = lifted._mu
-    height = 1.0 / max(1.0, float(np.abs(lifted.base._lam).max()))
+    height = 1.0 / max(1.0, lifted.base._lam_max)
     for _ in range(n):
         t = rng.uniform(-3.0, 3.0, p)
         x = rng.uniform(-3.0, 3.0, p)

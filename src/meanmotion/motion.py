@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import ExpPolynomial, UnivariateExpSum
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, DimensionError
 from .lattice import group_basis
 from .tracker import unit_increments
 
@@ -98,6 +98,8 @@ def _perp_phases(P: ExpPolynomial, xperp: np.ndarray) -> np.ndarray:
 def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     """Restriction of P to s -> P((s, xperp) + iy) along the first axis,
     divided by a positive constant."""
+    if len(xperp) != P.dimension - 1:
+        raise DimensionError(f"xperp has {len(xperp)} values, not {P.dimension - 1}")
     xperp = np.asarray(xperp, dtype=float)[None]
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
 

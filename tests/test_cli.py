@@ -225,6 +225,16 @@ class TestBasis:
         assert out["coords"] == [[1], [-1]]
 
 
+@pytest.fixture
+def diff_file(tmp_path):
+    # e^{iz_1} - e^{iz_2}: the line x_2 = c has its zeros at s = c mod 2 pi
+    path = tmp_path / "diff.json"
+    write_polynomial_file(
+        ExpPolynomial.from_pairs(2, [(1, ["1", "0"]), (-1, ["0", "1"])]), path
+    )
+    return str(path)
+
+
 class TestZerosAndTrack:
     def test_zeros(self, sin_file, capsys):
         code = main(
@@ -270,6 +280,31 @@ class TestZerosAndTrack:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "EndpointZeroError"
 
+    def test_transverse_coordinates(self, diff_file, capsys):
+        argv = ["--poly", diff_file, "--xperp=0.7", "--interval=0,3"]
+        assert main(["zeros", *argv]) == EXIT_OK
+        zeros = json.loads(capsys.readouterr().out)["zeros"]
+        assert len(zeros) == 1 and zeros[0]["multiplicity"] == 1
+        assert zeros[0]["location"] == pytest.approx(0.7, abs=1e-9)
+        assert main(["track", *argv]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["smooth_increment"] == pytest.approx(1.5, abs=1e-9)
+        assert out["total_increment"] == pytest.approx(1.5 - math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["zeros", "track"])
+    def test_transverse_count_is_input_error(self, diff_file, capsys, command):
+        code = main([command, "--poly", diff_file, "--xperp=1,2", "--interval=0,3"])
+        assert code == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DimensionError"
+        assert out["message"] == "xperp has 2 values, not 1"
+
+    @pytest.mark.parametrize("interval", ["1,2,3", "1"])
+    def test_interval_needs_two_numbers(self, sin_file, capsys, interval):
+        code = main(["zeros", "--poly", sin_file, f"--interval={interval}"])
+        assert code == EXIT_INPUT_ERROR
+        assert repr(interval) in json.loads(capsys.readouterr().out)["message"]
+
     @pytest.mark.parametrize("command", ["zeros", "track"])
     def test_too_long_interval_is_input_error(self, sin_file, capsys, command):
         # 2.5e8 first-sampling steps would need 1.9 GiB
@@ -302,25 +337,17 @@ class TestMm:
         assert set(out["box"]) == {"plus", "minus"}
 
     def test_single_convention_filter(self, sin_file, capsys):
-        code = main(
-            [
-                "mm",
-                "--poly",
-                sin_file,
-                "--convention",
-                "plus",
-                "--windows",
-                "25,50",
-                "--lines",
-                "32",
-                "--torus-samples",
-                "200",
-            ]
-        )
-        assert code == EXIT_OK
+        # mm always reports both conventions; the filter flag is gone
+        argv = ["mm", "--poly", sin_file, "--windows", "25,50", "--lines", "32",
+                "--torus-samples", "200"]
+        assert main(argv) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
-        assert set(out["box"]) == {"plus"}
-        assert set(out["diff"]) == {"plus"}
+        for key in ("box", "torus", "diff", "tolerance"):
+            assert set(out[key]) == {"plus", "minus"}
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--convention", "plus"])
+        assert exit_.value.code == EXIT_INPUT_ERROR
+        assert "--convention" in capsys.readouterr().err
 
     def test_deterministic_apart_from_timestamp(self, sin_file, capsys):
         argv = [
@@ -347,7 +374,9 @@ class TestMm:
     def test_bad_y_length(self, sin_file, capsys):
         code = main(["mm", "--poly", sin_file, "--y", "0,0"])
         assert code == EXIT_INPUT_ERROR
-        capsys.readouterr()
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DimensionError"
+        assert out["message"] == "y has 2 components, not 1"
 
     @pytest.mark.parametrize(
         "flag, value",

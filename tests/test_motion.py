@@ -26,6 +26,12 @@ PI = math.pi
 # zero every 2 pi
 DOUBLE = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
 TRIPLE = ExpPolynomial.from_pairs(1, [(1, ["3"]), (-3, ["2"]), (3, ["1"]), (-1, ["0"])])
+# (e^{4iz} - 1)^2 and (e^{4iz} - 1)^3: the same zeros every pi / 2, whose
+# leading coefficients 16 and 64 let the engine settle them at smaller shifts
+DOUBLE4 = ExpPolynomial.from_pairs(1, [(1, ["8"]), (-2, ["4"]), (1, ["0"])])
+TRIPLE4 = ExpPolynomial.from_pairs(
+    1, [(1, ["12"]), (-3, ["8"]), (3, ["4"]), (-1, ["0"])]
+)
 
 
 def pure_exp(lam):
@@ -188,7 +194,12 @@ def _end_on_zero_case(case, sin_poly):
         return sin_poly, PI, 1
     if case == "random":
         return _with_sin_factor(random_poly(np.random.default_rng(1), 2, 3)), PI, 1
-    return (DOUBLE, 2 * PI, 2) if case == "double" else (TRIPLE, 2 * PI, 3)
+    return {
+        "double": (DOUBLE, 2 * PI, 2),
+        "triple": (TRIPLE, 2 * PI, 3),
+        "double-4": (DOUBLE4, PI / 2, 2),
+        "triple-4": (TRIPLE4, PI / 2, 3),
+    }[case]
 
 
 def _lines_ending_on_zeros(P, spacing=PI):
@@ -226,7 +237,7 @@ class TestBoxMeanMotion:
         assert est_p.value == pytest.approx(-1.0, abs=0.01)
         assert est_m.value == pytest.approx(-1.0, abs=0.01)
 
-    @pytest.mark.parametrize("case", ["sin", "random", "double"])
+    @pytest.mark.parametrize("case", ["sin", "random", "double", "double-4"])
     def test_windows_ending_on_zeros_match_per_line_loop(self, case, sin_poly):
         # a window with an end exactly on a zero is settled again alone at
         # shifted centres: over 80 lines in one unit_increments call, every
@@ -242,13 +253,17 @@ class TestBoxMeanMotion:
         assert on_zero.sum() >= 10 and done.all()
         assert np.column_stack([vp, vm]) == pytest.approx(np.array(want), abs=1e-12)
 
-    @pytest.mark.parametrize("case", ["sin", "random", "double", "triple"])
+    @pytest.mark.parametrize(
+        "case", ["sin", "random", "double", "triple", "double-4", "triple-4"]
+    )
     def test_window_tracked_once_per_centre(self, case, sin_poly, monkeypatch):
         # the windows with an end on a zero of order m, which the batch
         # cannot settle, are settled again alone, in line order, at their
-        # centre plus each of _SHIFTS up to the first whose m-th power clears
-        # the step floor 1e-12 sum |a_k|: 1e-7 for a simple zero, 1e-5 for
-        # the double zero (floor 4e-12), 1e-3 for the triple zero (floor 8e-12)
+        # centre plus each of _SHIFTS up to the first d with |c_m| d^m above
+        # the step floor F = 1e-12 sum |a_k|, c_m the leading coefficient at
+        # the zero: 1e-7 for a simple zero of sin, 1e-5 for the double zero
+        # (F = 4e-12), 1e-3 for the triple zero (F = 8e-12), 1e-6 and 1e-4
+        # at frequency 4 (|c_m| = 16 and 64)
         P, spacing, order = _end_on_zero_case(case, sin_poly)
         xs, on_zero = _lines_ending_on_zeros(P, spacing)
         calls = []
@@ -260,10 +275,49 @@ class TestBoxMeanMotion:
         rows = P.line_rows([0.0] * P.dimension, motion._perp_phases(P, xs[:, 1:]))
         vp, _, done = tracker.unit_increments(*rows, xs[:, 0])
         assert [len(c) for c in calls if len(c) > 1] == [80]
-        rungs = {1: 1, 2: 3, 3: 5}[order]
+
+        def shifts(b):
+            c = xs[b, 0]
+            q = rows.restriction(b)
+            c_m = abs(q.leading_coefficient(spacing * round(c / spacing), order))
+            floor = tracker._STEP_FLOOR * q.amplitude_scale
+            rung = next(d for d in tracker._SHIFTS if c_m * d**order > floor)
+            return [c + d for d in tracker._SHIFTS[: tracker._SHIFTS.index(rung) + 1]]
+
         retried = [c for (c,) in (c for c in calls if len(c) == 1)]
-        assert retried == [c + d for c in xs[on_zero, 0] for d in tracker._SHIFTS[:rungs]]
+        assert retried == [c for b in np.flatnonzero(on_zero) for c in shifts(b)]
         assert (len(vp), done.sum()) == (80, 80)
+
+    def test_triple_zero_detours_settle_by_frequency(self, monkeypatch):
+        # a window holding a triple zero takes the +-delta detours and
+        # settles at the first delta where both pass: 1e-3 for the zeros of
+        # (e^{is} - 1)^3, 1e-4 for those of (e^{4is} - 1)^3, whose leading
+        # coefficient is 64, and these never reach 1e-3
+        calls, trace = [], tracker._trace
+
+        def spy(amps, g, t, stop):
+            total, ok = trace(amps, g, t, stop)
+            calls.append((float(np.abs(t.imag).max()), ok))
+            return total, ok
+
+        monkeypatch.setattr(tracker, "_trace", spy)
+        rng = np.random.default_rng(5)
+        for P, spacing, smooth, want in (
+            (TRIPLE, 2 * PI, 1.5, {1e-5: 0, 1e-4: 0, 1e-3: 40}),
+            (TRIPLE4, PI / 2, 6.0, {1e-5: 0, 1e-4: 40}),
+        ):
+            calls.clear()
+            centers = spacing * rng.integers(-6, 7, 40) + rng.uniform(-0.45, 0.45, 40)
+            rows = P.line_rows([0.0], np.zeros((40, len(P.terms))))
+            vp, vm, done = tracker.unit_increments(*rows, centers)
+            assert done.all()
+            assert vp == pytest.approx(np.full(40, smooth - 3 * PI), abs=1e-6)
+            assert vm == pytest.approx(np.full(40, smooth + 3 * PI), abs=1e-6)
+            # the real-line pass, then an (up, down) pair of detours per delta
+            (axis, _), ups, downs = calls[0], calls[1::2], calls[2::2]
+            assert axis == 0 and [d for d, _ in ups] == [d for d, _ in downs]
+            settled = {d: int((u & v).sum()) for (d, u), (_, v) in zip(ups, downs)}
+            assert settled == want
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -339,10 +393,20 @@ class TestTorusMean:
             torus_mean(sin_poly, [0.0], samples=samples, method=method)
 
 
-@pytest.mark.parametrize("y, want", [(800.0, -1.0), (-800.0, 1.0)])
-def test_large_height_does_not_overflow(y, want):
-    # exp(+-800) overflows a double; the far-dominant term sets the motion
-    P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (2, ["0"]), (1, ["-1"])])
+@pytest.mark.parametrize("y, want, freq", [
+    (800.0, -1.0, 1), (-800.0, 1.0, 1),
+    (1e308, -1.0, 1), (-1e308, 1.0, 1),
+    (1e308, -10.0, 10), (-1e308, 10.0, 10),
+], ids=["800.0--1.0", "-800.0-1.0", "1e308--1.0", "-1e308-1.0",
+        "sin10z-1e308--10.0", "sin10z--1e308-10.0"])
+def test_large_height_does_not_overflow(y, want, freq):
+    # exp(+-800) overflows a double, and at +-1e308 so do the differences
+    # of the pairings -<l_j, y>, and at frequency 10 the pairings
+    # themselves; the far-dominant term sets the motion
+    if freq == 1:
+        P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (2, ["0"]), (1, ["-1"])])
+    else:
+        P = ExpPolynomial.from_pairs(1, [(-0.5j, ["10"]), (0.5j, ["-10"])])
     sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=16)
     for est in box_mean_motion(P, [y], sched):
         assert est.value == pytest.approx(want, abs=0.05)
