@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io as _io
 import json
 import sys
@@ -201,6 +202,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="meanmotion",

@@ -202,21 +202,21 @@ def _newton(U, lo, hi, m):
 
 def _first_steps(fs, width):
     """Steps of the first sampling of a window of the given width on a sum
-    of frequency scale fs (sum |g_k|): max(64, ceil(8 fs width / 2pi)).
+    of frequency scale fs (sum |g_k|): max(16, ceil(8 fs width / 2pi)).
     DegenerateInputError when that is not finite or above _MAX_STEPS."""
     n = 8 * fs * width / TWO_PI
     if not n <= _MAX_STEPS:
         raise DegenerateInputError(
             f"a window of width {width} needs {n:.3g} steps, over {_MAX_STEPS}"
         )
-    return max(64, math.ceil(n))
+    return max(16, math.ceil(n))
 
 
 def _scan(U, interval):
     """Real zeros of U in the interval (a, b) and the increments around them.
 
-    Each step of the interval's first sampling (see _first_steps) is
-    traced as a path of its own; a run of steps that still fail below
+    Each step of the interval's first sampling (_first_steps: 16 steps,
+    17 points, or more) is traced alone; a run of steps that still fail below
     _AXIS_WIDTH is a cluster of zeros on or next to the axis. The interval
     is cut halfway between clusters, and unit_increments traces each
     piece: (minus - plus) / 2pi is its cluster's multiplicity. A cluster of
@@ -423,9 +423,9 @@ def unit_increments(
       Arg r(-width/2) (Forsberg, Passare & Tsikh, Adv. Math. 151, 2000),
       from the two ends and no trace. The other rows take two passes, every
       phase step certified by _step_ok.
-    * Real-line pass: a window whose first sampling (see _first_steps)
-      passes in every step, after cuts, holds no zero; both branches gain
-      its phase change.
+    * Real-line pass: a window whose first sampling (16 steps, 17
+      points, or more; see _first_steps) passes in every step, after
+      cuts, holds no zero; both branches gain its phase change.
     * +-delta pass: a window with a step still failing below _AXIS_WIDTH
       has a zero on or next to the axis. Its arg+ (arg-) increment is the
       phase change along one path, the detour from its left end up to

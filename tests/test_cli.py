@@ -7,6 +7,7 @@ import pytest
 from meanmotion.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    build_parser,
     main,
 )
 from meanmotion.core import ExpPolynomial
@@ -395,6 +396,35 @@ class TestMm:
                      "--torus-samples", "0"])
         assert code == EXIT_INPUT_ERROR
         assert "samples" in json.loads(capsys.readouterr().out)["message"]
+
+
+class TestParser:
+    def test_built_once_and_reused(self, sin_file, capsys):
+        # the parser is built on the first main call and kept: commands run
+        # in turn, an input error among them, print what each prints when it
+        # runs first on a fresh parser
+        mm = ["mm", "--poly", sin_file, "--windows", "25", "--lines", "16",
+              "--torus-samples", "64"]
+        runs = [[*mm, "--seed", "1"],
+                ["zeros", "--poly", sin_file, "--interval=1,2,3"],
+                [*mm, "--seed", "2"]]
+
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            report.pop("timestamp", None)
+            return code, report, err
+
+        in_turn = [run(argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert in_turn == fresh
+        assert [code for code, _, _ in in_turn] == [EXIT_OK, EXIT_INPUT_ERROR, EXIT_OK]
+        assert in_turn[0][1] != in_turn[2][1]  # the second seed is read
+        assert build_parser() is build_parser()
 
 
 class TestVerify:

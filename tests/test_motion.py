@@ -418,15 +418,23 @@ def test_large_height_does_not_overflow(y, want, freq):
 
 def _cut_steps_certified(monkeypatch):
     """Count, in a one-item list, the steps the certified engine accepts
-    after cutting a failed step: those narrower than the first sampling's
-    1/64 (the lines of this module's test sums have n0 = 64)."""
-    cut, step_ok = [0], tracker._step_ok
+    after cutting a failed step: those narrower than a step width / n0 of
+    the first sampling, n0 = tracker._first_steps(fs, width), of the
+    windows being settled."""
+    cut, first = [0], [math.inf]
+    step_ok, first_steps = tracker._step_ok, tracker._first_steps
+
+    def steps_spy(fs, width):
+        n0 = first_steps(fs, width)
+        first[0] = width / n0
+        return n0
 
     def spy(h, *rest):
         ok = step_ok(h, *rest)
-        cut[0] += int((ok & (h < 1 / 64 - 1e-12)).sum())
+        cut[0] += int((ok & (h < first[0] - 1e-12)).sum())
         return ok
 
+    monkeypatch.setattr(tracker, "_first_steps", steps_spy)
     monkeypatch.setattr(tracker, "_step_ok", spy)
     return cut
 
