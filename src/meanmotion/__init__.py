@@ -9,7 +9,6 @@ cross-validates their agreement.
 from .core import (
     ExpPolynomial,
     ExpTerm,
-    FrequencyVector,
     LiftedPolynomial,
     UnivariateExpSum,
     lift,

@@ -1,10 +1,11 @@
 """Exponential sums with exact rational exponents.
 
 The central object is P(z) = sum_j c_j * exp(i <z, l_j>) with complex
-double-precision coefficients and exact rational exponent vectors l_j.
-Exactness lives only in the exponents; all pairings <.,.> are bilinear
-(non-conjugating) and the rationals are converted to doubles at the last
-step of every evaluation.
+double-precision coefficients and exact rational exponent vectors l_j,
+each a plain tuple of Fractions. Exactness lives only in the exponents;
+all pairings <.,.> are bilinear (non-conjugating) and the rationals are
+converted to doubles at the last step of every evaluation. lift takes each
+exponent's integer coordinates from lattice.coordinates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     DimensionError,
     InternalConsistencyError,
 )
+from .lattice import coordinates
 
 RationalLike = Union[int, str, Fraction]
 
@@ -39,38 +41,11 @@ def as_rational(x: RationalLike) -> Fraction:
 
 
 @dataclass(frozen=True)
-class FrequencyVector:
-    """Exact rational exponent vector in R^p."""
-
-    components: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, *components: RationalLike) -> "FrequencyVector":
-        return cls(tuple(as_rational(c) for c in components))
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.components)
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.components], dtype=float)
-
-
-@dataclass(frozen=True)
 class ExpTerm:
     """One (coefficient, exponent) pair of an exponential polynomial."""
 
     coefficient: complex
-    exponent: FrequencyVector
+    exponent: tuple[Fraction, ...]
 
     def __post_init__(self):
         if self.coefficient == 0:
@@ -99,28 +74,29 @@ class ExpPolynomial:
                     f"dimension {self.dimension}"
                 )
             try:
-                term.exponent.as_floats()
+                np.array(term.exponent, dtype=float)
             except OverflowError:
                 raise DegenerateInputError(
                     f"term {k}: exponent component too large for a double"
                 ) from None
-            if term.exponent.components in seen:
+            if term.exponent in seen:
                 raise DegenerateInputError(
-                    f"terms {seen[term.exponent.components]} and {k} share "
+                    f"terms {seen[term.exponent]} and {k} share "
                     f"exponent {[str(c) for c in term.exponent]}"
                 )
-            seen[term.exponent.components] = k
+            seen[term.exponent] = k
 
     @classmethod
     def from_pairs(cls, dimension, pairs) -> "ExpPolynomial":
-        """Build from (coefficient, exponent components) pairs."""
+        """Build from (coefficient, exponent components) pairs; each
+        component an int, Fraction or "num/den" string."""
         terms = tuple(
-            ExpTerm(complex(c), FrequencyVector.of(*e)) for c, e in pairs
+            ExpTerm(complex(c), tuple(map(as_rational, e))) for c, e in pairs
         )
         return cls(dimension, terms)
 
     @property
-    def exponents(self) -> tuple[FrequencyVector, ...]:
+    def exponents(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(t.exponent for t in self.terms)
 
     @cached_property
@@ -130,7 +106,7 @@ class ExpPolynomial:
     @cached_property
     def _lam(self) -> np.ndarray:
         # S x p float image of the exponent matrix
-        return np.array([t.exponent.as_floats() for t in self.terms])
+        return np.array(self.exponents, dtype=float)
 
     @cached_property
     def _lam_max(self) -> float:
@@ -302,7 +278,7 @@ class LiftedPolynomial:
     """
 
     base: ExpPolynomial
-    basis_vectors: tuple[FrequencyVector, ...]
+    basis_vectors: tuple[tuple[Fraction, ...], ...]
     coords: tuple[tuple[int, ...], ...]
     lift_dimension: int
 
@@ -312,7 +288,7 @@ class LiftedPolynomial:
 
     @cached_property
     def _mu(self) -> np.ndarray:
-        return np.array([m.as_floats() for m in self.basis_vectors])
+        return np.array(self.basis_vectors, dtype=float)
 
     def evaluate(self, z: Sequence[complex], w: Sequence[complex]) -> complex:
         if len(w) != self.lift_dimension:
@@ -340,10 +316,8 @@ def lift(P: ExpPolynomial, basis) -> LiftedPolynomial:
     so that K . mu = lambda, or raises MembershipError; the shift identity
     is self-checked at pseudo-random points.
     """
-    from .lattice import coordinates
-
     K = tuple(coordinates(t.exponent, basis) for t in P.terms)
-    lifted = LiftedPolynomial(P, tuple(basis.basis_vectors), K, basis.rank)
+    lifted = LiftedPolynomial(P, basis.basis_vectors, K, basis.rank)
     _check_shift_identity(lifted)
     return lifted
 

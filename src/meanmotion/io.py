@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .core import ExpPolynomial, ExpTerm, FrequencyVector
+from .core import ExpPolynomial, ExpTerm
 from .errors import DegenerateInputError, DimensionError, PolynomialLoadError
 
 
@@ -30,7 +30,7 @@ def parse_polynomial(obj: dict) -> ExpPolynomial:
             if not isinstance(t["exponent"], list):
                 raise TypeError("exponent must be a list")
             comps = tuple(Fraction(str(c)) for c in t["exponent"])
-            terms.append(ExpTerm(complex(*map(float, parts)), FrequencyVector(comps)))
+            terms.append(ExpTerm(complex(*map(float, parts)), comps))
         except ZeroDivisionError as e:
             raise PolynomialLoadError(f"term {k}: zero denominator in {t['exponent']}") from e
         except (KeyError, TypeError, ValueError) as e:

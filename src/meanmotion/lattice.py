@@ -6,6 +6,8 @@ basis is read off the nonzero rows. The same reduction carries the
 transformation matrix whose rows are each exponent's integer coordinates
 (Cohen, GTM 138, section 2.4). All arithmetic uses Python ints and
 Fractions; a coordinate beyond the double range is an input error.
+Exponents are sequences of Fractions and basis vectors tuples of them,
+so the module needs nothing of the package but its errors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FrequencyVector
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -35,7 +36,7 @@ class LatticeBasis:
 
     dimension: int
     rank: int
-    basis_vectors: tuple[FrequencyVector, ...]
+    basis_vectors: tuple[tuple[Fraction, ...], ...]
     coords: tuple[tuple[int, ...], ...]
 
 
@@ -93,7 +94,7 @@ def hnf(
     return m[:r], [[kt[k][j] for k in range(r)] for j in range(rows)]
 
 
-def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
+def group_basis(exponents: Sequence[Sequence[Fraction]]) -> LatticeBasis:
     """Z-basis of Lin_Z{l_1, ..., l_S} with exact coordinates for each l_j.
 
     The basis is the HNF of the denominator-cleared exponent matrix and the
@@ -107,15 +108,13 @@ def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
     for e in exponents:
         if len(e) != p:
             raise DimensionError("exponents have mixed dimensions")
-    if all(e.is_zero for e in exponents):
+    if not any(map(any, exponents)):
         raise DegenerateInputError("all exponents are zero")
     denom = 1
     for e in exponents:
         for c in e:
             denom = math.lcm(denom, c.denominator)
-    integer_rows = [
-        [int(c * denom) for c in e.components] for e in exponents
-    ]
+    integer_rows = [[int(c * denom) for c in e] for e in exponents]
     h, k = hnf(integer_rows)
     for row, a in zip(k, integer_rows):
         if [sum(x * hr[c] for x, hr in zip(row, h)) for c in range(p)] != a:
@@ -124,17 +123,15 @@ def group_basis(exponents: Sequence[FrequencyVector]) -> LatticeBasis:
             )
     if max(abs(x) for row in k for x in row) > sys.float_info.max:
         raise DegenerateInputError("a lattice coordinate is beyond the double range")
-    basis = tuple(
-        FrequencyVector(tuple(Fraction(v, denom) for v in row)) for row in h
-    )
+    basis = tuple(tuple(Fraction(v, denom) for v in row) for row in h)
     return LatticeBasis(p, len(basis), basis, tuple(map(tuple, k)))
 
 
-def coordinates(lam: FrequencyVector, basis: LatticeBasis) -> tuple[int, ...]:
+def coordinates(lam: Sequence[Fraction], basis: LatticeBasis) -> tuple[int, ...]:
     """Exact integer coordinates of `lam` in `basis`, or MembershipError."""
     if len(lam) != basis.dimension:
         raise DimensionError("vector length mismatch")
-    v = list(lam.components)
+    v = list(lam)
     pivots = []
     for mu in basis.basis_vectors:
         piv = next(i for i, c in enumerate(mu) if c != 0)

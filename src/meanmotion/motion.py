@@ -106,8 +106,13 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
 
 def windowed_increment_pair(P, y, x):
     """(plus, minus) unit-window increments of arg P along the line x + iy,
-    the window centred at x; SkippedLine if it cannot be tracked."""
+    the window centred at x; SkippedLine if it cannot be tracked. A point
+    of the wrong length or not finite is an input error."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (P.dimension,):
+        raise DimensionError(f"x has {x.size} values, not {P.dimension}")
+    if not all(map(math.isfinite, x.tolist())):
+        raise DegenerateInputError(f"point x = {x.tolist()} is not finite")
     vp, vm, done = unit_increments(*P.line_rows(y, _perp_phases(P, x[None, 1:])), x[:1])
     if not done[0]:
         raise SkippedLine

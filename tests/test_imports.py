@@ -1,5 +1,7 @@
 """Every name a module of the package or a test file imports is used in it,
-and every private name the package defines is used in the package.
+and every private name the package defines is used in the package. Modules
+of the package import at module level only, and lattice.py imports nothing
+of the package but its errors.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -92,3 +94,26 @@ def test_detects_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def function_level_imports(source: str) -> list[str]:
+    """The imports made inside a function body."""
+    return [f"line {n.lineno}" for f in ast.walk(ast.parse(source))
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_detects_a_function_level_import():
+    source = "import os\ndef f():\n    from .lattice import coordinates\n"
+    assert function_level_imports(source) == ["line 3"]
+
+
+def test_no_function_level_imports():
+    found = {p.name: function_level_imports(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_lattice_imports_only_errors():
+    tree = ast.parse((PACKAGE / "lattice.py").read_text())
+    assert {n.module for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.level} == {"errors"}

@@ -5,13 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meanmotion import lattice
-from meanmotion.core import FrequencyVector
+from meanmotion.core import ExpPolynomial
 from meanmotion.errors import DegenerateInputError, MembershipError
+from meanmotion.io import parse_polynomial
 from meanmotion.lattice import coordinates, group_basis, hnf
 
 
 def fv(*comps):
-    return FrequencyVector.of(*comps)
+    return tuple(map(Fraction, comps))
 
 
 def rational_rank(vectors):
@@ -47,7 +48,7 @@ def exponent_sets(draw):
         else:
             rows.append(tuple(draw(comp) for _ in range(p)))
     assume(any(any(r) for r in rows))
-    return [FrequencyVector(r) for r in rows]
+    return rows
 
 
 class TestHnf:
@@ -66,25 +67,35 @@ class TestGroupBasis:
     def test_single_exponent(self):
         b = group_basis([fv(1)])
         assert b.rank == 1
-        assert b.basis_vectors[0].components == (Fraction(1),)
+        assert b.basis_vectors[0] == (Fraction(1),)
         assert b.coords == ((1,),)
 
     def test_sin_exponents(self):
         b = group_basis([fv(1), fv(-1)])
         assert b.rank == 1
-        assert b.basis_vectors[0].components == (Fraction(1),)
+        assert b.basis_vectors[0] == (Fraction(1),)
         assert b.coords == ((1,), (-1,))
 
     def test_half_integer_two_dim(self):
         # brute-force-verified: (1/2,0) = l1 and (0,1) = l2 - 3*l1
         exps = [fv("1/2", 0), fv("3/2", 1), fv(0, 2)]
-        b = group_basis(exps)
-        assert b.rank == 2
-        assert [m.components for m in b.basis_vectors] == [
-            (Fraction(1, 2), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-        ]
-        assert b.coords == ((1, 0), (3, 1), (0, 2))
+        # exponents are tuples of Fractions however they are given
+        mixed = [("1/2", 0), (Fraction(3, 2), 1), (0, "2")]
+        P = ExpPolynomial.from_pairs(2, [(1.0, e) for e in mixed])
+        obj = {"dimension": 2, "terms": [
+            {"re": 1.0, "im": 0.0, "exponent": [str(c) for c in e]} for e in mixed]}
+        assert P.exponents == parse_polynomial(obj).exponents == tuple(exps)
+        for given in (exps, P.exponents):
+            b = group_basis(given)
+            assert b.rank == 2
+            assert b.basis_vectors == (
+                (Fraction(1, 2), Fraction(0)),
+                (Fraction(0), Fraction(1)),
+            )
+            assert b.coords == ((1, 0), (3, 1), (0, 2))
+            for vectors in (P.exponents, b.basis_vectors):
+                assert {type(v) for v in vectors} == {tuple}
+                assert {type(c) for v in vectors for c in v} == {Fraction}
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -101,7 +112,7 @@ class TestGroupBasis:
                 )
                 for c in range(2)
             ]
-            assert tuple(recon) == e.components
+            assert tuple(recon) == e
 
     def test_minimality_explicit_case(self):
         # each basis vector is an integer combination of the inputs
@@ -116,13 +127,13 @@ class TestGroupBasis:
                 for c in range(2)
             )
 
-        assert mu1.components == combo([1, 0, 0])
-        assert mu2.components == combo([-3, 1, 0])
+        assert mu1 == combo([1, 0, 0])
+        assert mu2 == combo([-3, 1, 0])
 
     def test_rank_matches_rational_rank(self):
         exps = [fv(1, 2, 3), fv(2, 4, 6), fv(0, 1, 1)]
         b = group_basis(exps)
-        assert b.rank == rational_rank([e.components for e in exps]) == 2
+        assert b.rank == rational_rank(exps) == 2
 
     def test_permutation_invariance(self):
         exps = [fv("1/2", 0), fv("3/2", 1), fv(0, 2)]
@@ -140,7 +151,7 @@ class TestGroupBasis:
     @given(exponent_sets())
     def test_generated_lattice_contains_inputs(self, exps):
         basis = group_basis(exps)
-        assert basis.rank == rational_rank([e.components for e in exps])
+        assert basis.rank == rational_rank(exps)
         for e, row in zip(exps, basis.coords):
             assert len(row) == basis.rank
             rebuilt = tuple(
@@ -148,7 +159,7 @@ class TestGroupBasis:
                     Fraction(0))
                 for c in range(len(e))
             )
-            assert rebuilt == e.components
+            assert rebuilt == e
             assert coordinates(e, basis) == row
 
     def test_route_does_not_solve_coordinates(self, monkeypatch):

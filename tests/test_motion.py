@@ -6,7 +6,7 @@ import pytest
 
 from meanmotion import motion, tracker
 from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
-from meanmotion.errors import DegenerateInputError
+from meanmotion.errors import DegenerateInputError, DimensionError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
     BoxSpec,
@@ -63,6 +63,17 @@ class TestWindowedIncrement:
         for x2 in (0.0, 2 * PI):
             with pytest.raises(SkippedLine):
                 windowed_increment_pair(P, [0.0, 0.0], [0.2, x2])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, error, match", [
+        ([0.3, 0.5], DimensionError, "x has 2 values, not 1"),
+        ([], DimensionError, "x has 0 values, not 1"),
+        ([math.nan], DegenerateInputError, "not finite"),
+        ([math.inf], DegenerateInputError, "not finite"),
+    ], ids=["two-values", "empty", "nan", "inf"])
+    def test_bad_point_is_an_input_error(self, sin_poly, x, error, match):
+        with pytest.raises(error, match=match):
+            windowed_increment_pair(sin_poly, [0.0], x)
 
     @pytest.mark.parametrize("P, center, plus, minus", [
         (DOUBLE, -0.5, -2 * PI, 2 * PI),
