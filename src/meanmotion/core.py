@@ -5,7 +5,8 @@ double-precision coefficients and exact rational exponent vectors l_j,
 each a plain tuple of Fractions. Exactness lives only in the exponents;
 all pairings <.,.> are bilinear (non-conjugating) and the rationals are
 converted to doubles at the last step of every evaluation. lift takes each
-exponent's integer coordinates from lattice.coordinates.
+exponent's integer coordinates from lattice.coordinates, and each
+ExpPolynomial keeps the lattice.group_basis of its exponents once built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     DimensionError,
     InternalConsistencyError,
 )
-from .lattice import coordinates
+from .lattice import LatticeBasis, coordinates, group_basis
 
 RationalLike = Union[int, str, Fraction]
 
@@ -151,6 +152,11 @@ class ExpPolynomial:
         freqs = tuple(sorted(set(firsts)))
         merge = np.array([[f == g for g in freqs] for f in firsts], dtype=complex)
         return freqs, merge
+
+    @cached_property
+    def _basis(self) -> LatticeBasis:
+        """group_basis of the exponents, built once for every torus report."""
+        return group_basis(self.exponents)
 
     def line_rows(self, y: Sequence[float], phases: np.ndarray) -> "LineRows":
         """Restrictions to lines along the first axis at height y, one per

@@ -10,12 +10,14 @@ Two routes to c+(y), c-(y) that sample separately:
   integer coordinates of each exponent give the line's phases.
 
 Both build their line restrictions with ExpPolynomial.line_rows and leave
-them to one window engine: one tracker.unit_increments call settles every
-window of a route it can, and this module only samples the lines and
-averages. A window the engine leaves undone, such as one on a line where
-P cancels identically, has no increment: it is skipped and counted on
-every route. No random number is drawn for a window, so each route's
-generator gives its sample points only.
+them to one window engine: one tracker.unit_increments call per report
+settles every window it can, of one route or, in compare_estimators, of
+both routes stacked, and this module only samples the lines and averages.
+The torus basis is built once per polynomial and cached on it
+(ExpPolynomial._basis). A window the engine leaves undone, such as one on
+a line where P cancels identically, has no increment: it is skipped and
+counted on every route. No random number is drawn for a window, so each
+route's generator gives its sample points only.
 Agreement of the two within the dispersion-aware tolerance is the
 artifact's core property.
 """
@@ -30,7 +32,6 @@ import numpy as np
 
 from .core import ExpPolynomial, UnivariateExpSum
 from .errors import DegenerateInputError, DimensionError
-from .lattice import group_basis
 from .tracker import unit_increments
 
 
@@ -169,22 +170,34 @@ def direct_mean_motion(
     return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(perps))
 
 
+def _box_rows(P, y, schedule):
+    """The box route's rows and window centres: lines_per_box uniform points
+    of each box, drawn from the schedule's own generator."""
+    rng = np.random.default_rng(schedule.seed)
+    sizes, n = schedule.sizes, schedule.lines_per_box
+    xs = np.concatenate([rng.uniform(-L / 2, L / 2, (n, P.dimension)) for L in sizes])
+    return P.line_rows(y, _perp_phases(P, xs[:, 1:])), xs[:, 0]
+
+
+def _box_average(y, schedule, vp, vm, done):
+    """(plus, minus) estimates from the box route's increments, box by box."""
+    sizes, n = schedule.sizes, schedule.lines_per_box
+    per_p, per_m = (
+        [(float(L), float(np.mean(r[d])) if d.any() else math.nan)
+         for L, r, d in zip(sizes, v.reshape(-1, n), done.reshape(-1, n))]
+        for v in (vp, vm)
+    )
+    return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(done))
+
+
 def box_mean_motion(
     P: ExpPolynomial,
     y: Sequence[float],
     schedule: WindowSchedule,
 ) -> tuple[MeanMotionEstimate, MeanMotionEstimate]:
     """(plus, minus) averages of unit-window increments over growing boxes."""
-    rng = np.random.default_rng(schedule.seed)
-    sizes, n = schedule.sizes, schedule.lines_per_box
-    xs = np.concatenate([rng.uniform(-L / 2, L / 2, (n, P.dimension)) for L in sizes])
-    vp, vm, done = unit_increments(*P.line_rows(y, _perp_phases(P, xs[:, 1:])), xs[:, 0])
-    per_p, per_m = (
-        [(float(L), float(np.mean(r[d])) if d.any() else math.nan)
-         for L, r, d in zip(sizes, v.reshape(-1, n), done.reshape(-1, n))]
-        for v in (vp, vm)
-    )
-    return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(xs))
+    rows, centres = _box_rows(P, y, schedule)
+    return _box_average(y, schedule, *unit_increments(*rows, centres))
 
 
 def _torus_points(rank, samples, seed, method):
@@ -214,21 +227,19 @@ class TorusMean(NamedTuple):
     skipped: int
 
 
-def torus_mean(
-    P: ExpPolynomial,
-    y: Sequence[float],
-    samples: int = 2000,
-    seed: int = 0,
-    method: str = "random",
-) -> TorusMean:
-    """Average of the unit-window increment of the lifted sum over the torus
-    of group_basis(P.exponents): the line at u has phases K u, where row j
-    of K holds the exact integer coordinates of exponent j in that basis."""
+def _torus_rows(P, y, samples, seed, method):
+    """The torus route's rows and window centres: the line at u has phases
+    K u, where row j of K holds the exact integer coordinates of exponent j
+    in P's cached group basis."""
     _check_count("samples", samples, 1)
-    basis = group_basis(P.exponents)
-    K = np.array(basis.coords, dtype=float)
+    basis = P._basis
     us = _torus_points(basis.rank, samples, seed, method)
-    vp, vm, done = unit_increments(*P.line_rows(y, us @ K.T), np.zeros(len(us)))
+    K = np.array(basis.coords, dtype=float)
+    return P.line_rows(y, us @ K.T), np.zeros(len(us))
+
+
+def _torus_average(vp, vm, done) -> TorusMean:
+    """TorusMean of the torus route's increments."""
     vp, vm, n = vp[done], vm[done], int(done.sum())
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")
@@ -237,8 +248,21 @@ def torus_mean(
         return float(a.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
     return TorusMean(
-        float(vp.mean()), stderr(vp), float(vm.mean()), stderr(vm), n, len(us) - n
+        float(vp.mean()), stderr(vp), float(vm.mean()), stderr(vm), n, len(done) - n
     )
+
+
+def torus_mean(
+    P: ExpPolynomial,
+    y: Sequence[float],
+    samples: int = 2000,
+    seed: int = 0,
+    method: str = "random",
+) -> TorusMean:
+    """Average of the unit-window increment of the lifted sum over the torus
+    of group_basis(P.exponents)."""
+    rows, centres = _torus_rows(P, y, samples, seed, method)
+    return _torus_average(*unit_increments(*rows, centres))
 
 
 def compare_estimators(
@@ -252,11 +276,22 @@ def compare_estimators(
 
     Failures are reported (pass = False), never thrown. Tolerance is
     max(0.05, 3 * (box spread + torus standard error)) per convention.
+    The routes sample apart, the box lines from schedule.seed and the torus
+    points from seed + 1, and one unit_increments call settles the windows
+    of both.
     """
     if schedule is None:
         schedule = WindowSchedule(seed=seed)
-    box_p, box_m = box_mean_motion(P, y, schedule)
-    tp, sp, tm, sm, t_n, t_skipped = torus_mean(P, y, samples, seed + 1)
+    box, box_centres = _box_rows(P, y, schedule)
+    torus, torus_centres = _torus_rows(P, y, samples, seed + 1, "random")
+    # both routes' rows come from P.line_rows, so they share box.freqs
+    vp, vm, done = unit_increments(
+        np.vstack([box.amps, torus.amps]), box.freqs,
+        np.concatenate([box_centres, torus_centres]),
+    )
+    n = len(box_centres)
+    box_p, box_m = _box_average(y, schedule, vp[:n], vm[:n], done[:n])
+    tp, sp, tm, sm, t_n, t_skipped = _torus_average(vp[n:], vm[n:], done[n:])
     report = {
         "y": [float(v) for v in y],
         "box": {},

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meanmotion import motion, tracker
+from meanmotion import core, motion, tracker
 from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
 from meanmotion.errors import DegenerateInputError, DimensionError
 from meanmotion.lattice import group_basis
@@ -588,6 +588,25 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     assert all(rows * n <= tracker._BATCH_POINTS for rows, n in sampled if rows > 1)
 
 
+def _engine_calls(monkeypatch):
+    """Patch motion.unit_increments to record the row count of each call."""
+    calls, engine = [], motion.unit_increments
+
+    def spy(amps, *rest):
+        calls.append(len(amps))
+        return engine(amps, *rest)
+
+    monkeypatch.setattr(motion, "unit_increments", spy)
+    return calls
+
+
+def _basis_builds(monkeypatch):
+    """Patch the group_basis that ExpPolynomial reads to record each call."""
+    built, basis = [], core.group_basis
+    monkeypatch.setattr(core, "group_basis", lambda e: built.append(e) or basis(e))
+    return built
+
+
 class TestCompareEstimators:
     def test_sin_passes(self, sin_poly):
         sched = WindowSchedule(sizes=(50.0, 100.0), lines_per_box=64)
@@ -608,6 +627,81 @@ class TestCompareEstimators:
         report = compare_estimators(sin_poly, [0.0], sched, samples=200)
         assert set(report) == {"y", "box", "torus", "diff", "tolerance", "pass"}
         assert report["box"]["plus"]["total_lines"] == 64
+
+    @pytest.mark.parametrize("case", ["sin", "dominated", "offaxis", "cancelled"])
+    def test_one_engine_call_per_report(self, case, sin_poly, monkeypatch):
+        # the report settles both routes' windows in one unit_increments
+        # call, with the numbers of each route run alone
+        samples, seed = 200, 3
+        if case == "sin":
+            P, y = sin_poly, [0.0]
+        elif case == "dominated":  # the 2 outweighs the 0.5 on every line
+            P = ExpPolynomial.from_pairs(2, [(2.0, ["1", "1"]), (0.5, ["2", "-1"])])
+            y = [0.0, 0.0]
+        elif case == "offaxis":
+            P = random_poly(np.random.default_rng(52), 3, 5, max_num=6)
+            y = [-0.31, 0.27, -0.25]
+        else:
+            # e^{iz_1} (1 + e^{iz_2}) on a 9-point grid: the 3 points with
+            # u_2 = pi cancel, and the report still counts them as skipped
+            P = ExpPolynomial.from_pairs(2, [(1, ["1", "0"]), (1, ["1", "1"])])
+            y, samples, points = [0.0, 0.0], 9, motion._torus_points
+            monkeypatch.setattr(motion, "_torus_points",
+                                lambda rank, n, seed, method: points(rank, n, seed, "grid"))
+        sched = WindowSchedule(sizes=(25.0, 50.0), lines_per_box=32, seed=seed)
+        box = box_mean_motion(P, y, sched)
+        tor = torus_mean(P, y, samples, seed + 1)
+        calls = _engine_calls(monkeypatch)
+        report = compare_estimators(P, y, sched, samples=samples, seed=seed)
+        assert calls == [64 + samples]
+        assert tor.skipped == (3 if case == "cancelled" else 0)
+        for est, (value, stderr) in zip(box, (tor[0:2], tor[2:4])):
+            got = report["box"][est.convention]
+            assert [v for _, v in got["per_window"]] == pytest.approx(
+                [v for _, v in est.per_window], abs=1e-12)
+            assert (got["value"], got["skipped"], got["total_lines"]) == pytest.approx(
+                (est.value, est.skipped_lines, est.total_lines), abs=1e-12)
+            got = report["torus"][est.convention]
+            assert (got["value"], got["stderr"], got["samples"], got["skipped"]) == (
+                pytest.approx((value, stderr, tor.samples, tor.skipped), abs=1e-12))
+
+    @pytest.mark.parametrize("samples, error", [
+        (0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError),
+    ])
+    def test_samples_checked_before_engine_work(self, sin_poly, samples, error,
+                                                monkeypatch):
+        with pytest.raises(error, match="samples") as alone:
+            torus_mean(sin_poly, [0.0], samples=samples)
+        calls = _engine_calls(monkeypatch)
+        with pytest.raises(error) as report:
+            compare_estimators(sin_poly, [0.0], samples=samples)
+        assert str(report.value) == str(alone.value)
+        assert calls == []
+
+    def test_basis_built_once_per_polynomial(self, monkeypatch):
+        P = random_poly(np.random.default_rng(31), 2, 3)
+        built = _basis_builds(monkeypatch)
+        sched = WindowSchedule(sizes=(25.0,), lines_per_box=16)
+        for seed in (0, 1):
+            compare_estimators(P, [0.2, -0.1], sched, samples=50, seed=seed)
+        torus_mean(P, [0.2, -0.1], samples=50)
+        assert built == [P.exponents]
+        # the cache lives on the instance, not on its exponents
+        torus_mean(ExpPolynomial(P.dimension, P.terms), [0.2, -0.1], samples=50)
+        assert built == [P.exponents] * 2
+
+    def test_tiny_exponent_rejected_on_every_call(self, monkeypatch):
+        # "1e-400" has the coordinate 10**400 against "1": group_basis
+        # raises, nothing is cached, and the next call raises again
+        P = ExpPolynomial.from_pairs(1, [(1, ["1e-400"]), (1, ["1"])])
+        built, calls = _basis_builds(monkeypatch), _engine_calls(monkeypatch)
+        sched = WindowSchedule(sizes=(5.0,), lines_per_box=16)
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError, match="double range"):
+                compare_estimators(P, [0.0], sched, samples=20)
+            with pytest.raises(DegenerateInputError, match="double range"):
+                torus_mean(P, [0.0], samples=20)
+        assert len(built) == 4 and calls == []
 
 
 # Both routes' numbers for three seeded reports; a change that is meant to
