@@ -9,8 +9,11 @@ ends (Rouche's theorem on the line). Every other phase step is certified
 by the step rule of _step_ok. A window whose real segment certifies holds
 no zero; one whose segment does not is traced along two detours, through
 heights +delta and -delta: the one-sided limits that pass its real zeros
-above and below. A window with an end on a zero is settled again alone at
-slightly shifted centres, where the one-sided limits still hold.
+above and below. A window on a real zero leaves the real segment in the
+round where its step first fails: _doomed proves from a located zero that
+the cuts would fail it, and answers stay those of the cuts. A window with
+an end on a zero is settled again alone at slightly shifted centres,
+where the one-sided limits still hold.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
 commands, run on the same engine: the failing steps of an interval's
@@ -232,6 +235,8 @@ def _scan(U, interval):
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
     a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DegenerateInputError(f"the interval ({a}, {b}) is not finite")
     if not a < b:
         raise ValueError("empty interval")
     if np.abs(U(np.array([a, b]))).min() <= ZERO_THRESHOLD * U.amplitude_scale:
@@ -365,8 +370,14 @@ def _trace(amps, g, t, stop):
     each evaluated on its own row, and tests them as one array. A row
     fails when a step narrower than stop still fails, or when more than
     4 max(64, len(t) - 1) of its steps fail at once: it is then in the
-    rounding noise of a multiple zero, and the cap bounds the queue.
+    rounding noise of a multiple zero, and the cap bounds the queue. On a
+    real grid, a row also fails, and leaves the queue, in any round where
+    _doomed proves from a zero located in its failing step that the cuts
+    would fail it. Its total is then partial, and no caller reads it: the
+    detours replace it, or the row is left undone. Every other row runs
+    the same arithmetic as with no proof.
     """
+    real = not np.iscomplexobj(t)
     e = np.exp(1j * np.multiply.outer(g, t))
     # |exp(i g z)| is largest where Im z is extreme, at a vertex of the grid
     grow = np.abs(e).max(axis=1)
@@ -386,22 +397,70 @@ def _trace(amps, g, t, stop):
             turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
             total += np.bincount(p, turn.sum(axis=1), minlength=len(amps))
             if ok.all() or width < stop:
+                passed[p[~ok.all(axis=1)]] = False
                 break
             i, j = np.nonzero(~ok)
-            if len(i) > cap:
-                crowded = np.bincount(p[i], minlength=len(amps)) > cap
-                passed[crowded] = False
-                i, j = i[~crowded[p[i]]], j[~crowded[p[i]]]
             s = np.broadcast_to(s, v.shape)
-            p, s0, s1 = p[i], s[i, j], s[i, j + 1]
+            p, s0, s1, v0, v1 = p[i], s[i, j], s[i, j + 1], v[i, j], v[i, j + 1]
+            lost = np.bincount(p, minlength=len(amps)) > cap
+            if real:
+                lost |= _doomed(amps, g, p, s0, s1, v0, v1, m1, m2, floor, width, stop)
+            passed[lost] = False
+            keep = ~lost[p]
+            p, s0, s1, v0, v1 = p[keep], s0[keep], s1[keep], v0[keep], v1[keep]
+            if not len(p):
+                break
             s = s0[:, None] + np.multiply.outer(s1 - s0, _CUTS)
             s[:, -1] = s1
             inner = np.exp(1j * np.multiply.outer(s[:, 1:-1], g)) @ amps[p, :, None]
-            v = np.column_stack([v[i, j], inner[..., 0], v[i, j + 1]])
+            v = np.column_stack([v0, inner[..., 0], v1])
             width /= len(_CUTS) - 1
-        passed[p[~ok.all(axis=1)]] = False
         out.append((total, passed))
     return tuple(map(np.concatenate, zip(*out)))
+
+
+def _doomed(amps, g, p, s0, s1, q0, q1, m1, m2, floor, width, stop):
+    """A mask of the rows of amps that _trace's cuts would surely fail.
+    p, s0, s1, q0 and q1 give the rows, ends and end values of a round's
+    failing steps on an increasing real grid, width is the round's widest
+    step, and m1, m2 and floor are per row.
+
+    In the first failing step of each row, the chord root and two Newton
+    steps on q / q' locate a zero z. A row is tried only where z is finite
+    (q' = 0 at a multiple zero makes it not), |Im z| <= 1e-9 and Re z lies
+    in the step. Its chain is the piece holding Re z of every cut the loop
+    would still make, down to the first narrower than stop, cut by the
+    loop's own arithmetic, so its ends are the loop's to the bit. _step_ok
+    tests the chain at half the floor, F/2, which covers the rounding
+    between these end values and the loop's. If every chain step fails,
+    the loop fails each in turn, down to one narrower than stop, and so
+    fails the row. The proof reads only the chain: z merely guides it.
+    """
+    doomed = np.zeros(len(m1), dtype=bool)
+    rows, first = np.unique(p, return_index=True)
+    s0, s1, q0, q1, amps = s0[first], s1[first], q0[first], q1[first], amps[rows]
+    with np.errstate(all="ignore"):
+        z = s0 + (s1 - s0) * (q0 / (q0 - q1))
+        for _ in range(2):
+            terms = amps * np.exp(1j * np.multiply.outer(z, g))
+            z = z - terms.sum(axis=1) / (terms @ (1j * g))
+        found = np.isfinite(z) & (np.abs(z.imag) <= 1e-9) & (s0 <= z.real) & (z.real <= s1)
+        if not found.any():
+            return doomed
+        rows, x, lo, hi, amps = rows[found], z.real[found], s0[found], s1[found], amps[found]
+        chain = []
+        while not chain or width >= stop:
+            width /= len(_CUTS) - 1
+            d = hi - lo
+            k = np.clip(((x - lo) / d * 8).astype(int), 0, 7)
+            lo, hi = lo + d * _CUTS[k], np.where(k == 7, hi, lo + d * _CUTS[k + 1])
+            chain.append((lo, hi))
+    lo, hi = (np.column_stack(e) for e in zip(*chain))
+    q = np.exp(1j * np.multiply.outer(np.hstack([lo, hi]), g)) @ amps[:, :, None]
+    ok = _step_ok(hi - lo, q[:, : len(chain), 0], q[:, len(chain) :, 0],
+                  m1[rows, None], m2[rows, None], floor[rows, None] / 2)
+    doomed[rows[~ok.any(axis=1)]] = True
+    return doomed
 
 
 def unit_increments(
@@ -425,7 +484,8 @@ def unit_increments(
       phase step certified by _step_ok.
     * Real-line pass: a window whose first sampling (16 steps, 17
       points, or more; see _first_steps) passes in every step, after
-      cuts, holds no zero; both branches gain its phase change.
+      cuts, holds no zero; both branches gain its phase change. A window
+      on a real zero leaves it after one round (_doomed).
     * +-delta pass: a window with a step still failing below _AXIS_WIDTH
       has a zero on or next to the axis. Its arg+ (arg-) increment is the
       phase change along one path, the detour from its left end up to
@@ -439,7 +499,8 @@ def unit_increments(
       is settled alone: |q| of about shift^m there magnifies rounding
       that would vary with the batch.
     done[b] is False for an identically-zero row, a row that fails at
-    every delta, and a row with an end on a zero that no shift settles.
+    every delta, and a row with an end on a zero that no shift settles;
+    its plus[b] and minus[b] are nan.
     """
     g = np.array([float(f) for f in freqs])
     plus, minus, done, on_zero = _increments(amps, g, centers, width)
@@ -449,6 +510,7 @@ def unit_increments(
             if ok[0]:
                 plus[b], minus[b], done[b] = p[0], m[0], True
                 break
+    plus[~done] = minus[~done] = math.nan
     return plus, minus, done
 
 

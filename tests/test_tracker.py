@@ -127,6 +127,20 @@ class TestLocateZeros:
         with pytest.raises(DegenerateInputError, match="steps"):
             arg_increment_pair(sin_sum, (0.5, 1e8))
 
+    @pytest.mark.parametrize("interval", [
+        (0.1, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.1, math.nan),
+        (-math.inf, math.inf),
+    ], ids=str)
+    def test_non_finite_interval_is_degenerate(self, sin_sum, interval, monkeypatch):
+        # rejected before U is evaluated anywhere, run with warnings as errors
+        def evaluate(*args):
+            raise AssertionError("U evaluated")
+
+        monkeypatch.setattr(UnivariateExpSum, "__call__", evaluate)
+        for find in (locate_zeros, arg_increment_pair):
+            with pytest.raises(DegenerateInputError, match="not finite"):
+                find(sin_sum, interval)
+
     def test_oracle_equivalence(self, rng=np.random.default_rng(5)):
         # located multiplicity totals match the rectangle count at small height
         for _ in range(20):
@@ -709,15 +723,20 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     # every step the engine accepts, on the real line and on the +-delta
     # detours with their vertical legs, satisfies its inequality with q0,
     # q1, M1 and M2 re-evaluated in interval arithmetic from the row's own
-    # amplitudes
+    # amplitudes. The engine accepts steps in _trace only: the chain steps
+    # that _doomed tests to prove a row fails are never accepted
     U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
-    accepted, step_ok = [], tracker._step_ok
+    accepted, proofs, step_ok = [], [], tracker._step_ok
 
     def spy(h, q0, q1, m1, m2, floor):
         ok = step_ok(h, q0, q1, m1, m2, floor)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name != "_trace":
+            proofs.append(caller.f_code.co_name)
+            return ok
         # _step_ok sees step lengths only; the caller's frame holds the
         # steps' ends on their paths, z = s
-        s = sys._getframe(1).f_locals["s"]
+        s = caller.f_locals["s"]
         *steps, ok_ = np.broadcast_arrays(s[..., :-1], s[..., 1:], floor, ok)
         accepted.append([v[ok_] for v in steps])
         return ok
@@ -726,6 +745,8 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     c = 0.5 * (a + b)
     assert _unit_rows(U, [c])[2][0]
     monkeypatch.undo()
+    # the windows with a real zero try the proof, and only they
+    assert set(proofs) <= {"_doomed"} and bool(proofs) == (interval is not None)
     z0, z1, floor = (np.concatenate(v) for v in zip(*accepted))
     amps, g = [a for a, _ in U.terms], [float(f) for _, f in U.terms]
     heights = set(np.round(np.concatenate([z0.imag, z1.imag]), 12).tolist())
@@ -738,3 +759,122 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     assert vertical.any() == (interval is not None)
     for s0, s1, f in zip(z0.tolist(), z1.tolist(), floor.tolist()):
         assert _iv_step_holds(amps, g, c, complex(s0), complex(s1), f)
+
+
+# heights of the zeros of the rows below: on the axis, within rounding of
+# it, where the real-line pass still certifies the steps past them, around
+# _AXIS_WIDTH and far off it
+HEIGHTS = [0.0] + [sign * h for h in (1e-12, 5e-10, 1e-9, 1e-7, 2e-6, 5e-6, 1e-5, 1e-3)
+                   for sign in (1, -1)]
+
+
+def _zero_rows(form, zeros):
+    """(amps, freqs) with one row per zero z0 in zeros, the sum in z of the
+    given form with a zero of its order at z0: simple, sin(z - z0) (4 +
+    2 cos z), which no term dominates; double, e^{-iz} (e^{iz} - e^{iz0})^2,
+    which is 2 cos z - 2 at z0 = 0; triple, (e^{iz} - e^{iz0})^3."""
+    w = np.exp(1j * np.asarray(zeros))[:, None]
+    if form == "simple":
+        sine = np.hstack([-w / 2j, np.zeros_like(w), 1 / (2j * w)])
+        amps = np.array([np.convolve(row, [1, 4, 1]) for row in sine])
+        return amps, [-2, -1, 0, 1, 2]
+    if form == "double":
+        return np.hstack([w * w, -2 * w, np.ones_like(w)]), [-1, 0, 1]
+    return np.hstack([-(w**3), 3 * w * w, -3 * w, np.ones_like(w)]), [0, 1, 2, 3]
+
+
+def _zero_windows(form, rng):
+    """Unit windows, (amps, freqs, centres), each holding one zero of the
+    form: at every height of HEIGHTS, at a random place, on a point of the
+    first sampling, and at either end of its window."""
+    n0 = tracker._first_steps(float(np.abs(_zero_rows(form, [0.0])[1]).sum()), 1.0)
+    places = [rng.uniform(-0.45, 0.45), 5 / n0 - 0.5, -0.5, 0.5]
+    offsets = np.array([x + 1j * h for x in places for h in HEIGHTS])
+    centers = rng.uniform(-50.0, 50.0, len(offsets))
+    return (*_zero_rows(form, centers + offsets), centers)
+
+
+def _proving_nothing(monkeypatch):
+    monkeypatch.setattr(tracker, "_doomed",
+                        lambda amps, *rest: np.zeros(len(amps), dtype=bool))
+
+
+@pytest.mark.parametrize("form", ["simple", "double", "triple"])
+def test_proof_keeps_every_answer(form, monkeypatch):
+    # a row that _doomed proves failing is one the cuts would fail: the
+    # real-line pass and unit_increments give the same pass flags, totals
+    # of the rows that pass, and (plus, minus, done) with the proof as
+    # without it. Rows whose zeros lie 1e-7 or more off the axis are never
+    # tried: their located zero is off the axis, and the cuts pass it
+    amps, freqs, centers = _zero_windows(form, np.random.default_rng(71))
+    g = np.array(freqs, dtype=float)
+    proven, tried, doomed, step_ok = [], [], tracker._doomed, tracker._step_ok
+
+    def doomed_spy(*args):
+        out = doomed(*args)
+        proven.append(int(out.sum()))
+        return out
+
+    def step_ok_spy(h, *rest):
+        if sys._getframe(1).f_code.co_name == "_doomed":
+            tried.append(len(h))
+        return step_ok(h, *rest)
+
+    monkeypatch.setattr(tracker, "_doomed", doomed_spy)
+    monkeypatch.setattr(tracker, "_step_ok", step_ok_spy)
+    total, passed = _forced_trace(amps, g, centers)
+    got = unit_increments(amps, freqs, centers)
+    far = np.tile(np.abs(HEIGHTS) >= 1e-7, 4)
+    tried.clear()
+    _forced_trace(amps[far], g, centers[far])
+    assert tried == []
+    monkeypatch.undo()
+    _proving_nothing(monkeypatch)
+    want_total, want_passed = _forced_trace(amps, g, centers)
+    want = unit_increments(amps, freqs, centers)
+    # Newton's two steps locate no triple zero to 1e-9: those rows are cut
+    assert (sum(proven) > 0) == (form != "triple") and not want_passed.all()
+    assert (passed == want_passed).all()
+    assert (total[passed] == want_total[passed]).all()
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def _pass_calls(monkeypatch):
+    """Count _step_ok calls by the pass of _trace that makes them: on the
+    real line ("real") or along a +-delta detour ("delta")."""
+    calls, trace, step_ok, now = [], tracker._trace, tracker._step_ok, [None]
+
+    def trace_spy(amps, g, t, stop):
+        now[0] = "delta" if np.iscomplexobj(t) else "real"
+        return trace(amps, g, t, stop)
+
+    def step_ok_spy(*args):
+        calls.append(now[0])
+        return step_ok(*args)
+
+    monkeypatch.setattr(tracker, "_trace", trace_spy)
+    monkeypatch.setattr(tracker, "_step_ok", step_ok_spy)
+    return calls
+
+
+def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
+    # 64 unit windows of sin at y = 0: the windows on a real zero fail the
+    # first round, and the proof fails them there, where the cuts would
+    # take five more rounds, from 1/16 down to 1.9e-6. The detours are
+    # untouched
+    rng = np.random.default_rng(3)
+    rows = sin_poly.line_rows([0.0], rng.uniform(0, 2 * PI, (64, 2)))
+    centers = rng.uniform(-50.0, 50.0, 64)
+    counts = []
+    for prove in (True, False):
+        if not prove:
+            _proving_nothing(monkeypatch)
+        calls = _pass_calls(monkeypatch)
+        plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
+        monkeypatch.undo()
+        assert done.all() and ((minus - plus) / (2 * PI)).round().sum() > 0
+        counts.append((calls.count("real"), calls.count("delta")))
+    (real, delta), (real_before, delta_before) = counts
+    assert (real, real_before) == (2, 6)
+    assert delta == delta_before > 0
