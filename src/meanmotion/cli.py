@@ -181,7 +181,8 @@ def cmd_verify(args) -> int:
             torus_v = report["torus"][conv]["value"]
             tol = max(report["tolerance"][conv], target_tol)
             ok = (
-                report["diff"][conv] <= report["tolerance"][conv]
+                report["box"][conv]["reliable"]
+                and report["diff"][conv] <= report["tolerance"][conv]
                 and abs(box_v - target) <= tol
                 and abs(torus_v - target) <= tol
             )

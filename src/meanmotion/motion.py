@@ -73,7 +73,7 @@ class WindowSchedule:
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("window sizes must be strictly increasing")
         _check_count("lines_per_box", self.lines_per_box, 16)
-        _check_count("seed", self.seed)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def direct_mean_motion(
     if len(box.alpha) != p:
         raise ValueError("box dimension mismatch")
     _check_count("lines", lines, 1)
-    _check_count("seed", seed)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     a1, b1 = box.alpha[0], box.beta[0]
     if p == 1:
@@ -261,6 +261,7 @@ def torus_mean(
 ) -> TorusMean:
     """Average of the unit-window increment of the lifted sum over the torus
     of group_basis(P.exponents)."""
+    _check_count("seed", seed, 0)
     rows, centres = _torus_rows(P, y, samples, seed, method)
     return _torus_average(*unit_increments(*rows, centres))
 
@@ -280,6 +281,7 @@ def compare_estimators(
     points from seed + 1, and one unit_increments call settles the windows
     of both.
     """
+    _check_count("seed", seed, 0)
     if schedule is None:
         schedule = WindowSchedule(seed=seed)
     box, box_centres = _box_rows(P, y, schedule)

@@ -20,9 +20,10 @@ commands, run on the same engine: the failing steps of an interval's
 first sampling mark its zero clusters, and the engine's increments over
 a piece around each cluster give the cluster's multiplicity.
 
-count_zeros_rectangle and winding_number count zeros by the winding of a
-contour under the plain pi/2 step rule of _refine_path. They share no
-code with the engine, so they can serve as its oracles.
+count_zeros_rectangle and winding_number count zeros by _winding: the
+winding of a contour under the plain pi/2 step rule, certified for the
+contour given, or an error. They share no code with the engine, so they
+can serve as its oracles.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-_MULTIPLICITY_CAP = 50
-# A sample whose modulus is at or below ZERO_THRESHOLD times the scale
-# counts as a zero. Read at call time, never bound as a default argument.
+# A sample whose modulus is at or below ZERO_THRESHOLD times the sum of its
+# terms' moduli (U.amplitude_scale on the real line) counts as a zero. Read
+# at call time, never bound as a default argument.
 ZERO_THRESHOLD = 1e-9
 # Certified steps: the step rule's rounding floor over sum |a_k|, the width
 # below which a real-line step that still fails sends its window to the
@@ -60,7 +61,7 @@ _CUTS = np.linspace(0.0, 1.0, 9)
 # The most steps of a first sampling: it allocates rows x steps arrays.
 _MAX_STEPS = 2**16
 _BATCH_POINTS = 2**14  # the most rows x points that one _trace batch samples
-# Phase-step bisection rounds, and radius perturbations in winding_number.
+# The most samplings of a contour in _winding, each bisecting the failing steps.
 _MAX_REFINEMENTS = 24
 _POINTS_PER_TURN = 64  # least samples on a winding circle
 
@@ -88,40 +89,13 @@ def winding_number(
     center: complex,
     radius: float,
 ) -> int:
-    """Winding of U around a circle, certified zero-free; exact integer.
-
-    Perturbs the radius when the circle cannot be certified, up to
-    _MAX_REFINEMENTS attempts.
-    """
-    if U.is_identically_zero:
-        raise DegenerateInputError("identically-zero sum has no winding")
+    """Zeros of U inside the circle of the given centre and radius, with
+    multiplicity, by _winding along it."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    last: Exception | None = None
-    for attempt in range(_MAX_REFINEMENTS):
-        bump = 0.065 * ((attempt + 1) // 2) * (1 if attempt % 2 else -1)
-        r = radius * (1.0 + bump)
-        n0 = max(_POINTS_PER_TURN, int(8 * U.frequency_scale * r) + 16)
-        fn = lambda th: U(center + r * np.exp(1j * th))
-        th = np.linspace(0.0, TWO_PI, n0 + 1)
-        total, ok = _refine_path(fn(th), th, fn)
-        if not ok:
-            last = SingularContourError("circle passes too close to a zero")
-            continue
-        w = total / TWO_PI
-        k = round(w)
-        if abs(w - k) > 0.1:
-            last = TrackingError(f"winding residual {abs(w - k):.3f} turns")
-            continue
-        if abs(k) > _MULTIPLICITY_CAP:
-            raise TrackingError(
-                f"winding {k} exceeds plausible multiplicity; "
-                "input is near-degenerate or tracking is broken"
-            )
-        return int(k)
-    raise SingularContourError(
-        "could not certify a zero-free circle"
-    ) from last
+    n0 = max(_POINTS_PER_TURN, int(8 * U.frequency_scale * radius) + 16)
+    circle = lambda th: center + radius * np.exp(1j * th)
+    return _winding(U, circle, np.linspace(0.0, TWO_PI, n0 + 1))
 
 
 def _rect_path(rect, t):
@@ -139,47 +113,40 @@ def count_zeros_rectangle(
     rect: tuple[float, float, float, float],
 ) -> int:
     """Zeros of the analytic continuation inside the rectangle, with
-    multiplicity, by boundary phase tracking."""
-    if U.is_identically_zero:
-        raise DegenerateInputError("identically-zero sum")
+    multiplicity, by _winding along its boundary."""
     s0, s1, t0, t1 = rect
     if not (s0 < s1 and t0 < t1):
         raise ValueError("rectangle must have positive extent")
-    fn = lambda t: U(_rect_path(rect, t))
     perimeter = 2 * ((s1 - s0) + (t1 - t0))
     n0 = max(128, int(8 * U.frequency_scale * perimeter / TWO_PI) + 16)
-    t = np.linspace(0.0, 4.0, n0 + 1)
-    total, ok = _refine_path(fn(t), t, fn)
-    if not ok:
-        raise SingularContourError("boundary passes too close to a zero")
-    w = total / TWO_PI
-    k = round(w)
-    if abs(w - k) > 0.1:
-        raise TrackingError(f"boundary winding residual {abs(w - k):.3f}")
-    if k < 0:  # the argument principle counts zeros, never fewer than none
-        raise TrackingError(f"boundary winding {k} is negative")
-    return int(k)
+    return _winding(U, lambda t: _rect_path(rect, t), np.linspace(0.0, 4.0, n0 + 1))
 
 
-def _refine_path(v, t, resample):
-    """Phase change of a path from its samples v at parameters t, by the
-    plain rules of phase tracking: every modulus above ZERO_THRESHOLD
-    times the largest, every step's phase change below pi/2. Each step
-    that breaks the second rule is bisected, resample(t) giving the
-    samples at t, for at most _MAX_REFINEMENTS samplings in all. Returns
-    the total phase change and whether the path passed.
+def _winding(U, path, t):
+    """Zeros of U inside the closed path, with multiplicity: the phase
+    change of U along path(t) over 2pi, when every sample's modulus is above
+    ZERO_THRESHOLD times the sum of its terms' moduli and every step turns
+    by less than pi/2, failing steps bisected for at most _MAX_REFINEMENTS
+    samplings. SingularContourError when a sample, or a step after the last
+    sampling, breaks its rule; TrackingError unless the winding is within
+    0.1 turns of a whole number that is not negative.
     """
+    if U.is_identically_zero:
+        raise DegenerateInputError("identically-zero sum has no winding")
     for _ in range(_MAX_REFINEMENTS):
-        mods = np.abs(v)
-        if not mods.min() > ZERO_THRESHOLD * mods.max():
-            break
+        terms = np.exp(1j * np.multiply.outer(path(t), U._freqs)) * U._amps
+        v = terms.sum(axis=1)
+        if (np.abs(v) <= ZERO_THRESHOLD * np.abs(terms).sum(axis=1)).any():
+            raise SingularContourError("the contour passes too close to a zero")
         steps = np.angle(v[1:] / v[:-1])
         bad = np.flatnonzero(~(np.abs(steps) < HALF_PI))
         if not len(bad):
-            return float(steps.sum()), True
+            w = steps.sum() / TWO_PI
+            if not (abs(w - round(w)) <= 0.1 and round(w) >= 0):
+                raise TrackingError(f"the contour winds {w:.3f} times")
+            return round(w)
         t = np.insert(t, bad + 1, 0.5 * (t[bad] + t[bad + 1]))
-        v = resample(t)
-    return math.nan, False
+    raise SingularContourError(f"steps still fail after {_MAX_REFINEMENTS} samplings")
 
 
 def _newton(U, lo, hi, m):

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from meanmotion import cli
 from meanmotion.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     build_parser,
     main,
 )
@@ -18,6 +22,7 @@ from meanmotion.io import (
     polynomial_to_dict,
     write_polynomial_file,
 )
+from meanmotion.motion import compare_estimators
 
 
 @pytest.fixture
@@ -145,8 +150,10 @@ class TestEval:
         '{"dimension": 1, "terms": null}',
         '{"dimension": 1, "terms": [{"re": 1, "im": 0, "exponent": "1"}]}',
         '{"dimension": 1, "terms": [{"re": true, "im": "2", "exponent": ["1"]}]}',
+        '[]',
+        '{"dimension": 1,',
     ], ids=["float-dimension", "bool-dimension", "int-terms", "null-terms",
-            "string-exponent", "bool-and-string-coefficient"])
+            "string-exponent", "bool-and-string-coefficient", "list", "not-json"])
     def test_malformed_file_is_input_error(self, tmp_path, capsys, body):
         path = tmp_path / "bad.json"
         path.write_text(body)
@@ -275,6 +282,20 @@ class TestZerosAndTrack:
         assert rows[0] == ["s", "phase_radians"]
         assert len(rows) > 10
 
+    @pytest.mark.parametrize("command", [
+        ["zeros", "--interval=-1,1"],
+        ["track", "--interval=-0.5,0.5"],
+    ], ids=["zeros", "track"])
+    def test_out_file(self, sin_file, capsys, tmp_path, command):
+        # --out holds what stdout would, and stdout stays empty
+        argv = [command[0], "--poly", sin_file, command[1]]
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
     def test_endpoint_zero_is_input_error(self, sin_file, capsys):
         code = main(["zeros", "--poly", sin_file, "--interval", "0,1"])
         assert code == EXIT_INPUT_ERROR
@@ -391,6 +412,13 @@ class TestMm:
         assert code == EXIT_INPUT_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("command", ["mm", "verify"])
+    def test_negative_seed_is_input_error(self, sin_file, capsys, command):
+        argv = [command, "--seed", "-1"] + (["--poly", sin_file] if command == "mm" else [])
+        assert main(argv) == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": "ValueError", "message": "seed must be >= 0"}
+
     def test_no_torus_samples(self, sin_file, capsys):
         code = main(["mm", "--poly", sin_file, "--windows", "25", "--lines", "16",
                      "--torus-samples", "0"])
@@ -436,3 +464,23 @@ class TestVerify:
         ]
         assert len(rows) == 17  # 8 cases, both conventions, and the header
         assert all(row[-1] == "pass" for row in rows[1:])
+
+    def test_unreliable_box_route_fails(self, capsys, monkeypatch):
+        # a case whose box route is unreliable fails, as its report's pass
+        # flag does, even when its values meet the targets
+        cases = cli._verify_cases
+        monkeypatch.setattr(cli, "_verify_cases", lambda: islice(cases(), 2))
+
+        def report(P, *args, **kwargs):
+            got = compare_estimators(P, *args, **kwargs)
+            if P.exponents == ((Fraction(5, 2),),):
+                got["box"]["minus"]["reliable"] = False
+            return got
+
+        monkeypatch.setattr(cli, "compare_estimators", report)
+        assert main(["verify"]) == EXIT_VERIFY_FAILED
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [(row[0], row[1], row[-1]) for row in rows[1:]] == [
+            ("pure-exp-1", "plus", "pass"), ("pure-exp-1", "minus", "pass"),
+            ("pure-exp-5/2", "plus", "pass"), ("pure-exp-5/2", "minus", "FAIL"),
+        ]

@@ -46,6 +46,23 @@ class TestEvaluate:
         with pytest.raises(DegenerateInputError):
             ExpPolynomial.from_pairs(1, [(1.0, ["1"]), (-1.0, ["1"])])
 
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: ExpPolynomial.from_pairs(1, [(1.0, [0.5])]), TypeError, "exact rational"),
+        (lambda: ExpPolynomial(0, ()), DimensionError, "dimension must be positive"),
+        (lambda: ExpPolynomial(1, ()), DegenerateInputError, "at least one term"),
+    ], ids=["float-exponent", "dimension-0", "no-terms"])
+    def test_malformed_polynomial_rejected(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+    @pytest.mark.parametrize("call", [
+        lambda P: P.restrict_line([0j, 0j]),
+        lambda P: lift(P, group_basis(P.exponents)).evaluate([0j], [0j, 0j]),
+    ], ids=["restrict-line-base", "lifted-w"])
+    def test_wrong_length_point_rejected(self, sin_poly, call):
+        with pytest.raises(DimensionError, match="length mismatch"):
+            call(sin_poly)
+
     def test_non_finite_coefficient_rejected(self):
         for c in (complex("nan"), complex("inf"), complex(0, float("-inf"))):
             with pytest.raises(DegenerateInputError):

@@ -1,7 +1,8 @@
 """Every name a module of the package or a test file imports is used in it,
 and every private name the package defines is used in the package. Modules
 of the package import at module level only, and lattice.py imports nothing
-of the package but its errors.
+of the package but its errors. The contour oracles of tracker.py read
+none of the window engine's names.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -117,3 +118,41 @@ def test_lattice_imports_only_errors():
     tree = ast.parse((PACKAGE / "lattice.py").read_text())
     assert {n.module for n in ast.walk(tree)
             if isinstance(n, ast.ImportFrom) and n.level} == {"errors"}
+
+
+# the window engine's functions and constants, which the oracles must not read
+ENGINE = {"_trace", "_step_ok", "_doomed", "_increments", "unit_increments", "_scan",
+          "_first_steps", "_STEP_FLOOR", "_AXIS_WIDTH", "_DELTAS", "_SHIFTS", "_CUTS"}
+
+
+def oracle_reads(source: str) -> dict[str, set[str]]:
+    """{function: engine names it reads} for the contour oracles
+    winding_number and count_zeros_rectangle of a tracker source, and for
+    every function of the module outside the engine that they read, in turn."""
+    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    found, todo = {}, ["winding_number", "count_zeros_rectangle"]
+    while todo:
+        name = todo.pop()
+        if name in found:
+            continue
+        nodes = list(ast.walk(defs[name]))
+        read = {n.id for n in nodes if isinstance(n, ast.Name)}
+        read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        found[name] = read & ENGINE
+        todo += sorted((read & defs.keys()) - ENGINE)
+    return found
+
+
+def test_detects_an_oracle_reading_the_engine():
+    source = (PACKAGE / "tracker.py").read_text()
+    head = "def _winding(U, path, t):\n"
+    assert source.count(head) == 1
+    mutant = source.replace(head, head + "    _step_ok\n")
+    assert oracle_reads(mutant)["_winding"] == {"_step_ok"}
+
+
+def test_oracles_share_no_code_with_the_engine():
+    found = oracle_reads((PACKAGE / "tracker.py").read_text())
+    assert found.keys() == {"winding_number", "count_zeros_rectangle", "_winding",
+                            "_rect_path"}
+    assert {name: read for name, read in found.items() if read} == {}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from meanmotion import lattice
 from meanmotion.core import ExpPolynomial
-from meanmotion.errors import DegenerateInputError, MembershipError
+from meanmotion.errors import DegenerateInputError, DimensionError, MembershipError
 from meanmotion.io import parse_polynomial
 from meanmotion.lattice import coordinates, group_basis, hnf
 
@@ -187,3 +187,19 @@ class TestCoordinates:
         b = group_basis([fv("1/2", 0), fv(0, 1)])
         with pytest.raises(MembershipError):
             coordinates(fv("1/3", 0), b)
+
+    def test_remainder_outside_the_span(self):
+        # (0, 1) has coordinate 0 on the basis (1, 0) and a nonzero remainder
+        with pytest.raises(MembershipError, match="is not in the lattice$"):
+            coordinates(fv(0, 1), group_basis([fv(1, 0)]))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: hnf([]), DegenerateInputError, "empty matrix"),
+    (lambda: group_basis([]), DegenerateInputError, "empty exponent list"),
+    (lambda: group_basis([fv(1), fv(1, 2)]), DimensionError, "mixed dimensions"),
+    (lambda: coordinates(fv(1, 2), group_basis([fv(1)])), DimensionError, "length mismatch"),
+], ids=["hnf-empty", "basis-empty", "basis-mixed", "coordinates-length"])
+def test_malformed_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

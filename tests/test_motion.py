@@ -169,6 +169,24 @@ class TestDirectMeanMotion:
             direct_mean_motion(sin_poly, [0.0], box, "plus", 16)
         with pytest.raises(TypeError):
             direct_mean_motion(sin_poly, [0.0], box, 16, 0.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            direct_mean_motion(sin_poly, [0.0], box, 16, -1)
+
+    def test_every_line_skipped(self):
+        # e^{iz_1} - e^{i(z_1 + z_2)} cancels identically on every line
+        # with x_2 in (-1e-300, 1e-300)
+        P = ExpPolynomial.from_pairs(2, [(1, ["1", "0"]), (-1, ["1", "1"])])
+        with pytest.raises(DegenerateInputError, match="every sampled line"):
+            direct_mean_motion(P, [0.0, 0.0], BoxSpec((0.0, -1e-300), (1.0, 1e-300)))
+
+    @pytest.mark.parametrize("alpha, beta, match", [
+        ((0.0,), (1.0, 1.0), "length mismatch"),
+        ((0.0, 1.0), (1.0, 1.0), "alpha_j < beta_j"),
+        ((2.0,), (1.0,), "alpha_j < beta_j"),
+    ], ids=["lengths", "flat", "reversed"])
+    def test_malformed_box_rejected(self, alpha, beta, match):
+        with pytest.raises(ValueError, match=match):
+            BoxSpec(alpha, beta)
 
     def test_lines_must_be_positive(self, sin_poly):
         with pytest.raises(ValueError):
@@ -344,6 +362,8 @@ class TestBoxMeanMotion:
                            ("seed", 0.5), ("seed", False)):
             with pytest.raises(TypeError, match=field):
                 WindowSchedule(**{field: bad})
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            WindowSchedule(seed=-1)
 
 
 class TestTorusMean:
@@ -402,6 +422,22 @@ class TestTorusMean:
     def test_samples_validated(self, sin_poly, method, samples, error):
         with pytest.raises(error, match="samples"):
             torus_mean(sin_poly, [0.0], samples=samples, method=method)
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"method": "sobol"}, ValueError, "method must be"),
+        ({"seed": -1}, ValueError, "seed must be >= 0"),
+        ({"seed": 0.5}, TypeError, "seed"),
+    ], ids=["unknown-method", "negative-seed", "float-seed"])
+    def test_options_validated(self, sin_poly, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            torus_mean(sin_poly, [0.0], samples=16, **kwargs)
+
+    def test_every_sample_skipped(self):
+        # the one point of a 1-point grid is u = (pi, pi), where
+        # e^{iz_1} (1 + e^{iz_2}) cancels identically
+        P = ExpPolynomial.from_pairs(2, [(1, ["1", "0"]), (1, ["1", "1"])])
+        with pytest.raises(DegenerateInputError, match="every torus sample"):
+            torus_mean(P, [0.0, 0.0], samples=1, method="grid")
 
 
 @pytest.mark.parametrize("y, want, freq", [
@@ -676,6 +712,16 @@ class TestCompareEstimators:
         with pytest.raises(error) as report:
             compare_estimators(sin_poly, [0.0], samples=samples)
         assert str(report.value) == str(alone.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("schedule", [None, WindowSchedule()], ids=["default", "given"])
+    def test_negative_seed_rejected_before_engine_work(self, sin_poly, schedule,
+                                                       monkeypatch):
+        # with a schedule given, the report's seed is checked too, although
+        # its torus points would be drawn from seed + 1 = 0
+        calls = _engine_calls(monkeypatch)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            compare_estimators(sin_poly, [0.0], schedule, samples=16, seed=-1)
         assert calls == []
 
     def test_basis_built_once_per_polynomial(self, monkeypatch):

@@ -9,7 +9,12 @@ from scipy.integrate import quad
 
 from meanmotion import tracker
 from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
-from meanmotion.errors import DegenerateInputError, EndpointZeroError, TrackingError
+from meanmotion.errors import (
+    DegenerateInputError,
+    EndpointZeroError,
+    SingularContourError,
+    TrackingError,
+)
 from meanmotion.tracker import (
     arg_increment_pair,
     count_zeros_rectangle,
@@ -70,6 +75,83 @@ class TestCountZerosRectangle:
 
     def test_double_zero_counted_twice(self, cos_minus_one):
         assert count_zeros_rectangle(cos_minus_one, (-1, 1, -1, 1)) == 2
+
+
+def power_sum(m):
+    """(e^{is} - 1)^m: an m-fold zero at s = 0 and every multiple of 2 pi."""
+    return UnivariateExpSum.from_terms(
+        [(math.comb(m, k) * (-1) ** (m - k), Fraction(k)) for k in range(m + 1)]
+    )
+
+
+# circles of radius h about 0, and squares of half-width h about 0
+CONTOURS = {f"{kind}-{h}": (kind, h) for kind in ("circle", "square") for h in (0.05, 0.3, 1.0)}
+
+
+def contour_count(U, contour):
+    kind, h = CONTOURS[contour]
+    if kind == "circle":
+        return winding_number(U, 0, h)
+    return count_zeros_rectangle(U, (-h, h, -h, h))
+
+
+class TestContourContract:
+    """Both oracles give a certified count for the contour given, or raise."""
+
+    def test_contour_through_a_zero_is_refused(self, sin_sum):
+        # the circle of radius pi passes the zeros +-pi; the count of a
+        # nearby circle is not an answer for it
+        with pytest.raises(SingularContourError):
+            winding_number(sin_sum, 0, PI)
+        with pytest.raises(SingularContourError):
+            count_zeros_rectangle(sin_sum, (-PI, 1, -1, 1))
+
+    @pytest.mark.parametrize("contour", CONTOURS)
+    def test_rounding_noise_never_winds(self, contour):
+        # the 52 terms of (e^{is} - 1)^51 have moduli summing to 2^51 on the
+        # axis, and |q| falls below 1e-9 of that on every contour: the
+        # samples there are rounding noise, which can wind any number of times
+        with pytest.raises(SingularContourError):
+            contour_count(power_sum(51), contour)
+
+    @pytest.mark.parametrize("contour", CONTOURS)
+    def test_triple_zero_counted_on_every_contour(self, contour):
+        assert contour_count(power_sum(3), contour) == 3
+
+    @pytest.mark.parametrize("contour", ["circle-1.0", "square-1.0"])
+    def test_twenty_fold_zero_counted_on_wide_contours(self, contour):
+        assert contour_count(power_sum(20), contour) == 20
+
+    def test_winding_refusals(self, sin_sum):
+        with pytest.raises(TrackingError, match="winds -1.000"):  # clockwise
+            tracker._winding(sin_sum, lambda t: np.exp(-1j * t), np.linspace(0, 2 * PI, 65))
+        with pytest.raises(TrackingError, match="winds 0.500"):  # not closed
+            tracker._winding(sin_sum, lambda t: np.exp(1j * t), np.linspace(0, PI, 65))
+        # a jump in the path turns its step by 2 radians however it is bisected
+        jump = lambda t: np.where(t < 0.5, 1.0, -1.0) + 0j
+        with pytest.raises(SingularContourError, match="still fail after 24"):
+            tracker._winding(sin_sum, jump, np.linspace(0, 1, 3))
+
+    @pytest.mark.parametrize("count, error, match", [
+        (lambda U: winding_number(U, 0, 0.0), ValueError, "radius"),
+        (lambda U: winding_number(U, 0, -1.0), ValueError, "radius"),
+        (lambda U: count_zeros_rectangle(U, (1, 1, -1, 1)), ValueError, "extent"),
+        (lambda U: count_zeros_rectangle(U, (-1, 1, 1, 1)), ValueError, "extent"),
+        (lambda U: locate_zeros(U, (1.0, 1.0)), ValueError, "empty"),
+        (lambda U: arg_increment_pair(U, (1.0, 0.5)), ValueError, "empty"),
+    ], ids=["radius-0", "radius-negative", "rect-flat-s", "rect-flat-t",
+            "scan-empty", "track-reversed"])
+    def test_degenerate_contour_rejected(self, sin_sum, count, error, match):
+        with pytest.raises(error, match=match):
+            count(sin_sum)
+
+    @pytest.mark.parametrize("count", [
+        lambda U: count_zeros_rectangle(U, (-1, 1, -1, 1)),
+        lambda U: locate_zeros(U, (-1.0, 1.0)),
+    ], ids=["rect", "scan"])
+    def test_identically_zero_sum_rejected(self, count):
+        with pytest.raises(DegenerateInputError, match="identically-zero"):
+            count(UnivariateExpSum.from_terms([]))
 
 
 class TestLocateZeros:
