@@ -9,10 +9,11 @@ Two routes to c+(y), c-(y) that sample separately:
   N is the rank of lattice.group_basis(P.exponents) and the basis's exact
   integer coordinates of each exponent give the line's phases.
 
-Both build their line restrictions with ExpPolynomial.line_rows and leave
-them to one window engine: one tracker.unit_increments call per report
-settles every window it can, of one route or, in compare_estimators, of
-both routes stacked, and this module only samples the lines and averages.
+Each report builds its line restrictions in one ExpPolynomial.line_rows
+call and leaves them to one window engine: one tracker.unit_increments
+call per report settles every window it can, of one route or, in
+compare_estimators, of both routes stacked, and this module only samples
+the lines and averages, each route's two conventions at once.
 The torus basis is built once per polynomial and cached on it
 (ExpPolynomial._basis). A window the engine leaves undone, such as one on
 a line where P cancels identically, has no increment: it is skipped and
@@ -170,23 +171,33 @@ def direct_mean_motion(
     return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(perps))
 
 
-def _box_rows(P, y, schedule):
-    """The box route's rows and window centres: lines_per_box uniform points
-    of each box, drawn from the schedule's own generator."""
+def _box_rows(P, schedule):
+    """The box route's line phases and window centres: lines_per_box uniform
+    points of each box, drawn from the schedule's own generator."""
     rng = np.random.default_rng(schedule.seed)
     sizes, n = schedule.sizes, schedule.lines_per_box
     xs = np.concatenate([rng.uniform(-L / 2, L / 2, (n, P.dimension)) for L in sizes])
-    return P.line_rows(y, _perp_phases(P, xs[:, 1:])), xs[:, 0]
+    return _perp_phases(P, xs[:, 1:]), xs[:, 0]
+
+
+def _kept(vp, vm, done):
+    """The increments of the done windows, plus over minus, in C order: the
+    rows of a[:, done] would lie in Fortran order, and a reduction along them
+    would not sum pairwise as np.mean of each does."""
+    return np.array([vp[done], vm[done]])
 
 
 def _box_average(y, schedule, vp, vm, done):
-    """(plus, minus) estimates from the box route's increments, box by box."""
-    sizes, n = schedule.sizes, schedule.lines_per_box
-    per_p, per_m = (
-        [(float(L), float(np.mean(r[d])) if d.any() else math.nan)
-         for L, r, d in zip(sizes, v.reshape(-1, n), done.reshape(-1, n))]
-        for v in (vp, vm)
-    )
+    """(plus, minus) estimates from the box route's increments, box by box:
+    np.mean's arithmetic, each box's sum one reduction over both
+    conventions; nan for a box with every line skipped."""
+    kept = done.reshape(-1, schedule.lines_per_box).sum(axis=1)
+    v = _kept(vp, vm, done)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where a box keeps no line
+        means = np.array([v[:, i - k : i].sum(axis=1)
+                          for i, k in zip(np.cumsum(kept), kept)]) / kept[:, None]
+    per_p, per_m = ([(float(L), float(m)) for L, m in zip(schedule.sizes, col)]
+                    for col in means.T)
     return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(done))
 
 
@@ -196,8 +207,8 @@ def box_mean_motion(
     schedule: WindowSchedule,
 ) -> tuple[MeanMotionEstimate, MeanMotionEstimate]:
     """(plus, minus) averages of unit-window increments over growing boxes."""
-    rows, centres = _box_rows(P, y, schedule)
-    return _box_average(y, schedule, *unit_increments(*rows, centres))
+    phases, centres = _box_rows(P, schedule)
+    return _box_average(y, schedule, *unit_increments(*P.line_rows(y, phases), centres))
 
 
 def _torus_points(rank, samples, seed, method):
@@ -227,29 +238,28 @@ class TorusMean(NamedTuple):
     skipped: int
 
 
-def _torus_rows(P, y, samples, seed, method):
-    """The torus route's rows and window centres: the line at u has phases
-    K u, where row j of K holds the exact integer coordinates of exponent j
-    in P's cached group basis."""
+def _torus_rows(P, samples, seed, method):
+    """The torus route's line phases and window centres: the line at u has
+    phases K u, where row j of K holds the exact integer coordinates of
+    exponent j in P's cached group basis."""
     _check_count("samples", samples, 1)
     basis = P._basis
     us = _torus_points(basis.rank, samples, seed, method)
     K = np.array(basis.coords, dtype=float)
-    return P.line_rows(y, us @ K.T), np.zeros(len(us))
+    return us @ K.T, np.zeros(len(us))
 
 
 def _torus_average(vp, vm, done) -> TorusMean:
-    """TorusMean of the torus route's increments."""
-    vp, vm, n = vp[done], vm[done], int(done.sum())
+    """TorusMean of the torus route's increments, both conventions reduced
+    at once: np.mean's and np.std(ddof=1)'s arithmetic, on one mean."""
+    v, n = _kept(vp, vm, done), int(done.sum())
     if n == 0:
         raise DegenerateInputError("every torus sample was skipped")
-
-    def stderr(a):
-        return float(a.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-
-    return TorusMean(
-        float(vp.mean()), stderr(vp), float(vm.mean()), stderr(vm), n, len(done) - n
-    )
+    mean = v.sum(axis=1, keepdims=True) / n
+    dev = v - mean
+    err = np.sqrt((dev * dev).sum(axis=1) / (n - 1)) / math.sqrt(n) if n > 1 else (0.0, 0.0)
+    return TorusMean(float(mean[0, 0]), float(err[0]), float(mean[1, 0]), float(err[1]),
+                     n, len(done) - n)
 
 
 def torus_mean(
@@ -262,8 +272,8 @@ def torus_mean(
     """Average of the unit-window increment of the lifted sum over the torus
     of group_basis(P.exponents)."""
     _check_count("seed", seed, 0)
-    rows, centres = _torus_rows(P, y, samples, seed, method)
-    return _torus_average(*unit_increments(*rows, centres))
+    phases, centres = _torus_rows(P, samples, seed, method)
+    return _torus_average(*unit_increments(*P.line_rows(y, phases), centres))
 
 
 def compare_estimators(
@@ -284,11 +294,10 @@ def compare_estimators(
     _check_count("seed", seed, 0)
     if schedule is None:
         schedule = WindowSchedule(seed=seed)
-    box, box_centres = _box_rows(P, y, schedule)
-    torus, torus_centres = _torus_rows(P, y, samples, seed + 1, "random")
-    # both routes' rows come from P.line_rows, so they share box.freqs
+    box_phases, box_centres = _box_rows(P, schedule)
+    torus_phases, torus_centres = _torus_rows(P, samples, seed + 1, "random")
     vp, vm, done = unit_increments(
-        np.vstack([box.amps, torus.amps]), box.freqs,
+        *P.line_rows(y, np.vstack([box_phases, torus_phases])),
         np.concatenate([box_centres, torus_centres]),
     )
     n = len(box_centres)

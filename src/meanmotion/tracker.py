@@ -10,10 +10,10 @@ by the step rule of _step_ok. A window whose real segment certifies holds
 no zero; one whose segment does not is traced along two detours, through
 heights +delta and -delta: the one-sided limits that pass its real zeros
 above and below. A window on a real zero leaves the real segment in the
-round where its step first fails: _doomed proves from a located zero that
-the cuts would fail it, and answers stay those of the cuts. A window with
-an end on a zero is settled again alone at slightly shifted centres,
-where the one-sided limits still hold.
+round where its step first fails: _doomed proves by a bound on |q| at a
+located zero that the cuts would fail it, and answers stay those of the
+cuts. A window with an end on a zero is settled again alone at slightly
+shifted centres, where the one-sided limits still hold.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
 commands, run on the same engine: the failing steps of an interval's
@@ -339,10 +339,10 @@ def _trace(amps, g, t, stop):
     4 max(64, len(t) - 1) of its steps fail at once: it is then in the
     rounding noise of a multiple zero, and the cap bounds the queue. On a
     real grid, a row also fails, and leaves the queue, in any round where
-    _doomed proves from a zero located in its failing step that the cuts
-    would fail it. Its total is then partial, and no caller reads it: the
-    detours replace it, or the row is left undone. Every other row runs
-    the same arithmetic as with no proof.
+    _doomed proves, by a bound on |q| at a zero located in its first
+    failing step, that the cuts would fail it. Its total is then partial,
+    and no caller reads it: the detours replace it, or the row is left
+    undone. Every other row runs the same arithmetic as with no proof.
     """
     real = not np.iscomplexobj(t)
     e = np.exp(1j * np.multiply.outer(g, t))
@@ -371,7 +371,7 @@ def _trace(amps, g, t, stop):
             p, s0, s1, v0, v1 = p[i], s[i, j], s[i, j + 1], v[i, j], v[i, j + 1]
             lost = np.bincount(p, minlength=len(amps)) > cap
             if real:
-                lost |= _doomed(amps, g, p, s0, s1, v0, v1, m1, m2, floor, width, stop)
+                lost |= _doomed(amps, g, p, s0, s1, v0, v1, floor)
             passed[lost] = False
             keep = ~lost[p]
             p, s0, s1, v0, v1 = p[keep], s0[keep], s1[keep], v0[keep], v1[keep]
@@ -386,47 +386,29 @@ def _trace(amps, g, t, stop):
     return tuple(map(np.concatenate, zip(*out)))
 
 
-def _doomed(amps, g, p, s0, s1, q0, q1, m1, m2, floor, width, stop):
+def _doomed(amps, g, p, s0, s1, q0, q1, floor):
     """A mask of the rows of amps that _trace's cuts would surely fail.
     p, s0, s1, q0 and q1 give the rows, ends and end values of a round's
-    failing steps on an increasing real grid, width is the round's widest
-    step, and m1, m2 and floor are per row.
+    failing steps on an increasing real grid, and floor is per row.
 
-    In the first failing step of each row, the chord root and two Newton
-    steps on q / q' locate a zero z. A row is tried only where z is finite
-    (q' = 0 at a multiple zero makes it not), |Im z| <= 1e-9 and Re z lies
-    in the step. Its chain is the piece holding Re z of every cut the loop
-    would still make, down to the first narrower than stop, cut by the
-    loop's own arithmetic, so its ends are the loop's to the bit. _step_ok
-    tests the chain at half the floor, F/2, which covers the rounding
-    between these end values and the loop's. If every chain step fails,
-    the loop fails each in turn, down to one narrower than stop, and so
-    fails the row. The proof reads only the chain: z merely guides it.
+    In the first failing step of each row, the chord root and one Newton
+    step on q / q' give z. A row is doomed when x = Re z lies in the step
+    and |q(x)| <= F/4, F its floor. Every step [lo, hi] of width h that
+    the cuts would test around x then fails: |q(lo)| + |q(hi)| <= 2 |q(x)|
+    + m1 h < m1 h + F, and the chord passes within |q(x)| + m2 h^2 / 8 <
+    m2 h^2 / 8 + F of 0, the margin covering the rounding of q(x). So the
+    cuts fail the row down to a step narrower than stop.
     """
-    doomed = np.zeros(len(m1), dtype=bool)
+    doomed = np.zeros(len(floor), dtype=bool)
     rows, first = np.unique(p, return_index=True)
     s0, s1, q0, q1, amps = s0[first], s1[first], q0[first], q1[first], amps[rows]
+    # a nan or infinite x, as where q' = 0, fails the comparisons
     with np.errstate(all="ignore"):
         z = s0 + (s1 - s0) * (q0 / (q0 - q1))
-        for _ in range(2):
-            terms = amps * np.exp(1j * np.multiply.outer(z, g))
-            z = z - terms.sum(axis=1) / (terms @ (1j * g))
-        found = np.isfinite(z) & (np.abs(z.imag) <= 1e-9) & (s0 <= z.real) & (z.real <= s1)
-        if not found.any():
-            return doomed
-        rows, x, lo, hi, amps = rows[found], z.real[found], s0[found], s1[found], amps[found]
-        chain = []
-        while not chain or width >= stop:
-            width /= len(_CUTS) - 1
-            d = hi - lo
-            k = np.clip(((x - lo) / d * 8).astype(int), 0, 7)
-            lo, hi = lo + d * _CUTS[k], np.where(k == 7, hi, lo + d * _CUTS[k + 1])
-            chain.append((lo, hi))
-    lo, hi = (np.column_stack(e) for e in zip(*chain))
-    q = np.exp(1j * np.multiply.outer(np.hstack([lo, hi]), g)) @ amps[:, :, None]
-    ok = _step_ok(hi - lo, q[:, : len(chain), 0], q[:, len(chain) :, 0],
-                  m1[rows, None], m2[rows, None], floor[rows, None] / 2)
-    doomed[rows[~ok.any(axis=1)]] = True
+        terms = amps * np.exp(1j * np.multiply.outer(z, g))
+        x = (z - terms.sum(axis=1) / (terms @ (1j * g))).real
+        q = (amps * np.exp(1j * np.multiply.outer(x, g))).sum(axis=1)
+        doomed[rows] = (s0 <= x) & (x <= s1) & (np.abs(q) <= floor[rows] / 4)
     return doomed
 
 
@@ -452,7 +434,8 @@ def unit_increments(
     * Real-line pass: a window whose first sampling (16 steps, 17
       points, or more; see _first_steps) passes in every step, after
       cuts, holds no zero; both branches gain its phase change. A window
-      on a real zero leaves it after one round (_doomed).
+      on a real zero leaves it in the round where a step first fails
+      (_doomed).
     * +-delta pass: a window with a step still failing below _AXIS_WIDTH
       has a zero on or next to the axis. Its arg+ (arg-) increment is the
       phase change along one path, the detour from its left end up to
@@ -488,15 +471,17 @@ def _increments(amps, g, centers, width):
     n0 = _first_steps(float(np.abs(g).sum()), width)
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     half = 0.5 * width
-    ends = shifted @ np.exp(1j * np.multiply.outer(g, [-half, half]))
+    at_ends = np.exp(1j * np.multiply.outer(g, [-half, half]))  # e^{i g_k (-+w/2)}
+    ends = shifted @ at_ends
     mods = np.abs(amps)
-    floor = _STEP_FLOOR * mods.sum(axis=1)
+    scale = mods.sum(axis=1)
+    floor = _STEP_FLOOR * scale
     usable = np.abs(ends).min(axis=1) > floor
     t = (np.arange(n0 + 1) / n0 - 0.5) * width
     plus, minus, done = np.zeros(len(amps)), np.zeros(len(amps)), usable.copy()
-    dominated = usable & (2 * mods.max(axis=1) - mods.sum(axis=1) > floor)
+    dominated = usable & (2 * mods.max(axis=1) - scale > floor)
     b, j = np.flatnonzero(dominated), mods[dominated].argmax(axis=1)
-    r = ends[b] / (shifted[b, j, None] * np.exp(1j * np.multiply.outer(g[j], [-half, half])))
+    r = ends[b] / (shifted[b, j, None] * at_ends[j])
     plus[b] = minus[b] = g[j] * width + np.angle(r[:, 1]) - np.angle(r[:, 0])
     todo = np.flatnonzero(usable & ~dominated)
     if len(todo):

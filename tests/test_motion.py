@@ -463,6 +463,33 @@ def test_large_height_does_not_overflow(y, want, freq):
     assert got.skipped == 0
 
 
+@pytest.mark.parametrize("skip", ["none", "in-one-box", "whole-box"])
+def test_averages_are_np_means_to_the_bit(skip):
+    # _box_average and _torus_average reduce both conventions at once and
+    # give each box's np.mean(r[d]), nan for a box with no line kept, and
+    # the torus's mean and a.std(ddof=1) / sqrt(n), to the bit. Reduced over
+    # a[:, done], whose rows lie in Fortran order, the sums are not pairwise
+    # as np.mean's, and the last bits move
+    rng = np.random.default_rng(29)
+    n, sizes = 64, (25.0, 50.0, 100.0)
+    vp, vm = rng.normal(size=(2, n * len(sizes))) * 10.0 ** rng.uniform(-3, 3, n * len(sizes))
+    done = np.ones(n * len(sizes), dtype=bool)
+    if skip == "in-one-box":
+        done[rng.choice(np.arange(n, 2 * n), 9, replace=False)] = False
+    elif skip == "whole-box":
+        done[n : 2 * n] = False
+    box = motion._box_average([0.0], WindowSchedule(sizes, n), vp, vm, done)
+    tor = motion._torus_average(vp, vm, done)
+    for est, (value, stderr), v in zip(box, (tor[0:2], tor[2:4]), (vp, vm)):
+        want = [np.mean(r[d]) if d.any() else math.nan
+                for r, d in zip(v.reshape(-1, n), done.reshape(-1, n))]
+        assert np.array_equal([m for _, m in est.per_window], want, equal_nan=True)
+        assert np.isnan(want[1]) == (skip == "whole-box")
+        a = v[done]
+        assert (value, stderr) == (a.mean(), a.std(ddof=1) / math.sqrt(len(a)))
+    assert box[0].skipped_lines == tor.skipped == (~done).sum()
+
+
 def _cut_steps_certified(monkeypatch):
     """Count, in a one-item list, the steps the certified engine accepts
     after cutting a failed step: those narrower than a step width / n0 of
@@ -667,7 +694,7 @@ class TestCompareEstimators:
     @pytest.mark.parametrize("case", ["sin", "dominated", "offaxis", "cancelled"])
     def test_one_engine_call_per_report(self, case, sin_poly, monkeypatch):
         # the report settles both routes' windows in one unit_increments
-        # call, with the numbers of each route run alone
+        # call, with the numbers of each route run alone, to the bit
         samples, seed = 200, 3
         if case == "sin":
             P, y = sin_poly, [0.0]
@@ -693,13 +720,12 @@ class TestCompareEstimators:
         assert tor.skipped == (3 if case == "cancelled" else 0)
         for est, (value, stderr) in zip(box, (tor[0:2], tor[2:4])):
             got = report["box"][est.convention]
-            assert [v for _, v in got["per_window"]] == pytest.approx(
-                [v for _, v in est.per_window], abs=1e-12)
-            assert (got["value"], got["skipped"], got["total_lines"]) == pytest.approx(
-                (est.value, est.skipped_lines, est.total_lines), abs=1e-12)
+            assert [v for _, v in got["per_window"]] == [v for _, v in est.per_window]
+            assert (got["value"], got["skipped"], got["total_lines"]) == (
+                est.value, est.skipped_lines, est.total_lines)
             got = report["torus"][est.convention]
             assert (got["value"], got["stderr"], got["samples"], got["skipped"]) == (
-                pytest.approx((value, stderr, tor.samples, tor.skipped), abs=1e-12))
+                value, stderr, tor.samples, tor.skipped)
 
     @pytest.mark.parametrize("samples, error", [
         (0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError),

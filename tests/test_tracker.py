@@ -805,17 +805,15 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     # every step the engine accepts, on the real line and on the +-delta
     # detours with their vertical legs, satisfies its inequality with q0,
     # q1, M1 and M2 re-evaluated in interval arithmetic from the row's own
-    # amplitudes. The engine accepts steps in _trace only: the chain steps
-    # that _doomed tests to prove a row fails are never accepted
+    # amplitudes. The engine tests steps in _trace only: _doomed proves a
+    # row fails by a bound at a located zero and accepts no step
     U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
-    accepted, proofs, step_ok = [], [], tracker._step_ok
+    accepted, proofs, step_ok, doomed = [], [], tracker._step_ok, tracker._doomed
 
     def spy(h, q0, q1, m1, m2, floor):
         ok = step_ok(h, q0, q1, m1, m2, floor)
         caller = sys._getframe(1)
-        if caller.f_code.co_name != "_trace":
-            proofs.append(caller.f_code.co_name)
-            return ok
+        assert caller.f_code.co_name == "_trace"
         # _step_ok sees step lengths only; the caller's frame holds the
         # steps' ends on their paths, z = s
         s = caller.f_locals["s"]
@@ -823,12 +821,17 @@ def test_accepted_steps_hold_in_interval_arithmetic(
         accepted.append([v[ok_] for v in steps])
         return ok
 
+    def doomed_spy(*args):
+        proofs.append(args[2])
+        return doomed(*args)
+
     monkeypatch.setattr(tracker, "_step_ok", spy)
+    monkeypatch.setattr(tracker, "_doomed", doomed_spy)
     c = 0.5 * (a + b)
     assert _unit_rows(U, [c])[2][0]
     monkeypatch.undo()
     # the windows with a real zero try the proof, and only they
-    assert set(proofs) <= {"_doomed"} and bool(proofs) == (interval is not None)
+    assert bool(proofs) == (interval is not None)
     z0, z1, floor = (np.concatenate(v) for v in zip(*accepted))
     amps, g = [a for a, _ in U.terms], [float(f) for _, f in U.terms]
     heights = set(np.round(np.concatenate([z0.imag, z1.imag]), 12).tolist())
@@ -866,14 +869,14 @@ def _zero_rows(form, zeros):
 
 
 def _zero_windows(form, rng):
-    """Unit windows, (amps, freqs, centres), each holding one zero of the
-    form: at every height of HEIGHTS, at a random place, on a point of the
-    first sampling, and at either end of its window."""
+    """Unit windows, (amps, freqs, centres, zeros), each holding one zero
+    of the form: at every height of HEIGHTS, at a random place, on a point
+    of the first sampling, and at either end of its window."""
     n0 = tracker._first_steps(float(np.abs(_zero_rows(form, [0.0])[1]).sum()), 1.0)
     places = [rng.uniform(-0.45, 0.45), 5 / n0 - 0.5, -0.5, 0.5]
     offsets = np.array([x + 1j * h for x in places for h in HEIGHTS])
     centers = rng.uniform(-50.0, 50.0, len(offsets))
-    return (*_zero_rows(form, centers + offsets), centers)
+    return (*_zero_rows(form, centers + offsets), centers, centers + offsets)
 
 
 def _proving_nothing(monkeypatch):
@@ -886,36 +889,37 @@ def test_proof_keeps_every_answer(form, monkeypatch):
     # a row that _doomed proves failing is one the cuts would fail: the
     # real-line pass and unit_increments give the same pass flags, totals
     # of the rows that pass, and (plus, minus, done) with the proof as
-    # without it. Rows whose zeros lie 1e-7 or more off the axis are never
-    # tried: their located zero is off the axis, and the cuts pass it
-    amps, freqs, centers = _zero_windows(form, np.random.default_rng(71))
+    # without it. The proof needs |q(x)| <= F/4 at a real x, and near a
+    # zero z0 of order m, |q| on the axis is least at about Re z0. So no
+    # row is proven whose |q(Re z0)| is 4F or more: no simple zero 1e-7 or
+    # more off the axis. A double zero up to about 1e-6 off it, or a triple
+    # one up to about 1e-4, keeps |q| on the axis below F/4, and the bound
+    # reaches it, as the cuts fail it
+    amps, freqs, centers, zeros = _zero_windows(form, np.random.default_rng(71))
     g = np.array(freqs, dtype=float)
-    proven, tried, doomed, step_ok = [], [], tracker._doomed, tracker._step_ok
+    proven, doomed = [], tracker._doomed
 
     def doomed_spy(*args):
         out = doomed(*args)
         proven.append(int(out.sum()))
         return out
 
-    def step_ok_spy(h, *rest):
-        if sys._getframe(1).f_code.co_name == "_doomed":
-            tried.append(len(h))
-        return step_ok(h, *rest)
-
     monkeypatch.setattr(tracker, "_doomed", doomed_spy)
-    monkeypatch.setattr(tracker, "_step_ok", step_ok_spy)
     total, passed = _forced_trace(amps, g, centers)
     got = unit_increments(amps, freqs, centers)
-    far = np.tile(np.abs(HEIGHTS) >= 1e-7, 4)
-    tried.clear()
+    rows_proven = sum(proven)
+    at_zero = np.abs((amps * np.exp(1j * np.multiply.outer(zeros.real, g))).sum(axis=1))
+    far = at_zero >= 4 * tracker._STEP_FLOOR * np.abs(amps).sum(axis=1)
+    assert far[np.abs(zeros.imag) >= (1e-7 if form == "simple" else 1e-3)].all()
+    proven.clear()
     _forced_trace(amps[far], g, centers[far])
-    assert tried == []
+    assert sum(proven) == 0
     monkeypatch.undo()
     _proving_nothing(monkeypatch)
     want_total, want_passed = _forced_trace(amps, g, centers)
     want = unit_increments(amps, freqs, centers)
-    # Newton's two steps locate no triple zero to 1e-9: those rows are cut
-    assert (sum(proven) > 0) == (form != "triple") and not want_passed.all()
+    # the bound proves rows of every form, the triple zeros' too
+    assert rows_proven > 0 and not want_passed.all()
     assert (passed == want_passed).all()
     assert (total[passed] == want_total[passed]).all()
     for a, b in zip(got, want):
@@ -942,9 +946,9 @@ def _pass_calls(monkeypatch):
 
 def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
     # 64 unit windows of sin at y = 0: the windows on a real zero fail the
-    # first round, and the proof fails them there, where the cuts would
-    # take five more rounds, from 1/16 down to 1.9e-6. The detours are
-    # untouched
+    # first sampling, and the proof fails them there, with no round of
+    # cuts, where the cuts would take five rounds, from 1/16 down to
+    # 1.9e-6. The detours are untouched
     rng = np.random.default_rng(3)
     rows = sin_poly.line_rows([0.0], rng.uniform(0, 2 * PI, (64, 2)))
     centers = rng.uniform(-50.0, 50.0, 64)
@@ -958,5 +962,5 @@ def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
         assert done.all() and ((minus - plus) / (2 * PI)).round().sum() > 0
         counts.append((calls.count("real"), calls.count("delta")))
     (real, delta), (real_before, delta_before) = counts
-    assert (real, real_before) == (2, 6)
+    assert (real, real_before) == (1, 6)
     assert delta == delta_before > 0
