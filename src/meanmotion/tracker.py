@@ -299,28 +299,33 @@ def arg_increment_pair(
     return traces[0], traces[1]
 
 
-def _step_ok(h, q0, q1, m1, m2, floor):
-    """The certified step rule, elementwise: whether q with q0 = q(z0),
-    q1 = q(z1), |q'| <= m1 and |q''| <= m2 on a segment [z0, z1] of length
-    h has no zero there and turns along it by exactly angle(q1 / q0) (Ying
-    & Katz, Numer. Math. 53, 1988). q stays in the ellipse |w - q0| +
-    |w - q1| <= m1 h and within m2 h^2 / 8 of the chord [q0, q1]; the step
-    passes when 0 lies outside either by more than the rounding floor.
+def _step_ok(h, v, m1, m2, floor):
+    """The certified step rule on paths held steps x paths: whether q,
+    sampled at v[j] and v[j + 1] at the ends of step j of each path, with
+    |q'| <= m1 and |q''| <= m2 along a step of length h[j], has no zero
+    there and turns along it by exactly angle(v[j + 1] / v[j]) (Ying &
+    Katz, Numer. Math. 53, 1988). q stays in the ellipse |w - q0| + |w - q1|
+    <= m1 h and within m2 h^2 / 8 of the chord [q0, q1]; the step passes
+    when 0 lies outside either by more than the rounding floor. m1, m2 and
+    floor are per path; |v| is taken once, and the chord test runs only on
+    the steps that fail the ellipse test, gathered by index.
     """
-    ok = np.abs(q0) + np.abs(q1) > m1 * h + floor
-    rest = ~ok
-    if rest.any():
-        q0, q1, reach = (
-            np.broadcast_to(a, ok.shape)[rest]
-            for a in (q0, q1, m2 * h * h / 8 + floor)
-        )
+    av = np.abs(v)
+    ok = av[:-1] + av[1:] > m1 * h + floor
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        cols = rest % ok.shape[1]
+        q0, q1 = v[:-1].reshape(-1)[rest], v[1:].reshape(-1)[rest]
+        a0, a1 = av[:-1].reshape(-1)[rest], av[1:].reshape(-1)[rest]
+        hr = np.broadcast_to(h, ok.shape).reshape(-1)[rest]
+        reach = m2[cols] * hr * hr / 8 + floor[cols]
         d = q1 - q0
         c0, c1 = d.conj() * q0, d.conj() * q1
         inside = (c0.real < 0) & (c1.real > 0)  # 0 projects inside the chord
-        ok[rest] = np.where(
+        ok.flat[rest] = np.where(
             inside,
             np.abs(c0.imag) > reach * np.abs(d),
-            np.minimum(np.abs(q0), np.abs(q1)) > reach,
+            np.minimum(a0, a1) > reach,
         )
     return ok
 
@@ -332,58 +337,72 @@ def _trace(amps, g, t, stop):
 
     The rows are taken max(1, _BATCH_POINTS // len(t)) at a time, which
     bounds the sample arrays. The batches share one exp(i g t) grid, and
-    the samples at t of each are tested as one (rows x steps) array. The
-    failing steps form a ragged queue: each round cuts them all by _CUTS,
-    each evaluated on its own row, and tests them as one array. A row
-    fails when a step narrower than stop still fails, or when more than
-    4 max(64, len(t) - 1) of its steps fail at once: it is then in the
-    rounding noise of a multiple zero, and the cap bounds the queue. On a
-    real grid, a row also fails, and leaves the queue, in any round where
-    _doomed proves, by a bound on |q| at a zero located in its first
-    failing step, that the cuts would fail it. Its total is then partial,
-    and no caller reads it: the detours replace it, or the row is left
-    undone. Every other row runs the same arithmetic as with no proof.
+    _certify tests each batch's samples at t, held steps x rows.
     """
-    real = not np.iscomplexobj(t)
     e = np.exp(1j * np.multiply.outer(g, t))
     # |exp(i g z)| is largest where Im z is extreme, at a vertex of the grid
     grow = np.abs(e).max(axis=1)
-    size, out = max(1, _BATCH_POINTS // len(t)), []
-    # each batch rebinds amps to its own slice of the rows
-    for amps in np.split(amps, range(size, len(amps), size)):
-        mods = np.abs(amps) * grow
-        m1, m2 = mods @ np.abs(g), mods @ (g * g)
-        floor = _STEP_FLOOR * np.abs(amps).sum(axis=1)
-        v = amps @ e
-        p, s, total = np.arange(len(amps)), t, np.zeros(len(amps))
-        passed, cap = np.ones(len(amps), dtype=bool), 4 * max(64, len(t) - 1)
-        width = np.abs(np.diff(t)).max()  # of the widest step in the current array
-        while True:
-            ok = _step_ok(np.abs(np.diff(s)), v[:, :-1], v[:, 1:],
-                          m1[p, None], m2[p, None], floor[p, None])
-            turn = np.where(ok, np.angle(v[:, 1:] * v[:, :-1].conj()), 0.0)
-            total += np.bincount(p, turn.sum(axis=1), minlength=len(amps))
-            if ok.all() or width < stop:
-                passed[p[~ok.all(axis=1)]] = False
-                break
-            i, j = np.nonzero(~ok)
-            s = np.broadcast_to(s, v.shape)
-            p, s0, s1, v0, v1 = p[i], s[i, j], s[i, j + 1], v[i, j], v[i, j + 1]
-            lost = np.bincount(p, minlength=len(amps)) > cap
-            if real:
-                lost |= _doomed(amps, g, p, s0, s1, v0, v1, floor)
-            passed[lost] = False
-            keep = ~lost[p]
-            p, s0, s1, v0, v1 = p[keep], s0[keep], s1[keep], v0[keep], v1[keep]
-            if not len(p):
-                break
-            s = s0[:, None] + np.multiply.outer(s1 - s0, _CUTS)
-            s[:, -1] = s1
-            inner = np.exp(1j * np.multiply.outer(s[:, 1:-1], g)) @ amps[p, :, None]
-            v = np.column_stack([v0, inner[..., 0], v1])
-            width /= len(_CUTS) - 1
-        out.append((total, passed))
+    size = max(1, _BATCH_POINTS // len(t))
+    out = [
+        _certify(amps[lo : lo + size], g, t[:, None],
+                 np.ascontiguousarray((amps[lo : lo + size] @ e).T), grow, stop)
+        for lo in range(0, len(amps), size)
+    ]
     return tuple(map(np.concatenate, zip(*out)))
+
+
+def _certify(amps, g, s, v, grow, stop):
+    """_trace on one batch: the rows amps sampled at v, steps x rows, on
+    the grid s, where |exp(i g_k z)| <= grow[k]. Returns each row's phase
+    change and whether it passed.
+
+    Each round tests its samples as one array. The failing steps form a
+    ragged queue: each round cuts them all by _CUTS, each evaluated on its
+    own row, and tests them as one array. A row fails when a step narrower
+    than stop still fails, or when more than 4 max(64, len(s) - 1) of its
+    steps fail at once: it is then in the rounding noise of a multiple
+    zero, and the cap bounds the queue. On a real grid, a row also fails,
+    and leaves the queue, in any round where _doomed proves, by a bound on
+    |q| at a zero located in its first failing step, that the cuts would
+    fail it. Its total is then partial, and no caller reads it: the
+    detours replace it, or the row is left undone. Every other row runs
+    the same arithmetic as with no proof.
+    """
+    real = not np.iscomplexobj(s)
+    mods = np.abs(amps) * grow
+    m1, m2 = mods @ np.abs(g), mods @ (g * g)
+    floor = _STEP_FLOOR * np.abs(amps).sum(axis=1)
+    p, total = np.arange(len(amps)), np.zeros(len(amps))
+    passed, cap = np.ones(len(amps), dtype=bool), 4 * max(64, len(s) - 1)
+    h = np.abs(np.diff(s, axis=0))
+    width = h.max()  # of the widest step in the current array
+    while True:
+        ok = _step_ok(h, v, m1[p], m2[p], floor[p])
+        turn = np.where(ok, np.angle(v[1:] * v[:-1].conj()), 0.0)
+        total += np.bincount(p, np.ascontiguousarray(turn.T).sum(axis=1),
+                             minlength=len(amps))
+        if ok.all() or width < stop:
+            passed[p[~ok.all(axis=0)]] = False
+            break
+        j, i = np.nonzero(~ok.T)
+        s = np.broadcast_to(s, v.shape)
+        p, s0, s1, v0, v1 = p[j], s[i, j], s[i + 1, j], v[i, j], v[i + 1, j]
+        lost = np.bincount(p, minlength=len(amps)) > cap
+        if real:
+            lost |= _doomed(amps, g, p, s0, s1, v0, v1, floor)
+        passed[lost] = False
+        keep = ~lost[p]
+        p, s0, s1, v0, v1 = p[keep], s0[keep], s1[keep], v0[keep], v1[keep]
+        if not len(p):
+            break
+        s = s0 + np.multiply.outer(_CUTS, s1 - s0)
+        s[-1] = s1
+        h = np.abs(np.diff(s, axis=0))
+        v = np.empty(s.shape, dtype=complex)
+        v[0], v[-1] = v0, v1
+        v[1:-1] = (np.exp(1j * np.multiply.outer(s[1:-1].T, g)) @ amps[p, :, None])[..., 0].T
+        width /= len(_CUTS) - 1
+    return total, passed
 
 
 def _doomed(amps, g, p, s0, s1, q0, q1, floor):

@@ -613,7 +613,7 @@ def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
 @pytest.mark.parametrize("route", ["direct", "box", "zeros"])
 def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     # _trace takes its paths max(1, _BATCH_POINTS // len(t)) at a time and
-    # tests each batch's samples at t as one (paths x steps) array: a
+    # _certify tests each batch's samples at t as one (steps x paths) array: a
     # 25,000-wide window of a sum with first exponents +-1 that no term
     # dominates samples 63,663 points, one line a batch; the 3 x 64 unit
     # windows of a sin report, n + 1 points each for a first sampling of n
@@ -621,14 +621,13 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     # 50,930 two-point steps of e^{is} + 1/2 over (0, 40000) take 8192 a
     # batch. Its term 1 dominates the 1/2, so unit_increments settles the
     # interval's one piece from its ends, and the piece samples nothing
-    sampled, step_ok = [], tracker._step_ok
+    sampled, certify = [], tracker._certify
 
-    def spy(h, q0, *rest):
-        if h.ndim == 1:  # a batch's samples at t; a round of cuts is 2-D
-            sampled.append((len(q0), len(h) + 1))
-        return step_ok(h, q0, *rest)
+    def spy(amps, g, s, *rest):  # a batch's samples at t
+        sampled.append((len(amps), len(s)))
+        return certify(amps, g, s, *rest)
 
-    monkeypatch.setattr(tracker, "_step_ok", spy)
+    monkeypatch.setattr(tracker, "_certify", spy)
     if route == "direct":
         P = ExpPolynomial.from_pairs(
             2, [(1, ["1", "0"]), (-1, ["-1", "0"]), (0.5, ["0", "1"])]

@@ -810,14 +810,14 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
     accepted, proofs, step_ok, doomed = [], [], tracker._step_ok, tracker._doomed
 
-    def spy(h, q0, q1, m1, m2, floor):
-        ok = step_ok(h, q0, q1, m1, m2, floor)
+    def spy(h, v, m1, m2, floor):
+        ok = step_ok(h, v, m1, m2, floor)
         caller = sys._getframe(1)
-        assert caller.f_code.co_name == "_trace"
+        assert caller.f_code.co_name == "_certify"
         # _step_ok sees step lengths only; the caller's frame holds the
-        # steps' ends on their paths, z = s
+        # steps' ends on their paths, z = s, steps x paths
         s = caller.f_locals["s"]
-        *steps, ok_ = np.broadcast_arrays(s[..., :-1], s[..., 1:], floor, ok)
+        *steps, ok_ = np.broadcast_arrays(s[:-1], s[1:], floor, ok)
         accepted.append([v[ok_] for v in steps])
         return ok
 
