@@ -6,19 +6,22 @@ a zero of multiplicity m contributes a jump of -m*pi (plus branch) or
 unit_increments settles many windows at once without locating any zero.
 A window in which one term outweighs the others settles from its two
 ends (Rouche's theorem on the line). Every other phase step is certified
-by the step rule of _step_ok. A window whose real segment certifies holds
-no zero; one whose segment does not is traced along two detours, through
-heights +delta and -delta: the one-sided limits that pass its real zeros
-above and below. A window on a real zero leaves the real segment in the
-round where its step first fails: _doomed proves by a bound on |q| at a
-located zero that the cuts would fail it, and answers stay those of the
-cuts. A window with an end on a zero is settled again alone at slightly
-shifted centres, where the one-sided limits still hold.
+by the step rule of _step_ok, and the real segment keeps each step's
+outcome. A window whose steps all pass holds no zero. Each run of steps
+that fail is traced again along two detours, through heights +delta and
+-delta, which start and end on the real segment's own samples: the
+one-sided limits that pass its real zeros above and below, added to the
+turns of the steps that pass. A step on a real zero fails in the round
+where it first fails: _doomed proves by a bound on |q| at a located zero
+that the cuts would fail it, and answers stay those of the cuts. A window
+with an end on a zero is settled again alone at slightly shifted
+centres, where the one-sided limits still hold.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
 commands, run on the same engine: the failing steps of an interval's
 first sampling mark its zero clusters, and the engine's increments over
-a piece around each cluster give the cluster's multiplicity.
+a piece around each cluster, which detour only the steps around it,
+give the cluster's multiplicity.
 
 count_zeros_rectangle and winding_number count zeros by _winding: the
 winding of a contour under the plain pi/2 step rule, certified for the
@@ -49,8 +52,9 @@ HALF_PI = 0.5 * math.pi
 # at call time, never bound as a default argument.
 ZERO_THRESHOLD = 1e-9
 # Certified steps: the step rule's rounding floor over sum |a_k|, the width
-# below which a real-line step that still fails sends its window to the
-# +-delta traces, the deltas in order, and the cuts of a failing step.
+# below which a real-line step that still fails is detoured through
+# +-delta, the deltas in order, and the cuts of a failing step and of a
+# detour's run.
 _STEP_FLOOR = 1e-12
 _AXIS_WIDTH = 1e-5
 _DELTAS = (1e-5, 1e-4, 1e-3)
@@ -188,8 +192,9 @@ def _scan(U, interval):
     Each step of the interval's first sampling (_first_steps: 16 steps,
     17 points, or more) is traced alone; a run of steps that still fail below
     _AXIS_WIDTH is a cluster of zeros on or next to the axis. The interval
-    is cut halfway between clusters, and unit_increments traces each
-    piece: (minus - plus) / 2pi is its cluster's multiplicity. A cluster of
+    is cut halfway between clusters, and unit_increments settles each
+    piece, detouring only the steps around its cluster: (minus - plus) /
+    2pi is the cluster's multiplicity. A cluster of
     m >= 2 zeros is scanned again, which may split it, while its
     neighbourhood is wider than 64 r: rounding splits an m-fold zero over
     the radius r = (F / |c_m|)^(1/m), F the step floor and c_m the m-th
@@ -212,7 +217,7 @@ def _scan(U, interval):
     grid = np.linspace(a, b, n0 + 1)
     # each step is a row seen from its left end, so its length does not round with |a|
     steps = U._amps * np.exp(1j * np.multiply.outer(grid[:-1], U._freqs))
-    fail = np.flatnonzero(~_trace(steps, U._freqs, grid[:2] - a, _AXIS_WIDTH)[1])
+    fail = np.flatnonzero(~_trace(steps, U._freqs, grid[:2] - a, _AXIS_WIDTH)[1][:, 0])
     runs = np.split(fail, np.flatnonzero(np.diff(fail) > 1) + 1) if len(fail) else []
     clusters = [(r[0], r[-1] + 1) for r in runs] or [(n0 // 2, n0 // 2)]
     cuts = [a] + [0.5 * (grid[j] + grid[i]) for (_, j), (i, _) in zip(clusters, clusters[1:])] + [b]
@@ -330,104 +335,131 @@ def _step_ok(h, v, m1, m2, floor):
     return ok
 
 
-def _trace(amps, g, t, stop):
-    """Certified phase change of each row of amps, a sum in z, along the
-    polyline z = t through the complex grid t. Returns each row's phase
-    change and whether it passed.
+def _trace(amps, g, t, stop, v=None):
+    """Certified phase change of each step of a polyline z = t, for each
+    row of amps, a sum in z. t is one grid that every row shares, or one
+    path per row, held points x rows, along which the caller has sampled
+    the rows: v. Returns (turn, ok, v): rows x steps, each step's phase
+    change, 0 where it failed, and whether it passed, and points x rows,
+    the samples at t.
 
     The rows are taken max(1, _BATCH_POINTS // len(t)) at a time, which
-    bounds the sample arrays. The batches share one exp(i g t) grid, and
-    _certify tests each batch's samples at t, held steps x rows.
+    bounds the sample arrays of a shared grid and the arrays of the rounds
+    of cuts. The batches of a shared grid share one exp(i g t), and
+    _certify tests each batch's samples, held steps x rows.
     """
-    e = np.exp(1j * np.multiply.outer(g, t))
-    # |exp(i g z)| is largest where Im z is extreme, at a vertex of the grid
-    grow = np.abs(e).max(axis=1)
-    size = max(1, _BATCH_POINTS // len(t))
-    out = [
-        _certify(amps[lo : lo + size], g, t[:, None],
-                 np.ascontiguousarray((amps[lo : lo + size] @ e).T), grow, stop)
-        for lo in range(0, len(amps), size)
-    ]
-    return tuple(map(np.concatenate, zip(*out)))
+    # |exp(i g z)| is largest where Im z is extreme, at a vertex of the path
+    if t.ndim == 1:
+        e = np.exp(1j * np.multiply.outer(g, t))
+        grow = np.abs(e).max(axis=1)
+    else:
+        heights = np.stack([t.imag.min(axis=0), t.imag.max(axis=0)])
+        grow = np.exp(-np.multiply.outer(heights, g)).max(axis=0)
+    size, out = max(1, _BATCH_POINTS // len(t)), []
+    for lo in range(0, len(amps), size):
+        rows = amps[lo : lo + size]
+        if t.ndim == 1:
+            s, vb, gb = t[:, None], np.ascontiguousarray((rows @ e).T), grow
+        else:
+            s, vb = (np.ascontiguousarray(a[:, lo : lo + size]) for a in (t, v))
+            gb = grow[lo : lo + size]
+        out.append((*_certify(rows, g, s, vb, gb, stop), vb))
+    turn, ok, v = zip(*out)
+    return np.concatenate(turn), np.concatenate(ok), np.hstack(v)
 
 
 def _certify(amps, g, s, v, grow, stop):
-    """_trace on one batch: the rows amps sampled at v, steps x rows, on
-    the grid s, where |exp(i g_k z)| <= grow[k]. Returns each row's phase
-    change and whether it passed.
+    """_trace on one batch: the rows amps sampled at v along the paths s,
+    both steps x rows (s may be one column that every row shares), where
+    |exp(i g_k z)| <= grow[..., k].
 
     Each round tests its samples as one array. The failing steps form a
-    ragged queue: each round cuts them all by _CUTS, each evaluated on its
-    own row, and tests them as one array. A row fails when a step narrower
-    than stop still fails, or when more than 4 max(64, len(s) - 1) of its
-    steps fail at once: it is then in the rounding noise of a multiple
-    zero, and the cap bounds the queue. On a real grid, a row also fails,
-    and leaves the queue, in any round where _doomed proves, by a bound on
-    |q| at a zero located in its first failing step, that the cuts would
-    fail it. Its total is then partial, and no caller reads it: the
-    detours replace it, or the row is left undone. Every other row runs
-    the same arithmetic as with no proof.
+    ragged queue of pieces, each keeping the row and step it came from:
+    each round cuts them all by _CUTS, each evaluated on its own row, and
+    tests them as one array. A step fails when a piece of it narrower than
+    stop still fails, or when more than 4 max(64, steps) of its pieces fail
+    at once: it is then in the rounding noise of a multiple zero, and the
+    cap bounds the queue. On a real path, a step also fails in any round
+    where _doomed proves, by a bound on |q| at a zero located in one of its
+    failing pieces, that the cuts would fail it. A failed step leaves the
+    queue. So the proof changes no step's outcome, and the turn of no step
+    that passes.
     """
     real = not np.iscomplexobj(s)
+    n, steps = v.shape[1], len(v) - 1
     mods = np.abs(amps) * grow
     m1, m2 = mods @ np.abs(g), mods @ (g * g)
     floor = _STEP_FLOOR * np.abs(amps).sum(axis=1)
-    p, total = np.arange(len(amps)), np.zeros(len(amps))
-    passed, cap = np.ones(len(amps), dtype=bool), 4 * max(64, len(s) - 1)
-    h = np.abs(np.diff(s, axis=0))
-    width = h.max()  # of the widest step in the current array
+    failed, cap = np.zeros(n * steps, dtype=bool), 4 * max(64, steps)
+    # a round's columns are the rows in the first round, then pieces, each
+    # of the step key, whose index in turn is row * steps + step
+    p, key, h = np.arange(n), None, np.abs(np.diff(s, axis=0))
     while True:
         ok = _step_ok(h, v, m1[p], m2[p], floor[p])
-        turn = np.where(ok, np.angle(v[1:] * v[:-1].conj()), 0.0)
-        total += np.bincount(p, np.ascontiguousarray(turn.T).sum(axis=1),
-                             minlength=len(amps))
-        if ok.all() or width < stop:
-            passed[p[~ok.all(axis=0)]] = False
+        # the principal angle of each step, from one angle per sample
+        arg = np.angle(v)
+        step = np.where(ok, arg[1:] - arg[:-1], 0.0)
+        step -= TWO_PI * np.rint(step / TWO_PI)
+        if key is None:
+            turn = step.T.copy()
+        else:
+            turn += np.bincount(key, step.sum(axis=0), minlength=n * steps).reshape(n, steps)
+        i, j = np.divmod(np.flatnonzero(~ok), ok.shape[1])
+        if not len(i):
             break
-        j, i = np.nonzero(~ok.T)
+        k = j * steps + i if key is None else key[j]
         s = np.broadcast_to(s, v.shape)
         p, s0, s1, v0, v1 = p[j], s[i, j], s[i + 1, j], v[i, j], v[i + 1, j]
-        lost = np.bincount(p, minlength=len(amps)) > cap
-        if real:
-            lost |= _doomed(amps, g, p, s0, s1, v0, v1, floor)
-        passed[lost] = False
-        keep = ~lost[p]
-        p, s0, s1, v0, v1 = p[keep], s0[keep], s1[keep], v0[keep], v1[keep]
-        if not len(p):
+        failed[k[np.abs(s1 - s0) < stop]] = True
+        failed[np.bincount(k, minlength=n * steps) > cap] = True
+        live = np.flatnonzero(~failed[k])
+        if real and len(live):
+            # one piece of each step, the first
+            f = live if key is None else live[np.unique(k[live], return_index=True)[1]]
+            failed[k[f]] = _doomed(amps[p[f]], g, s0[f], s1[f], v0[f], v1[f], floor[p[f]])
+            live = live[~failed[k[live]]]
+        if not len(live):
             break
+        p, s0, s1, v0, v1, key = (a[live] for a in (p, s0, s1, v0, v1, k))
         s = s0 + np.multiply.outer(_CUTS, s1 - s0)
         s[-1] = s1
         h = np.abs(np.diff(s, axis=0))
         v = np.empty(s.shape, dtype=complex)
         v[0], v[-1] = v0, v1
         v[1:-1] = (np.exp(1j * np.multiply.outer(s[1:-1].T, g)) @ amps[p, :, None])[..., 0].T
-        width /= len(_CUTS) - 1
-    return total, passed
+    failed = failed.reshape(n, steps)
+    turn[failed] = 0.0
+    return turn, ~failed
 
 
-def _doomed(amps, g, p, s0, s1, q0, q1, floor):
-    """A mask of the rows of amps that _trace's cuts would surely fail.
-    p, s0, s1, q0 and q1 give the rows, ends and end values of a round's
-    failing steps on an increasing real grid, and floor is per row.
+def _doomed(amps, g, s0, s1, q0, q1, floor):
+    """Whether _certify's cuts would surely fail each of the steps [s0, s1]
+    of an increasing real grid, with end values q0 and q1, of the sums
+    amps, row by row, whose floors are floor.
 
-    In the first failing step of each row, the chord root and one Newton
-    step on q / q' give z. A row is doomed when x = Re z lies in the step
-    and |q(x)| <= F/4, F its floor. Every step [lo, hi] of width h that
-    the cuts would test around x then fails: |q(lo)| + |q(hi)| <= 2 |q(x)|
-    + m1 h < m1 h + F, and the chord passes within |q(x)| + m2 h^2 / 8 <
-    m2 h^2 / 8 + F of 0, the margin covering the rounding of q(x). So the
-    cuts fail the row down to a step narrower than stop.
+    The chord root and one Newton step on q / q' give z. A step is doomed
+    when x = Re z lies in it and |q(x)| <= F/4, F its floor. Every step
+    [lo, hi] of width h that the cuts would test around x then fails:
+    |q(lo)| + |q(hi)| <= 2 |q(x)| + m1 h < m1 h + F, and the chord passes
+    within |q(x)| + m2 h^2 / 8 < m2 h^2 / 8 + F of 0, the margin covering
+    the rounding of q(x). So the cuts fail it down to a step narrower than
+    stop.
+
+    Near a simple zero, |Im c| |q1 - q0| / (s1 - s0), c the chord root,
+    is about the least |q| on the axis. Where it is F or more, the step is
+    not tried: the Newton step is skipped, and the cuts decide the step.
     """
-    doomed = np.zeros(len(floor), dtype=bool)
-    rows, first = np.unique(p, return_index=True)
-    s0, s1, q0, q1, amps = s0[first], s1[first], q0[first], q1[first], amps[rows]
-    # a nan or infinite x, as where q' = 0, fails the comparisons
+    doomed = np.zeros(len(s0), dtype=bool)
+    # a nan or infinite chord root or x, as where q' = 0, fails the comparisons
     with np.errstate(all="ignore"):
-        z = s0 + (s1 - s0) * (q0 / (q0 - q1))
-        terms = amps * np.exp(1j * np.multiply.outer(z, g))
-        x = (z - terms.sum(axis=1) / (terms @ (1j * g))).real
-        q = (amps * np.exp(1j * np.multiply.outer(x, g))).sum(axis=1)
-        doomed[rows] = (s0 <= x) & (x <= s1) & (np.abs(q) <= floor[rows] / 4)
+        c = s0 + (s1 - s0) * (q0 / (q0 - q1))
+        tried = np.flatnonzero(np.abs(c.imag) * np.abs(q1 - q0) < floor * (s1 - s0))
+        if len(tried):
+            amps, c = amps[tried], c[tried]
+            terms = amps * np.exp(1j * np.multiply.outer(c, g))
+            x = (c - terms.sum(axis=1) / (terms @ (1j * g))).real
+            q = (amps * np.exp(1j * np.multiply.outer(x, g))).sum(axis=1)
+            doomed[tried] = (s0[tried] <= x) & (x <= s1[tried]) & (np.abs(q) <= floor[tried] / 4)
     return doomed
 
 
@@ -450,26 +482,29 @@ def unit_increments(
       Arg r(-width/2) (Forsberg, Passare & Tsikh, Adv. Math. 151, 2000),
       from the two ends and no trace. The other rows take two passes, every
       phase step certified by _step_ok.
-    * Real-line pass: a window whose first sampling (16 steps, 17
-      points, or more; see _first_steps) passes in every step, after
-      cuts, holds no zero; both branches gain its phase change. A window
-      on a real zero leaves it in the round where a step first fails
-      (_doomed).
-    * +-delta pass: a window with a step still failing below _AXIS_WIDTH
-      has a zero on or next to the axis. Its arg+ (arg-) increment is the
-      phase change along one path, the detour from its left end up to
-      height +delta (down to -delta), along that height and back down (up)
-      to its right end: the one-sided limit that passes every real zero
-      above (below). A window whose detour fails in either branch is
-      traced again at the next of _DELTAS.
+    * Real-line pass: each step of a window's first sampling (16 steps,
+      17 points, or more; see _first_steps) passes, after cuts, or fails
+      when a piece of it narrower than _AXIS_WIDTH still fails. A window
+      whose steps all pass holds no zero; both branches gain its phase
+      change. A step on a real zero fails in the round where it first
+      fails (_doomed).
+    * +-delta pass: each maximal run of a window's failing steps holds a
+      zero on or next to the axis, and _detours traces it from its left
+      end up to height +delta (down to -delta), through its _CUTS points
+      there and back to its right end. The arg+ (arg-) increment is the
+      turn of the steps that pass plus that of every run's up (down)
+      detour: the one-sided limit that passes every real zero above
+      (below). It is the whole window's detour up to rounding, but for a
+      zero within delta above or below a step that passes, which the
+      limit delta -> 0+ leaves out.
     * Centre shifts: a nonzero row with |q_b| at or below F at an end,
       where no step can be certified, is settled again by the rules above
       at its centre plus each of _SHIFTS in turn, until one takes it. It
       is settled alone: |q| of about shift^m there magnifies rounding
       that would vary with the batch.
-    done[b] is False for an identically-zero row, a row that fails at
-    every delta, and a row with an end on a zero that no shift settles;
-    its plus[b] and minus[b] are nan.
+    done[b] is False for an identically-zero row, a row with a run that
+    _detours cannot settle, and a row with an end on a zero that no shift
+    settles; its plus[b] and minus[b] are nan.
     """
     g = np.array([float(f) for f in freqs])
     plus, minus, done, on_zero = _increments(amps, g, centers, width)
@@ -504,17 +539,66 @@ def _increments(amps, g, centers, width):
     plus[b] = minus[b] = g[j] * width + np.angle(r[:, 1]) - np.angle(r[:, 0])
     todo = np.flatnonzero(usable & ~dominated)
     if len(todo):
-        plus[todo], done[todo] = _trace(shifted[todo], g, t, _AXIS_WIDTH)
-        minus[todo] = plus[todo]
-        todo = todo[~done[todo]]
+        turn, ok, v = _trace(shifted[todo], g, t, _AXIS_WIDTH)
+        up, down = turn, turn.copy()
+        f = np.flatnonzero(~ok)  # the failing steps, row * n0 + step
+        if len(f):
+            # each maximal run [lo, hi) of a row's failing steps
+            first = (np.diff(f, prepend=-2) > 1) | (f % n0 == 0)
+            last = (np.diff(f, append=ok.size + 1) > 1) | (f % n0 == n0 - 1)
+            row, lo = np.divmod(f[first], n0)
+            hi = f[last] + 1 - row * n0
+            up[row, lo], down[row, lo], settled = _detours(
+                shifted[todo[row]], g, t[lo], t[hi], v[lo, row], v[hi, row])
+            done[todo[row[~settled]]] = False
+        plus[todo], minus[todo] = up.sum(axis=1), down.sum(axis=1)
+    return plus, minus, done, ~usable & (floor > 0)
+
+
+def _detours(amps, g, a, b, qa, qb):
+    """The turns (up, down, settled) of each sum amps[r] over its real
+    segment [a[r], b[r]], at whose ends it takes the samples qa[r] and
+    qb[r], along the one-sided limits: the paths from a[r] up to height
+    delta (down to -delta), through the segment's _CUTS points there, and
+    back to b[r]. The up and down paths of every segment go through one
+    _trace call per delta, and a segment is settled at the first of
+    _DELTAS at which both pass. One that no delta settles, as where a zero
+    sits within delta above or below an end, is traced along the real line
+    through the same points, down to the first delta's stop: where that
+    passes, the segment holds no zero, and both turns are its real one.
+
+    Each path starts and ends on the given samples, so that its turn and
+    the turns of the real steps around it telescope. Its other points are
+    sampled from exp(i g_k x) at the _CUTS points x, taken once for every
+    path, times exp(-g_k height).
+    """
+    x = a + np.multiply.outer(_CUTS, b - a)
+    x[-1] = b
+    ex = np.exp(1j * np.multiply.outer(g, x))  # terms x points x segments
+
+    def at(todo, height):  # the sums of the segments todo at x + i height
+        return sum(e[:, todo] * (amps[todo, k] * math.exp(-gk * height))
+                   for k, (gk, e) in enumerate(zip(g, ex)))
+
+    up, down = np.full(len(a), math.nan), np.full(len(a), math.nan)
+    todo = np.arange(len(a))
     for delta in _DELTAS:
         if not len(todo):
             break
-        detour = np.concatenate([[-half], t + 1j * delta, [half]])
-        up, up_ok = _trace(shifted[todo], g, detour, delta / 100)
-        down, down_ok = _trace(shifted[todo], g, detour.conj(), delta / 100)
-        ok = up_ok & down_ok
-        plus[todo[ok]], minus[todo[ok]] = up[ok], down[ok]
-        done[todo[ok]] = True
+        path = np.vstack([a[todo], x[:, todo] + 1j * delta, b[todo]])
+        v = [np.vstack([qa[todo], at(todo, side), qb[todo]]) for side in (delta, -delta)]
+        turn, ok, _ = _trace(np.vstack([amps[todo]] * 2), g, np.hstack([path, path.conj()]),
+                             delta / 100, np.hstack(v))
+        turn, ok = turn.sum(axis=1).reshape(2, -1), ok.all(axis=1).reshape(2, -1).all(axis=0)
+        up[todo[ok]], down[todo[ok]] = turn[:, ok]
         todo = todo[~ok]
-    return plus, minus, done, ~usable & (floor > 0)
+    if len(todo):
+        v = at(todo, 0.0)
+        v[0], v[-1] = qa[todo], qb[todo]
+        turn, ok, _ = _trace(amps[todo], g, x[:, todo], _DELTAS[0] / 100, v)
+        ok = ok.all(axis=1)
+        up[todo[ok]] = down[todo[ok]] = turn[ok].sum(axis=1)
+        todo = todo[~ok]
+    settled = np.ones(len(a), dtype=bool)
+    settled[todo] = False
+    return up, down, settled

@@ -324,10 +324,10 @@ class TestBoxMeanMotion:
         # coefficient is 64, and these never reach 1e-3
         calls, trace = [], tracker._trace
 
-        def spy(amps, g, t, stop):
-            total, ok = trace(amps, g, t, stop)
-            calls.append((float(np.abs(t.imag).max()), ok))
-            return total, ok
+        def spy(amps, g, t, *rest):
+            out = trace(amps, g, t, *rest)
+            calls.append((float(np.abs(t.imag).max()), out[1].all(axis=1)))
+            return out
 
         monkeypatch.setattr(tracker, "_trace", spy)
         rng = np.random.default_rng(5)
@@ -342,10 +342,11 @@ class TestBoxMeanMotion:
             assert done.all()
             assert vp == pytest.approx(np.full(40, smooth - 3 * PI), abs=1e-6)
             assert vm == pytest.approx(np.full(40, smooth + 3 * PI), abs=1e-6)
-            # the real-line pass, then an (up, down) pair of detours per delta
-            (axis, _), ups, downs = calls[0], calls[1::2], calls[2::2]
-            assert axis == 0 and [d for d, _ in ups] == [d for d, _ in downs]
-            settled = {d: int((u & v).sum()) for (d, u), (_, v) in zip(ups, downs)}
+            # the real-line pass, then one call per delta of the up and
+            # down detours, in that order, of the runs not yet settled
+            (axis, _), *detours = calls
+            assert axis == 0
+            settled = {d: int(np.logical_and(*ok.reshape(2, -1)).sum()) for d, ok in detours}
             assert settled == want
 
     def test_schedule_validation(self):
@@ -610,17 +611,19 @@ def test_sin_windows_stay_batched(route, sin_poly, monkeypatch):
         assert settled == [(400, True)]
 
 
-@pytest.mark.parametrize("route", ["direct", "box", "zeros"])
+@pytest.mark.parametrize("route", ["direct", "box", "runs", "zeros"])
 def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     # _trace takes its paths max(1, _BATCH_POINTS // len(t)) at a time and
     # _certify tests each batch's samples at t as one (steps x paths) array: a
     # 25,000-wide window of a sum with first exponents +-1 that no term
     # dominates samples 63,663 points, one line a batch; the 3 x 64 unit
     # windows of a sin report, n + 1 points each for a first sampling of n
-    # steps, take one batch, and the detours add their two ends; and the
-    # 50,930 two-point steps of e^{is} + 1/2 over (0, 40000) take 8192 a
-    # batch. Its term 1 dominates the 1/2, so unit_increments settles the
-    # interval's one piece from its ends, and the piece samples nothing
+    # steps, take one batch, and the +-delta detours of their runs of
+    # failing steps, len(_CUTS) + 2 points a path, one more; the detours of
+    # 4000 such windows take more than one batch; and the 50,930 two-point
+    # steps of e^{is} + 1/2 over (0, 40000) take 8192 a batch. Its term 1
+    # dominates the 1/2, so unit_increments settles the interval's one
+    # piece from its ends, and the piece samples nothing
     sampled, certify = [], tracker._certify
 
     def spy(amps, g, s, *rest):  # a batch's samples at t
@@ -628,24 +631,28 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
         return certify(amps, g, s, *rest)
 
     monkeypatch.setattr(tracker, "_certify", spy)
+    n = tracker._first_steps(2.0, 1.0)
+    detour = len(tracker._CUTS) + 2
     if route == "direct":
         P = ExpPolynomial.from_pairs(
             2, [(1, ["1", "0"]), (-1, ["-1", "0"]), (0.5, ["0", "1"])]
         )
         box = BoxSpec((0.0, 0.0), (25000.0, 2 * PI))
         direct_mean_motion(P, [0.0, 0.0], box, lines=6)
+        assert sampled == [(1, 63663)] * 6
     elif route == "box":
         box_mean_motion(sin_poly, [0.0], WindowSchedule((25.0, 50.0, 100.0), 64))
+        assert sampled[0] == (192, n + 1) and [k for _, k in sampled[1:]] == [detour]
+    elif route == "runs":
+        rows = sin_poly.line_rows([0.0], np.zeros((4000, 2)))
+        centres = np.random.default_rng(5).uniform(-500.0, 500.0, 4000)
+        assert tracker.unit_increments(*rows, centres)[2].all()
+        paths = [r for r, k in sampled if k == detour]
+        assert sum(r for r, k in sampled if k == n + 1) == 4000
+        assert len(paths) > 1 and sum(paths) > tracker._BATCH_POINTS // detour
     else:
         U = UnivariateExpSum.from_terms([(1, 1), (0.5, 0)])
         assert tracker.locate_zeros(U, (0.0, 40000.0)) == []
-    if route == "direct":
-        assert sampled == [(1, 63663)] * 6
-    elif route == "box":
-        # the real-line pass, then the +-delta detours of the windows on zeros
-        n = tracker._first_steps(2.0, 1.0)
-        assert sampled[0] == (192, n + 1) and [k for _, k in sampled[1:]] == [n + 3, n + 3]
-    else:
         assert sampled == [(8192, 2)] * 6 + [(1778, 2)]
     assert all(rows * n <= tracker._BATCH_POINTS for rows, n in sampled if rows > 1)
 

@@ -431,18 +431,21 @@ def test_scan_pieces_take_no_centre_shift(which, interval, sin_sum, cos_minus_on
     assert calls.count(None) >= 2 and shifted == []
 
 
-def test_scan_piece_failing_every_delta_is_not_shifted(monkeypatch):
+def test_scan_piece_with_a_zero_above_its_end(monkeypatch):
     # e^{2is} - (1 + r) e^{is} + r, r = exp(-i/2 - 5e-6), has zeros at 0 and
-    # 5e-6 above the left end of (-0.5, 0.5), through which every delta's
-    # detour climbs. Its one piece fails every delta and the scan says so;
-    # settled at a shifted centre it would pass, over another interval
+    # 5e-6 above the left end of (-0.5, 0.5). The scan's one piece detours
+    # only the steps its real line fails, those around 0, so no detour
+    # climbs through the zero at the end: the piece is settled at its own
+    # centre, with the one real zero at 0
     r = np.exp(-0.5j - 5e-6)
     U = UnivariateExpSum.from_terms([(1, 2.0), (-(1 + r), 1.0), (r, 0.0)])
     calls = _settle_calls(monkeypatch)
-    for find in (locate_zeros, arg_increment_pair):
-        with pytest.raises(TrackingError, match="piece"):
-            find(U, (-0.5, 0.5))
+    zeros = locate_zeros(U, (-0.5, 0.5))
+    plus, minus = arg_increment_pair(U, (-0.5, 0.5))
     assert calls == [None, [0.0]] * 2
+    assert [z.multiplicity for z in zeros] == [1] == [z.multiplicity for z in plus.zeros]
+    assert zeros[0].location == pytest.approx(0.0, abs=1e-9)
+    assert minus.total_increment - plus.total_increment == pytest.approx(2 * PI, abs=1e-9)
 
 
 @pytest.mark.parametrize("center", np.append(np.arange(-0.45, 0.45, 0.05), [6.0, 6.5]))
@@ -620,10 +623,11 @@ class TestUnitIncrements:
 
 def _forced_trace(amps, g, centers):
     """Every row's real-line pass of its unit window through _trace, as
-    unit_increments would make it if no row were dominated."""
+    unit_increments would make it if no row were dominated: the turn and
+    pass flag of each step, rows x steps."""
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     n0 = tracker._first_steps(float(np.abs(g).sum()), 1.0)
-    return tracker._trace(shifted, g, np.arange(n0 + 1) / n0 - 0.5, tracker._AXIS_WIDTH)
+    return tracker._trace(shifted, g, np.arange(n0 + 1) / n0 - 0.5, tracker._AXIS_WIDTH)[:2]
 
 
 class TestDominatedRows:
@@ -662,7 +666,8 @@ class TestDominatedRows:
             taken = self._traced_rows(monkeypatch, rows.amps, g, centers)
             plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
             monkeypatch.undo()
-            want, passed = _forced_trace(rows.amps, g, centers)
+            turn, ok = _forced_trace(rows.amps, g, centers)
+            want, passed = turn.sum(axis=1), ok.all(axis=1)
             dominated = self._dominated(rows.amps)
             # the dominated rows never reach _trace; the others all do
             traced = sorted(set(sum(taken, [])))
@@ -689,8 +694,9 @@ class TestDominatedRows:
         plus, minus, done = unit_increments(amps, [0, 1, 2], np.zeros(2))
         monkeypatch.undo()
         assert taken == [[1]] and done.all()
-        want, passed = _forced_trace(amps, g, np.zeros(2))
-        assert passed.all()
+        turn, ok = _forced_trace(amps, g, np.zeros(2))
+        want = turn.sum(axis=1)
+        assert ok.all()
         assert plus == pytest.approx(want, abs=1e-12)
         assert minus == pytest.approx(want, abs=1e-12)
 
@@ -886,10 +892,10 @@ def _proving_nothing(monkeypatch):
 
 @pytest.mark.parametrize("form", ["simple", "double", "triple"])
 def test_proof_keeps_every_answer(form, monkeypatch):
-    # a row that _doomed proves failing is one the cuts would fail: the
-    # real-line pass and unit_increments give the same pass flags, totals
-    # of the rows that pass, and (plus, minus, done) with the proof as
-    # without it. The proof needs |q(x)| <= F/4 at a real x, and near a
+    # a step that _doomed proves failing is one the cuts would fail: the
+    # real-line pass and unit_increments give the same pass flag of every
+    # step, turns of the steps that pass, and (plus, minus, done) with the
+    # proof as without it. The proof needs |q(x)| <= F/4 at a real x, and near a
     # zero z0 of order m, |q| on the axis is least at about Re z0. So no
     # row is proven whose |q(Re z0)| is 4F or more: no simple zero 1e-7 or
     # more off the axis. A double zero up to about 1e-6 off it, or a triple
@@ -905,7 +911,7 @@ def test_proof_keeps_every_answer(form, monkeypatch):
         return out
 
     monkeypatch.setattr(tracker, "_doomed", doomed_spy)
-    total, passed = _forced_trace(amps, g, centers)
+    turn, ok = _forced_trace(amps, g, centers)
     got = unit_increments(amps, freqs, centers)
     rows_proven = sum(proven)
     at_zero = np.abs((amps * np.exp(1j * np.multiply.outer(zeros.real, g))).sum(axis=1))
@@ -916,39 +922,160 @@ def test_proof_keeps_every_answer(form, monkeypatch):
     assert sum(proven) == 0
     monkeypatch.undo()
     _proving_nothing(monkeypatch)
-    want_total, want_passed = _forced_trace(amps, g, centers)
+    want_turn, want_ok = _forced_trace(amps, g, centers)
     want = unit_increments(amps, freqs, centers)
-    # the bound proves rows of every form, the triple zeros' too
-    assert rows_proven > 0 and not want_passed.all()
-    assert (passed == want_passed).all()
-    assert (total[passed] == want_total[passed]).all()
+    # the bound proves steps of every form, the triple zeros' too
+    assert rows_proven > 0 and not want_ok.all()
+    assert (ok == want_ok).all()
+    assert (turn[ok] == want_turn[ok]).all()
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
 
 
-def _pass_calls(monkeypatch):
-    """Count _step_ok calls by the pass of _trace that makes them: on the
-    real line ("real") or along a +-delta detour ("delta")."""
-    calls, trace, step_ok, now = [], tracker._trace, tracker._step_ok, [None]
+def _window_detours(amps, freqs, centers):
+    """(plus, minus, done) of unit windows by a +-delta pass over whole
+    windows, for reference: a window whose real line fails in any step is
+    traced from its left end up to height delta (down to -delta), along
+    the window there and back to its right end, at the first delta at
+    which both paths pass. No row may be dominated or end on a zero."""
+    g = np.array([float(f) for f in freqs])
+    n0 = tracker._first_steps(float(np.abs(g).sum()), 1.0)
+    t = np.arange(n0 + 1) / n0 - 0.5
+    shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
+    turn, ok, _ = tracker._trace(shifted, g, t, tracker._AXIS_WIDTH)
+    plus, minus, done = turn.sum(axis=1), turn.sum(axis=1), ok.all(axis=1)
+    for delta in tracker._DELTAS:
+        todo = np.flatnonzero(~done)
+        if not len(todo):
+            break
+        detour = np.concatenate([[-0.5], t + 1j * delta, [0.5]])
+        (up, up_ok, _), (down, down_ok, _) = (
+            tracker._trace(shifted[todo], g, path, delta / 100) for path in (detour, detour.conj())
+        )
+        ok = up_ok.all(axis=1) & down_ok.all(axis=1)
+        plus[todo[ok]], minus[todo[ok]] = up.sum(axis=1)[ok], down.sum(axis=1)[ok]
+        done[todo[ok]] = True
+    plus[~done] = minus[~done] = math.nan
+    return plus, minus, done
 
-    def trace_spy(amps, g, t, stop):
-        now[0] = "delta" if np.iscomplexobj(t) else "real"
-        return trace(amps, g, t, stop)
+
+def _two_zero_rows(zeros):
+    """(amps, freqs) with one row (e^{iz} - e^{i z1})(e^{iz} - e^{i z2}) per
+    pair (z1, z2) of zeros."""
+    w = np.exp(1j * np.asarray(zeros))
+    return np.column_stack([w.prod(axis=1), -w.sum(axis=1), np.ones(len(w))]), [0, 1, 2]
+
+
+def _detour_cases(which, rng):
+    """(amps, freqs, centres) of unit windows with zeros on or near the axis."""
+    if which in ("sin", "double", "triple"):
+        U = {"sin": UnivariateExpSum.from_terms([(-0.5j, 1), (0.5j, -1)]),
+             "double": UnivariateExpSum.from_terms([(1, 1), (-2, 0), (1, -1)]),
+             "triple": _triple()}[which]
+        spacing = PI if which == "sin" else 2 * PI
+        centers = spacing * rng.integers(-20, 21, 64) + rng.uniform(-0.45, 0.45, 64)
+        return np.array([[a for a, _ in U.terms]] * 64), [g for _, g in U.terms], centers
+    if which == "two-zeros":
+        a = rng.uniform(-0.45, -0.05, 64)
+        return (*_two_zero_rows(np.column_stack([a, a + rng.uniform(0.1, 0.5 - a)])),
+                np.zeros(64))
+    if which == "at-a-sample":
+        # sin's zero k pi within 1e-9 of a point m / 16 - 1/2 of its window
+        n0 = tracker._first_steps(2.0, 1.0)
+        points = rng.integers(1, n0, 64) / n0 - 0.5 + rng.choice([-1, 1], 64) * rng.uniform(1e-12, 1e-9, 64)
+        return (np.array([[-0.5j, 0.5j]] * 64), [1, -1],
+                PI * rng.integers(-20, 21, 64) - points)
+    # one zero of the simple or double form off the axis, at each height
+    heights = np.array([sign * h for h in (1e-12, 1e-10, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+                        for sign in (1, -1)])
+    centers = rng.uniform(-50.0, 50.0, len(heights))
+    zeros = centers + rng.uniform(-0.45, 0.45, len(heights)) + 1j * heights
+    return (*_zero_rows(which.split("-")[1], zeros), centers)
+
+
+@pytest.mark.parametrize("which", ["sin", "double", "triple", "two-zeros", "at-a-sample",
+                                   "offaxis-simple", "offaxis-double"])
+def test_local_detours_match_window_detours(which):
+    # detouring only the runs of steps that the real line fails gives the
+    # increments of a detour over the whole window, where the window holds
+    # no zero above or below a step that passes: the passing steps' turns
+    # and the runs' detours telescope to the whole detour's. The triple
+    # zeros are the same to 1e-12 too, as every path ends on the real
+    # line's own samples
+    amps, freqs, centers = _detour_cases(which, np.random.default_rng(83))
+    got = unit_increments(amps, freqs, centers)
+    want = _window_detours(amps, freqs, centers)
+    assert got[2].all() and want[2].all()
+    assert got[0] == pytest.approx(want[0], abs=1e-12)
+    assert got[1] == pytest.approx(want[1], abs=1e-12)
+    # the windows with zeros are among them, with every multiplicity
+    turned = np.round((got[1] - got[0]) / (2 * PI))
+    assert turned.max() == {"double": 2, "triple": 3, "two-zeros": 2, "offaxis-double": 2}.get(which, 1)
+
+
+def test_zero_above_a_passing_step_is_left_out():
+    # a real zero at 0.1, and one 5e-6 above (below) 0.3, under which the
+    # real line certifies its step. Only the run of steps at 0.1 is
+    # detoured, so the second zero is left out, as the one-sided limits of
+    # arg q(x +- i delta) as delta -> 0 require: both branches pass it
+    # alike. A detour over the whole window at delta = 1e-5 passes it too
+    amps, freqs = _two_zero_rows([[0.1, 0.3 + 5e-6j], [0.1, 0.3 - 5e-6j]])
+    plus, minus, done = unit_increments(amps, freqs, np.zeros(2))
+    whole_plus, whole_minus, whole_done = _window_detours(amps, freqs, np.zeros(2))
+    assert done.all() and whole_done.all()
+    assert minus - plus == pytest.approx([2 * PI] * 2, abs=1e-9)
+    assert whole_minus - whole_plus == pytest.approx([4 * PI] * 2, abs=1e-9)
+    # the detour on the side away from the second zero is the same either way
+    assert (minus[0], plus[1]) == pytest.approx((whole_minus[0], whole_plus[1]), abs=1e-12)
+
+
+def test_run_failing_every_delta_retries_its_real_line(monkeypatch):
+    # zeros 3e-6 above the first-sampling point -1/4 of the unit window at
+    # 0, and 2e-10 above the middle of the step after it, which the real
+    # line fails. Every delta's detour of that step climbs through the
+    # first zero; its real segment, traced again down to the first delta's
+    # stop, passes. The window holds no zero on the axis, and both branches
+    # take the real line's turn: that of the whole window's down detour
+    amps, freqs = _two_zero_rows([[-0.25 + 3e-6j, -0.25 + 1 / 32 + 2e-10j]])
+    calls, trace = [], tracker._trace
+
+    def spy(amps, g, t, *rest):
+        calls.append((t.ndim, np.iscomplexobj(t)))
+        return trace(amps, g, t, *rest)
+
+    monkeypatch.setattr(tracker, "_trace", spy)
+    plus, minus, done = unit_increments(amps, freqs, np.zeros(1))
+    monkeypatch.undo()
+    assert calls == [(1, False)] + [(2, True)] * len(tracker._DELTAS) + [(2, False)]
+    assert done[0] and plus[0] == minus[0]
+    assert minus[0] == pytest.approx(_window_detours(amps, freqs, np.zeros(1))[1][0], abs=1e-12)
+
+
+def _pass_calls(monkeypatch):
+    """The _trace calls, and the rounds of the step rule (_step_ok calls),
+    each by the pass that makes it: on the real line ("real") or along
+    +-delta detours ("delta"), in two lists."""
+    traces, rounds, trace, step_ok = [], [], tracker._trace, tracker._step_ok
+
+    def trace_spy(amps, g, t, *rest):
+        traces.append("delta" if np.iscomplexobj(t) else "real")
+        return trace(amps, g, t, *rest)
 
     def step_ok_spy(*args):
-        calls.append(now[0])
+        rounds.append(traces[-1])
         return step_ok(*args)
 
     monkeypatch.setattr(tracker, "_trace", trace_spy)
     monkeypatch.setattr(tracker, "_step_ok", step_ok_spy)
-    return calls
+    return traces, rounds
 
 
 def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
     # 64 unit windows of sin at y = 0: the windows on a real zero fail the
     # first sampling, and the proof fails them there, with no round of
     # cuts, where the cuts would take five rounds, from 1/16 down to
-    # 1.9e-6. The detours are untouched
+    # 1.9e-6. The detours are untouched: one call takes the up and down
+    # detours of every run of failing steps, in at most two rounds
     rng = np.random.default_rng(3)
     rows = sin_poly.line_rows([0.0], rng.uniform(0, 2 * PI, (64, 2)))
     centers = rng.uniform(-50.0, 50.0, 64)
@@ -956,11 +1083,12 @@ def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
     for prove in (True, False):
         if not prove:
             _proving_nothing(monkeypatch)
-        calls = _pass_calls(monkeypatch)
+        traces, rounds = _pass_calls(monkeypatch)
         plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
         monkeypatch.undo()
         assert done.all() and ((minus - plus) / (2 * PI)).round().sum() > 0
-        counts.append((calls.count("real"), calls.count("delta")))
-    (real, delta), (real_before, delta_before) = counts
+        counts.append((traces, rounds.count("real"), rounds.count("delta")))
+    (traces, real, delta), (traces_before, real_before, delta_before) = counts
+    assert traces == traces_before == ["real", "delta"]
     assert (real, real_before) == (1, 6)
-    assert delta == delta_before > 0
+    assert delta == delta_before and 0 < delta <= 2
