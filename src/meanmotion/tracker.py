@@ -18,10 +18,9 @@ with an end on a zero is settled again alone at slightly shifted
 centres, where the one-sided limits still hold.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
-commands, run on the same engine: the failing steps of an interval's
-first sampling mark its zero clusters, and the engine's increments over
-a piece around each cluster, which detour only the steps around it,
-give the cluster's multiplicity.
+commands, run on the same engine in one pass: the interval is one row
+over its first sampling, each run of its failing steps is a cluster of
+zeros, and the cluster's detours give its multiplicity.
 
 count_zeros_rectangle and winding_number count zeros by _winding: the
 winding of a contour under the plain pi/2 step rule, certified for the
@@ -84,7 +83,7 @@ class ArgTrace:
     smooth_increment: float
     jump_increment: float
     total_increment: float
-    # (n, 2) columns: s on the interval's first sampling, unwrapped phase
+    # (n + 1, 2) columns: s on the interval's first sampling, phase there
     samples: np.ndarray = field(repr=False, compare=False)
 
 
@@ -187,22 +186,19 @@ def _first_steps(fs, width):
 
 
 def _scan(U, interval):
-    """Real zeros of U in the interval (a, b) and the increments around them.
+    """Real zeros of U in the interval (a, b) and its branches' turns.
 
-    Each step of the interval's first sampling (_first_steps: 16 steps,
-    17 points, or more) is traced alone; a run of steps that still fail below
-    _AXIS_WIDTH is a cluster of zeros on or next to the axis. The interval
-    is cut halfway between clusters, and unit_increments settles each
-    piece, detouring only the steps around its cluster: (minus - plus) /
-    2pi is the cluster's multiplicity. A cluster of
-    m >= 2 zeros is scanned again, which may split it, while its
-    neighbourhood is wider than 64 r: rounding splits an m-fold zero over
-    the radius r = (F / |c_m|)^(1/m), F the step floor and c_m the m-th
-    Taylor coefficient at the middle. Otherwise Newton's method in the
-    cluster locates its zero. Returns the grid, the cuts (a and b
-    included), each piece's cluster as a step range [i, j) (an empty one
-    in the middle when there is none), the pieces' plus and minus
-    increments, and the zeros.
+    The interval is one row of _passes, seen from its middle, over its
+    first sampling (_first_steps: 16 steps, 17 points, or more). Each run
+    of steps that still fail below _AXIS_WIDTH is a cluster of zeros on
+    or next to the axis: (down - up) / 2pi of its detours is its
+    multiplicity. A cluster of m >= 2 zeros is scanned again, which may
+    split it, while its neighbourhood is wider than 64 r: rounding splits
+    an m-fold zero over the radius r = (F / |c_m|)^(1/m), F the step floor
+    and c_m the m-th Taylor coefficient at the middle. Otherwise Newton's
+    method in the cluster locates its zero. Returns the first sampling,
+    each step's turn on the arg+ and arg- branches, 2 x steps, each
+    cluster's detours on its middle step, and the zeros.
     """
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
@@ -215,40 +211,35 @@ def _scan(U, interval):
         raise EndpointZeroError("window endpoint sits on a zero")
     n0 = _first_steps(U.frequency_scale, b - a)
     grid = np.linspace(a, b, n0 + 1)
-    # each step is a row seen from its left end, so its length does not round with |a|
-    steps = U._amps * np.exp(1j * np.multiply.outer(grid[:-1], U._freqs))
-    fail = np.flatnonzero(~_trace(steps, U._freqs, grid[:2] - a, _AXIS_WIDTH)[1][:, 0])
-    runs = np.split(fail, np.flatnonzero(np.diff(fail) > 1) + 1) if len(fail) else []
-    clusters = [(r[0], r[-1] + 1) for r in runs] or [(n0 // 2, n0 // 2)]
-    cuts = [a] + [0.5 * (grid[j] + grid[i]) for (_, j), (i, _) in zip(clusters, clusters[1:])] + [b]
-    plus, minus = np.zeros(len(clusters)), np.zeros(len(clusters))
-    for k, (l, r) in enumerate(zip(cuts, cuts[1:])):
-        p, m, done = unit_increments(U._amps[None], U._freqs,
-                                     np.array([0.5 * (l + r)]), r - l)
-        if not done[0]:
-            raise TrackingError(f"the piece ({l}, {r}) of the interval failed")
-        plus[k], minus[k] = p[0], m[0]
-    turned = (minus - plus) / TWO_PI
+    shifted = U._amps * np.exp(1j * (0.5 * (a + b)) * U._freqs)
+    t = (np.arange(n0 + 1) / n0 - 0.5) * (b - a)
+    turn, _, lo, hi, up, down, settled = _passes(shifted[None], U._freqs, t)
+    if not settled.all():
+        i, j = lo[~settled][0], hi[~settled][0]
+        raise TrackingError(f"the steps ({grid[i]}, {grid[j]}) of the interval failed")
+    turned = (down - up) / TWO_PI
     mult = np.rint(turned)
     if not (np.abs(turned - mult) <= 0.1).all() or (mult < 0).any():
-        raise TrackingError(f"pieces turned {turned.tolist()} times")
+        raise TrackingError(f"clusters turned {turned.tolist()} times")
     zeros = []
-    for (i, j), m in zip(clusters, mult):
+    for i, j, m in zip(lo, hi, mult):
         # the cluster's neighbourhood, from the middle of the step before it
-        lo = a if i == 0 else 0.5 * (grid[i - 1] + grid[i])
-        hi = b if j == n0 else 0.5 * (grid[j] + grid[j + 1])
-        c = abs(U.leading_coefficient(0.5 * (lo + hi), int(m))) if m > 1 else 0.0
+        left = a if i == 0 else 0.5 * (grid[i - 1] + grid[i])
+        right = b if j == n0 else 0.5 * (grid[j] + grid[j + 1])
+        c = abs(U.leading_coefficient(0.5 * (left + right), int(m))) if m > 1 else 0.0
         found = ()
-        if c and hi - lo > 64 * (_STEP_FLOOR * U.amplitude_scale / c) ** (1 / m):
+        if c and right - left > 64 * (_STEP_FLOOR * U.amplitude_scale / c) ** (1 / m):
             try:
-                found = _scan(U, (lo, hi))[-1]
+                found = _scan(U, (left, right))[-1]
             except (EndpointZeroError, TrackingError):
                 pass
         if len(found) > 1 and sum(z.multiplicity for z in found) == m:
             zeros += found
         elif m:
             zeros.append(Zero(_newton(U, grid[i], grid[j], int(m)), int(m)))
-    return grid, cuts, clusters, plus, minus, tuple(zeros)
+    turns = np.vstack([turn, turn])
+    turns[:, (lo + hi) // 2] = up, down
+    return grid, turns, tuple(zeros)
 
 
 def locate_zeros(
@@ -274,32 +265,22 @@ def arg_increment_pair(
     """Increments of the arg+ and arg- branches of U over the interval,
     (plus, minus), from a single zero scan.
 
-    The smooth increment sums (plus + minus) / 2 over the scan's pieces,
-    and the jumps are -+pi times the zeros' multiplicities. The samples
-    are the branch's phase on the first sampling with the cuts inserted:
-    outside the clusters each step turns by the principal angle, which
-    the certified step rule makes exact, and each piece's remaining turn
-    goes on its cluster's middle step.
+    The samples are the branch's phase on the interval's first sampling:
+    each step turns by its certified turn, and each cluster's detour, the
+    one-sided limit past its zeros, goes on its middle step. The smooth
+    increment is the mean of the two branches' totals, and the jumps are
+    -+pi times the zeros' multiplicities.
     """
-    grid, cuts, clusters, plus, minus, zeros = _scan(U, interval)
-    smooth = float(np.sum(0.5 * (plus + minus)))
+    grid, turns, zeros = _scan(U, interval)
+    smooth = float(turns.sum(axis=1).mean())
     jump = math.pi * sum(z.multiplicity for z in zeros)
-    s = np.sort(np.concatenate([grid, cuts[1:-1]]))
-    q = U(s)
-    turns = np.angle(q[1:] * q[:-1].conj())
-    # a cut sits between two clusters, so cluster k's steps move by k
-    for k, (i, j) in enumerate(clusters):
-        turns[i + k : j + k] = 0.0
-    mids = [(i + j) // 2 + k for k, (i, j) in enumerate(clusters)]
-    firsts = np.searchsorted(s, cuts[:-1])
+    start = np.angle(U(grid[:1]))[0]
     traces = []
-    for convention, inc, sign in (("plus", plus, -1), ("minus", minus, 1)):
-        steps = turns.copy()
-        steps[mids] += inc - np.add.reduceat(turns, firsts)
-        phase = np.angle(q[0]) + np.concatenate([[0.0], np.cumsum(steps)])
+    for convention, steps, sign in (("plus", turns[0], -1), ("minus", turns[1], 1)):
+        phase = start + np.concatenate([[0.0], np.cumsum(steps)])
         traces.append(ArgTrace(
-            convention, (cuts[0], cuts[-1]), zeros, smooth, sign * jump,
-            smooth + sign * jump, np.column_stack([s, phase]),
+            convention, (float(grid[0]), float(grid[-1])), zeros, smooth, sign * jump,
+            smooth + sign * jump, np.column_stack([grid, phase]),
         ))
     return traces[0], traces[1]
 
@@ -539,20 +520,32 @@ def _increments(amps, g, centers, width):
     plus[b] = minus[b] = g[j] * width + np.angle(r[:, 1]) - np.angle(r[:, 0])
     todo = np.flatnonzero(usable & ~dominated)
     if len(todo):
-        turn, ok, v = _trace(shifted[todo], g, t, _AXIS_WIDTH)
+        turn, row, lo, _, up_run, down_run, settled = _passes(shifted[todo], g, t)
         up, down = turn, turn.copy()
-        f = np.flatnonzero(~ok)  # the failing steps, row * n0 + step
-        if len(f):
-            # each maximal run [lo, hi) of a row's failing steps
-            first = (np.diff(f, prepend=-2) > 1) | (f % n0 == 0)
-            last = (np.diff(f, append=ok.size + 1) > 1) | (f % n0 == n0 - 1)
-            row, lo = np.divmod(f[first], n0)
-            hi = f[last] + 1 - row * n0
-            up[row, lo], down[row, lo], settled = _detours(
-                shifted[todo[row]], g, t[lo], t[hi], v[lo, row], v[hi, row])
+        if len(row):
+            up[row, lo], down[row, lo] = up_run, down_run
             done[todo[row[~settled]]] = False
         plus[todo], minus[todo] = up.sum(axis=1), down.sum(axis=1)
     return plus, minus, done, ~usable & (floor > 0)
+
+
+def _passes(shifted, g, t):
+    """The real-line and +-delta passes of the sums shifted, rows seen from
+    their centres, over the grid t: (turn, row, lo, hi, up, down, settled).
+    turn, rows x steps, is each step's certified real-line turn, 0 where
+    it failed; [lo, hi) is each maximal run of failing steps of the row
+    row, and up, down and settled are its _detours. No step failing, no
+    _detours call is made."""
+    n0 = len(t) - 1
+    turn, ok, v = _trace(shifted, g, t, _AXIS_WIDTH)
+    f = np.flatnonzero(~ok)  # the failing steps, row * n0 + step
+    if not len(f):
+        return turn, f, f, f, np.zeros(0), np.zeros(0), np.ones(0, dtype=bool)
+    first = (np.diff(f, prepend=-2) > 1) | (f % n0 == 0)
+    last = (np.diff(f, append=ok.size + 1) > 1) | (f % n0 == n0 - 1)
+    row, lo = np.divmod(f[first], n0)
+    hi = f[last] + 1 - row * n0
+    return turn, row, lo, hi, *_detours(shifted[row], g, t[lo], t[hi], v[lo, row], v[hi, row])
 
 
 def _detours(amps, g, a, b, qa, qb):

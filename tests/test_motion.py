@@ -620,10 +620,9 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     # windows of a sin report, n + 1 points each for a first sampling of n
     # steps, take one batch, and the +-delta detours of their runs of
     # failing steps, len(_CUTS) + 2 points a path, one more; the detours of
-    # 4000 such windows take more than one batch; and the 50,930 two-point
-    # steps of e^{is} + 1/2 over (0, 40000) take 8192 a batch. Its term 1
-    # dominates the 1/2, so unit_increments settles the interval's one
-    # piece from its ends, and the piece samples nothing
+    # 4000 such windows take more than one batch; and the 50,930 steps of
+    # e^{is} + 1/2 over (0, 40000) are one row of 50,931 points, a batch
+    # of their own, like the direct route's lines
     sampled, certify = [], tracker._certify
 
     def spy(amps, g, s, *rest):  # a batch's samples at t
@@ -653,7 +652,7 @@ def test_calls_stay_within_point_budget(route, sin_poly, monkeypatch):
     else:
         U = UnivariateExpSum.from_terms([(1, 1), (0.5, 0)])
         assert tracker.locate_zeros(U, (0.0, 40000.0)) == []
-        assert sampled == [(8192, 2)] * 6 + [(1778, 2)]
+        assert sampled == [(1, 50931)]
     assert all(rows * n <= tracker._BATCH_POINTS for rows, n in sampled if rows > 1)
 
 

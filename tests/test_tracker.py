@@ -391,22 +391,36 @@ def test_pinned_increments(which, interval, plus, minus, zeros,
     assert [x for x, _ in got] == pytest.approx([x for x, _ in zeros], abs=tol)
 
 
-def _settle_calls(monkeypatch):
-    """The centres of every _increments call, in a list, with None at the
-    start of each unit_increments call: a call that does not follow a None
-    is one of the one-row calls of unit_increments' centre shifts."""
-    calls, outer, inner = [], tracker.unit_increments, tracker._increments
+def _engine_calls(monkeypatch):
+    """The name of every unit_increments, _increments and _passes call, in
+    a list, in order."""
+    calls = []
 
-    def entry(*args):
-        calls.append(None)
-        return outer(*args)
+    def spy(name):
+        engine = getattr(tracker, name)
 
-    def settle(*args):
-        calls.append(args[2].tolist())
-        return inner(*args)
+        def entry(*args):
+            calls.append(name)
+            return engine(*args)
+        return entry
 
-    monkeypatch.setattr(tracker, "unit_increments", entry)
-    monkeypatch.setattr(tracker, "_increments", settle)
+    for name in ("unit_increments", "_increments", "_passes"):
+        monkeypatch.setattr(tracker, name, spy(name))
+    return calls
+
+
+def _real_grid_traces(monkeypatch):
+    """The rows and grid of every _trace call on one grid that all rows
+    share, in a list: the real-line passes, not the detours, whose paths
+    are held points x rows."""
+    calls, trace = [], tracker._trace
+
+    def spy(amps, g, t, *rest):
+        if t.ndim == 1:
+            calls.append((amps.copy(), t.copy()))
+        return trace(amps, g, t, *rest)
+
+    monkeypatch.setattr(tracker, "_trace", spy)
     return calls
 
 
@@ -416,36 +430,83 @@ def _settle_calls(monkeypatch):
 ], ids=str)
 def test_scan_pieces_take_no_centre_shift(which, interval, sin_sum, cos_minus_one,
                                          monkeypatch):
-    # the scan's pieces tile the interval, and the track command's total
-    # rests on that tiling: no piece is settled at a shifted centre, not
-    # even in the finer scans that keep the zeros +-5e-4 of "close" apart
+    # the scan's steps tile the interval, and the track command's total
+    # rests on that tiling: the scan never calls unit_increments, where the
+    # centre shifts are, not even in the finer scans that keep the zeros
+    # +-5e-4 of "close" apart, and takes the interval through _passes
     if which == "close":
         a, b = np.exp(5e-4j), np.exp(-5e-4j)
         U = UnivariateExpSum.from_terms([(1, 2.0), (-(a + b), 1.0), (a * b, 0.0)])
     else:
         U, interval = _pinned_window(which, interval, sin_sum, cos_minus_one)
-    calls = _settle_calls(monkeypatch)
+    calls = _engine_calls(monkeypatch)
     locate_zeros(U, interval)
     arg_increment_pair(U, interval)
-    shifted = [c for before, c in zip(calls, calls[1:]) if None not in (before, c)]
-    assert calls.count(None) >= 2 and shifted == []
+    assert calls.count("_passes") >= 2 and set(calls) == {"_passes"}
 
 
 def test_scan_piece_with_a_zero_above_its_end(monkeypatch):
     # e^{2is} - (1 + r) e^{is} + r, r = exp(-i/2 - 5e-6), has zeros at 0 and
-    # 5e-6 above the left end of (-0.5, 0.5). The scan's one piece detours
-    # only the steps its real line fails, those around 0, so no detour
-    # climbs through the zero at the end: the piece is settled at its own
-    # centre, with the one real zero at 0
+    # 5e-6 above the left end of (-0.5, 0.5). The scan detours only the
+    # steps its real line fails, those around 0, so no detour climbs
+    # through the zero at the end: the interval's one real-line pass is
+    # seen from its centre 0.0, and the one real zero is at 0
     r = np.exp(-0.5j - 5e-6)
     U = UnivariateExpSum.from_terms([(1, 2.0), (-(1 + r), 1.0), (r, 0.0)])
-    calls = _settle_calls(monkeypatch)
+    calls = _real_grid_traces(monkeypatch)
     zeros = locate_zeros(U, (-0.5, 0.5))
     plus, minus = arg_increment_pair(U, (-0.5, 0.5))
-    assert calls == [None, [0.0]] * 2
+    t = np.arange(17) / 16 - 0.5
+    assert len(calls) == 2
+    for amps, grid in calls:
+        np.testing.assert_array_equal(amps, U._amps[None])
+        np.testing.assert_array_equal(grid, t)
     assert [z.multiplicity for z in zeros] == [1] == [z.multiplicity for z in plus.zeros]
     assert zeros[0].location == pytest.approx(0.0, abs=1e-9)
     assert minus.total_increment - plus.total_increment == pytest.approx(2 * PI, abs=1e-9)
+
+
+def test_far_sin_scan_is_one_engine_pass(sin_sum, monkeypatch):
+    # the 318 zeros of sin over (20000.5, 21000.5) come from one real-line
+    # pass over the interval's 2548 points and one _detours call on its
+    # 318 runs of failing steps
+    calls = _real_grid_traces(monkeypatch)
+    detoured, detours = [], tracker._detours
+
+    def spy(amps, *rest):
+        detoured.append(len(amps))
+        return detours(amps, *rest)
+
+    monkeypatch.setattr(tracker, "_detours", spy)
+    zeros = locate_zeros(sin_sum, (20000.5, 21000.5))
+    assert len(zeros) == 318 and [len(t) for _, t in calls] == [2548]
+    assert detoured == [318]
+
+
+def test_no_failing_step_calls_no_detours(sin_sum, monkeypatch):
+    # sin has no zero in (1, 2), and no term of the rows dominates: the
+    # real-line passes of the scan and of the engine certify every step,
+    # and _passes makes no _detours call for no run
+    called = []
+    monkeypatch.setattr(tracker, "_detours", lambda *args: called.append(args))
+    assert locate_zeros(sin_sum, (1.0, 2.0)) == []
+    amps = np.array([[a for a, _ in sin_sum.terms]] * 3)
+    plus, minus, done = unit_increments(amps, [g for _, g in sin_sum.terms],
+                                        np.array([1.5, 4.7, -1.6]))
+    assert done.all() and called == []
+
+
+@pytest.mark.parametrize("which", ["sin", "double", "triple"])
+def test_track_samples_are_the_first_sampling(which, sin_sum, cos_minus_one):
+    # the samples are the interval's first sampling, with no point added,
+    # and the phase on them turns by each branch's total increment
+    U = {"sin": sin_sum, "double": cos_minus_one, "triple": _triple()}[which]
+    a, b = -4.0, 7.3
+    n0 = tracker._first_steps(U.frequency_scale, b - a)
+    for trace in arg_increment_pair(U, (a, b)):
+        s, phase = trace.samples.T
+        np.testing.assert_array_equal(s, np.linspace(a, b, n0 + 1))
+        assert phase[-1] - phase[0] == pytest.approx(trace.total_increment, abs=1e-9)
 
 
 @pytest.mark.parametrize("center", np.append(np.arange(-0.45, 0.45, 0.05), [6.0, 6.5]))
