@@ -7,20 +7,22 @@ unit_increments settles many windows at once without locating any zero.
 A window in which one term outweighs the others settles from its two
 ends (Rouche's theorem on the line). Every other phase step is certified
 by the step rule of _step_ok, and the real segment keeps each step's
-outcome. A window whose steps all pass holds no zero. Each run of steps
-that fail is traced again along two detours, through heights +delta and
--delta, which start and end on the real segment's own samples: the
-one-sided limits that pass its real zeros above and below, added to the
-turns of the steps that pass. A step on a real zero fails in the round
-where it first fails: _doomed proves by a bound on |q| at a located zero
-that the cuts would fail it, and answers stay those of the cuts. A window
-with an end on a zero is settled again alone at slightly shifted
-centres, where the one-sided limits still hold.
+outcome. A window whose steps all pass holds no zero. A run of steps that
+fail and provably holds one simple zero crosses it in closed form,
+Arg(-q_b / q_a) -+ pi (_crossings). Every other run is traced again along
+two detours, through heights +delta and -delta, which start and end on
+the real segment's own samples. Either gives the one-sided limits that
+pass the run's real zeros above and below, added to the turns of the
+steps that pass. A step on a real zero fails in the round where it
+first fails: _doomed proves by a bound on |q| at a located zero that the
+cuts would fail it, and answers stay those of the cuts. A window with an
+end on a zero is settled again alone at slightly shifted centres, where
+the one-sided limits still hold.
 
 locate_zeros and arg_increment_pair, which serve the zeros and track
 commands, run on the same engine in one pass: the interval is one row
 over its first sampling, each run of its failing steps is a cluster of
-zeros, and the cluster's detours give its multiplicity.
+zeros, and the cluster's crossing or detours give its multiplicity.
 
 count_zeros_rectangle and winding_number count zeros by _winding: the
 winding of a contour under the plain pi/2 step rule, certified for the
@@ -191,14 +193,15 @@ def _scan(U, interval):
     The interval is one row of _passes, seen from its middle, over its
     first sampling (_first_steps: 16 steps, 17 points, or more). Each run
     of steps that still fail below _AXIS_WIDTH is a cluster of zeros on
-    or next to the axis: (down - up) / 2pi of its detours is its
-    multiplicity. A cluster of m >= 2 zeros is scanned again, which may
-    split it, while its neighbourhood is wider than 64 r: rounding splits
-    an m-fold zero over the radius r = (F / |c_m|)^(1/m), F the step floor
-    and c_m the m-th Taylor coefficient at the middle. Otherwise Newton's
-    method in the cluster locates its zero. Returns the first sampling,
-    each step's turn on the arg+ and arg- branches, 2 x steps, each
-    cluster's detours on its middle step, and the zeros.
+    or next to the axis: (down - up) / 2pi of its crossing (_crossings)
+    or detours is its multiplicity. A cluster of m >= 2 zeros is scanned
+    again, which may split it, while its neighbourhood is wider than 64 r:
+    rounding splits an m-fold zero over the radius r = (F / |c_m|)^(1/m),
+    F the step floor and c_m the m-th Taylor coefficient at the middle.
+    Otherwise Newton's method in the cluster locates its zero. Returns the
+    first sampling, each step's turn on the arg+ and arg- branches, 2 x
+    steps, each cluster's one-sided limits on its middle step, and the
+    zeros.
     """
     if U.is_identically_zero:
         raise DegenerateInputError("identically-zero sum")
@@ -436,12 +439,18 @@ def _doomed(amps, g, s0, s1, q0, q1, floor):
         c = s0 + (s1 - s0) * (q0 / (q0 - q1))
         tried = np.flatnonzero(np.abs(c.imag) * np.abs(q1 - q0) < floor * (s1 - s0))
         if len(tried):
-            amps, c = amps[tried], c[tried]
-            terms = amps * np.exp(1j * np.multiply.outer(c, g))
-            x = (c - terms.sum(axis=1) / (terms @ (1j * g))).real
-            q = (amps * np.exp(1j * np.multiply.outer(x, g))).sum(axis=1)
+            x, terms = _newton_point(amps[tried], g, c[tried])
+            q = terms.sum(axis=1)
             doomed[tried] = (s0[tried] <= x) & (x <= s1[tried]) & (np.abs(q) <= floor[tried] / 4)
     return doomed
+
+
+def _newton_point(amps, g, c):
+    """x = Re of one Newton step on q / q' from c[r], for each sum amps[r],
+    and the terms a_k exp(i g_k x) there, rows x terms."""
+    terms = amps * np.exp(1j * np.multiply.outer(c, g))
+    x = (c - terms.sum(axis=1) / (terms @ (1j * g))).real
+    return x, amps * np.exp(1j * np.multiply.outer(x, g))
 
 
 def unit_increments(
@@ -469,12 +478,14 @@ def unit_increments(
       whose steps all pass holds no zero; both branches gain its phase
       change. A step on a real zero fails in the round where it first
       fails (_doomed).
-    * +-delta pass: each maximal run of a window's failing steps holds a
-      zero on or next to the axis, and _detours traces it from its left
-      end up to height +delta (down to -delta), through its _CUTS points
-      there and back to its right end. The arg+ (arg-) increment is the
-      turn of the steps that pass plus that of every run's up (down)
-      detour: the one-sided limit that passes every real zero above
+    * Crossings and the +-delta pass: each maximal run of a window's
+      failing steps holds a zero on or next to the axis. A run whose
+      +-delta rectangle provably holds one simple zero crosses it in
+      closed form (_crossings); _detours traces every other run from its
+      left end up to height +delta (down to -delta), through its _CUTS
+      points there and back to its right end. The arg+ (arg-) increment
+      is the turn of the steps that pass plus every run's up (down)
+      limit: the one-sided limit that passes every real zero above
       (below). It is the whole window's detour up to rounding, but for a
       zero within delta above or below a step that passes, which the
       limit delta -> 0+ leaves out.
@@ -484,8 +495,8 @@ def unit_increments(
       is settled alone: |q| of about shift^m there magnifies rounding
       that would vary with the batch.
     done[b] is False for an identically-zero row, a row with a run that
-    _detours cannot settle, and a row with an end on a zero that no shift
-    settles; its plus[b] and minus[b] are nan.
+    neither _crossings nor _detours settles, and a row with an end on a
+    zero that no shift settles; its plus[b] and minus[b] are nan.
     """
     g = np.array([float(f) for f in freqs])
     plus, minus, done, on_zero = _increments(amps, g, centers, width)
@@ -534,8 +545,9 @@ def _passes(shifted, g, t):
     their centres, over the grid t: (turn, row, lo, hi, up, down, settled).
     turn, rows x steps, is each step's certified real-line turn, 0 where
     it failed; [lo, hi) is each maximal run of failing steps of the row
-    row, and up, down and settled are its _detours. No step failing, no
-    _detours call is made."""
+    row, and up, down and settled are its one-sided limits: _crossings
+    settles the runs that cross one simple zero, and only the others go
+    to _detours. No step failing, neither is called."""
     n0 = len(t) - 1
     turn, ok, v = _trace(shifted, g, t, _AXIS_WIDTH)
     f = np.flatnonzero(~ok)  # the failing steps, row * n0 + step
@@ -545,7 +557,59 @@ def _passes(shifted, g, t):
     last = (np.diff(f, append=ok.size + 1) > 1) | (f % n0 == n0 - 1)
     row, lo = np.divmod(f[first], n0)
     hi = f[last] + 1 - row * n0
-    return turn, row, lo, hi, *_detours(shifted[row], g, t[lo], t[hi], v[lo, row], v[hi, row])
+    amps, a, b, qa, qb = shifted[row], t[lo], t[hi], v[lo, row], v[hi, row]
+    up, down, settled = _crossings(amps, g, a, b, qa, qb)
+    r = np.flatnonzero(~settled)
+    if len(r):
+        up[r], down[r], settled[r] = _detours(amps[r], g, a[r], b[r], qa[r], qb[r])
+    return turn, row, lo, hi, up, down, settled
+
+
+def _crossings(amps, g, a, b, qa, qb):
+    """_detours in closed form, (up, down, settled), for the segments whose
+    rectangle [a, b] x [-delta, delta], delta = _DELTAS[0], provably holds
+    exactly one zero z0 of the sum, a simple one: the up (down) path then
+    turns by Arg(-qb / qa) - pi (+ pi), the one-sided limits past it.
+
+    x is Re of one Newton step on q / q' from the chord root, as in
+    _doomed, and m = min(x - a, b - x). Let e = |q(x)| + F and d = |q'(x)|
+    - F', bounds of |q(x)| and |q'(x)| past the rounding of their sums by
+    margins of the kind of _doomed's F / 4, F = _STEP_FLOOR sum |a_k| and
+    F' = _STEP_FLOOR sum |a_k g_k|; rho = 2 e / d; R = hypot(max(x - a,
+    b - x), delta), the radius of a disc about x that covers the rectangle;
+    and M2 = sum |a_k| g_k^2 e^{|g_k| R}, which bounds |q''| on the disc.
+    A segment is settled when rho <= min(delta, m) and
+    (M2 R)^2 + (2 e / m)^2 < d^2. Then M2 R < d and 2 e < d m <= d R, so
+    against the linear term q(x) + q'(x) (z - x), within M2 r^2 / 2 of q on
+    the circle |z - x| = r <= R:
+    * (i) e + M2 R^2 / 2 < d R: by Rouche's theorem the disc holds exactly
+      one zero, z0;
+    * (ii) the same with rho in place of R, 2 M2 e < d^2: z0 lies within
+      rho of x, inside the rectangle, so down - up = 2 pi;
+    * (iii) q / (z - z0), the mean of q' over [z0, z], stays within M2 R of
+      q'(x): its argument, within asin(M2 R / d) of that of q'(x), turns by
+      less than twice that along the up path, while z - z0 turns by -pi
+      less the angles, each under asin(rho / m), at which a and b see z0 off
+      the axis. The second inequality puts the two arcsines' sum under
+      pi / 2, so the up turn, Arg(qb / qa) modulo 2 pi, is within pi of -pi.
+    The other segments read nan and are not settled. Like the step rule's
+    floor, the margins take each term's rounding at x to be under
+    _STEP_FLOOR |a_k|, which the rounding of g_k x alone passes once
+    |g_k x| nears 10^4; on such wide rows the certificates seen hold with
+    room to spare.
+    """
+    mods = np.abs(amps)
+    # a nan or infinite chord root or x, as where q' = 0, fails the comparisons
+    with np.errstate(all="ignore"):
+        x, terms = _newton_point(amps, g, a + (b - a) * (qa / (qa - qb)))
+        e = np.abs(terms.sum(axis=1)) + _STEP_FLOOR * mods.sum(axis=1)
+        d = np.abs(terms @ (1j * g)) - _STEP_FLOOR * (mods @ np.abs(g))
+        m = np.minimum(x - a, b - x)
+        r = np.hypot(np.maximum(x - a, b - x), _DELTAS[0])
+        m2r = (mods * np.exp(np.multiply.outer(r, np.abs(g)))) @ (g * g) * r
+        settled = (2 * e <= d * np.minimum(m, _DELTAS[0])) & (m2r**2 + (2 * e / m) ** 2 < d * d)
+    arg = np.where(settled, np.angle(-qb / qa), math.nan)
+    return arg - math.pi, arg + math.pi, settled
 
 
 def _detours(amps, g, a, b, qa, qb):

@@ -121,9 +121,9 @@ def test_lattice_imports_only_errors():
 
 
 # the window engine's functions and constants, which the oracles must not read
-ENGINE = {"_trace", "_certify", "_step_ok", "_doomed", "_increments", "_passes",
-          "_detours", "unit_increments", "_scan", "_first_steps", "_STEP_FLOOR",
-          "_AXIS_WIDTH", "_DELTAS", "_SHIFTS", "_CUTS"}
+ENGINE = {"_trace", "_certify", "_step_ok", "_doomed", "_newton_point", "_increments",
+          "_passes", "_crossings", "_detours", "unit_increments", "_scan", "_first_steps",
+          "_STEP_FLOOR", "_AXIS_WIDTH", "_DELTAS", "_SHIFTS", "_CUTS"}
 
 
 def oracle_reads(source: str) -> dict[str, set[str]]:

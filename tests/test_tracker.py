@@ -466,21 +466,35 @@ def test_scan_piece_with_a_zero_above_its_end(monkeypatch):
     assert minus.total_increment - plus.total_increment == pytest.approx(2 * PI, abs=1e-9)
 
 
-def test_far_sin_scan_is_one_engine_pass(sin_sum, monkeypatch):
-    # the 318 zeros of sin over (20000.5, 21000.5) come from one real-line
-    # pass over the interval's 2548 points and one _detours call on its
-    # 318 runs of failing steps
-    calls = _real_grid_traces(monkeypatch)
-    detoured, detours = [], tracker._detours
+def _crossing_calls(monkeypatch):
+    """The runs that each _crossings call settles, and the rows of each
+    _detours call, in two lists."""
+    crossed, detoured = [], []
+    crossings, detours = tracker._crossings, tracker._detours
 
-    def spy(amps, *rest):
+    def crossings_spy(*args):
+        out = crossings(*args)
+        crossed.append(int(out[2].sum()))
+        return out
+
+    def detours_spy(amps, *rest):
         detoured.append(len(amps))
         return detours(amps, *rest)
 
-    monkeypatch.setattr(tracker, "_detours", spy)
+    monkeypatch.setattr(tracker, "_crossings", crossings_spy)
+    monkeypatch.setattr(tracker, "_detours", detours_spy)
+    return crossed, detoured
+
+
+def test_far_sin_scan_is_one_engine_pass(sin_sum, monkeypatch):
+    # the 318 zeros of sin over (20000.5, 21000.5) come from one real-line
+    # pass over the interval's 2548 points, and each of its 318 runs of
+    # failing steps crosses its simple zero in closed form: no _detours call
+    calls = _real_grid_traces(monkeypatch)
+    crossed, detoured = _crossing_calls(monkeypatch)
     zeros = locate_zeros(sin_sum, (20000.5, 21000.5))
     assert len(zeros) == 318 and [len(t) for _, t in calls] == [2548]
-    assert detoured == [318]
+    assert crossed == [318] and detoured == []
 
 
 def test_no_failing_step_calls_no_detours(sin_sum, monkeypatch):
@@ -873,8 +887,13 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     # detours with their vertical legs, satisfies its inequality with q0,
     # q1, M1 and M2 re-evaluated in interval arithmetic from the row's own
     # amplitudes. The engine tests steps in _trace only: _doomed proves a
-    # row fails by a bound at a located zero and accepts no step
+    # row fails by a bound at a located zero and accepts no step. sin's
+    # run of one failing step crosses its simple zero in closed form and
+    # is not traced (test_accepted_crossings_hold_in_interval_arithmetic
+    # checks that certificate); the double zero's run is detoured
     U, (a, b) = _pinned_window(which, interval, sin_sum, cos_minus_one)
+    detoured = which == "double"
+    crossed, _ = _crossing_calls(monkeypatch)
     accepted, proofs, step_ok, doomed = [], [], tracker._step_ok, tracker._doomed
 
     def spy(h, v, m1, m2, floor):
@@ -902,13 +921,15 @@ def test_accepted_steps_hold_in_interval_arithmetic(
     z0, z1, floor = (np.concatenate(v) for v in zip(*accepted))
     amps, g = [a for a, _ in U.terms], [float(f) for _, f in U.terms]
     heights = set(np.round(np.concatenate([z0.imag, z1.imag]), 12).tolist())
-    # at least the first sampling's steps are accepted, and the rows with a
-    # real zero are traced off the axis too
-    assert len(z0) >= tracker._first_steps(float(np.abs(g).sum()), 1.0)
-    assert (len(heights) > 1) == (interval is not None)
-    # and their detours' vertical legs are among the steps checked below
+    # at least the first sampling's steps are accepted, all but the run's
+    # one on sin, and the detoured row is traced off the axis too
+    n0 = tracker._first_steps(float(np.abs(g).sum()), 1.0)
+    assert crossed == {"sin": [1], "double": [0]}.get(which, [])
+    assert len(z0) == n0 - 1 if which == "sin" else len(z0) >= n0
+    assert (len(heights) > 1) == detoured
+    # and its detours' vertical legs are among the steps checked below
     vertical = (z0.real == z1.real) & (z0.imag != z1.imag)
-    assert vertical.any() == (interval is not None)
+    assert vertical.any() == detoured
     for s0, s1, f in zip(z0.tolist(), z1.tolist(), floor.tolist()):
         assert _iv_step_holds(amps, g, c, complex(s0), complex(s1), f)
 
@@ -1131,25 +1152,198 @@ def _pass_calls(monkeypatch):
     return traces, rounds
 
 
+def _crossing_nothing(monkeypatch):
+    monkeypatch.setattr(tracker, "_crossings", lambda amps, *rest: (
+        np.full(len(amps), math.nan), np.full(len(amps), math.nan),
+        np.zeros(len(amps), dtype=bool)))
+
+
 def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
     # 64 unit windows of sin at y = 0: the windows on a real zero fail the
     # first sampling, and the proof fails them there, with no round of
     # cuts, where the cuts would take five rounds, from 1/16 down to
-    # 1.9e-6. The detours are untouched: one call takes the up and down
-    # detours of every run of failing steps, in at most two rounds
+    # 1.9e-6. Each run of failing steps then crosses its simple zero in
+    # closed form, with no _trace call. Where the closed form settles
+    # nothing, one call takes the up and down detours of every run, in at
+    # most two rounds, and as many with the proof as without it
     rng = np.random.default_rng(3)
     rows = sin_poly.line_rows([0.0], rng.uniform(0, 2 * PI, (64, 2)))
     centers = rng.uniform(-50.0, 50.0, 64)
     counts = []
-    for prove in (True, False):
+    for prove, cross in ((True, True), (False, True), (True, False), (False, False)):
         if not prove:
             _proving_nothing(monkeypatch)
+        if not cross:
+            _crossing_nothing(monkeypatch)
         traces, rounds = _pass_calls(monkeypatch)
         plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
         monkeypatch.undo()
         assert done.all() and ((minus - plus) / (2 * PI)).round().sum() > 0
         counts.append((traces, rounds.count("real"), rounds.count("delta")))
-    (traces, real, delta), (traces_before, real_before, delta_before) = counts
-    assert traces == traces_before == ["real", "delta"]
-    assert (real, real_before) == (1, 6)
-    assert delta == delta_before and 0 < delta <= 2
+    crossed, crossed_before, detoured, detoured_before = counts
+    assert crossed == (["real"], 1, 0) and crossed_before == (["real"], 6, 0)
+    # the proof leaves the detours' rounds as they were
+    assert detoured[:2] == (["real", "delta"], 1) and 0 < detoured[2] <= 2
+    assert detoured_before == (["real", "delta"], 6, detoured[2])
+
+
+@pytest.mark.parametrize("which", ["double", "close-pair", "complex-above", "on-a-leg"])
+def test_crossings_refuse_what_detours_decide(which, monkeypatch):
+    # the closed form takes only a run whose rectangle provably holds one
+    # simple zero. It refuses a double zero of 2 cos z - 2 in a step, the
+    # zeros +-5e-4 of e^{2is} - 2 cos(5e-4) e^{is} + 1 in one step, and a
+    # real zero at 0.1 with a complex one 1e-6 above it, which _detours
+    # counts twice as the whole window's detour does; and the undone window
+    # of a zero on a run's vertical leg (a real zero at -0.21875, a complex
+    # one 3e-6 above the point -0.25), which stays undone exactly as
+    # without the closed form
+    rows, center = {
+        "double": (([[1, -2, 1]], [1, 0, -1]), 0.03),
+        "close-pair": (([[1, -2 * math.cos(5e-4), 1]], [0, 1, 2]), 1 / 32),
+        "complex-above": (_two_zero_rows([[0.1, 0.1 + 1e-6j]]), 0.0),
+        "on-a-leg": (_two_zero_rows([[-0.25 + 3e-6j, -0.21875]]), 0.0),
+    }[which]
+    amps, freqs, centers = np.array(rows[0], dtype=complex), rows[1], np.array([center])
+    crossed, detoured = _crossing_calls(monkeypatch)
+    plus, minus, done = unit_increments(amps, freqs, centers)
+    monkeypatch.undo()
+    assert crossed == [0] and detoured == [1]
+    _crossing_nothing(monkeypatch)
+    before = unit_increments(amps, freqs, centers)
+    for got, want in zip((plus, minus, done), before):
+        assert np.array_equal(got, want, equal_nan=True)
+    if which == "on-a-leg":
+        assert not done[0] and math.isnan(plus[0]) and math.isnan(minus[0])
+        return
+    whole = _window_detours(amps, freqs, centers)
+    assert done[0] and whole[2][0]
+    assert (plus[0], minus[0]) == pytest.approx((whole[0][0], whole[1][0]), abs=1e-12)
+    assert round((minus[0] - plus[0]) / (2 * PI)) == 2
+
+
+def _pair_windows(rng, n):
+    """(amps, freqs, centres) of n unit windows at 0, each with a real zero
+    and a second zero within 0.2 of it, on the axis, 1e-6 or 1e-4 above
+    it. Some runs hold both, and one Newton step may land on either. The
+    closed form crosses none: the bound M2 R on these sums outweighs |q'|."""
+    z = rng.uniform(-0.45, 0.45, n)
+    w = z + rng.uniform(-0.2, 0.2, n) + 1j * rng.choice([0.0, 1e-6, 1e-4], n)
+    return (*_two_zero_rows(np.column_stack([z, w])), np.zeros(n))
+
+
+@pytest.mark.parametrize("zero", [0.0, 0.15 + 1e-3j, 0.15 + 2e-5j])
+def test_crossings_need_the_zero_inside(zero):
+    # sin(z - z0) on the segment [-0.05, 0.05] and on [0.1, 0.2]. One
+    # Newton step from either chord root lands at Re z0, where the bounds
+    # alone would put one simple zero; the segment crosses only a zero
+    # within delta of the axis and inside it: sin's zero at 0 on the first
+    # segment, and no zero outside it or above the second by 1e-3 or 2e-5
+    amps = np.array([[-0.5j * np.exp(-1j * zero), 0.5j * np.exp(1j * zero)]] * 2)
+    g = np.array([1.0, -1.0])
+    a, b = np.array([-0.05, 0.1]), np.array([0.05, 0.2])
+    qa, qb = (np.sin(np.asarray(s) - zero) for s in (a, b))
+    up, down, settled = tracker._crossings(amps, g, a, b, qa, qb)
+    assert settled.tolist() == [zero == 0.0, False]
+    assert np.isnan(up[1]) and np.isnan(down[1])
+    if zero == 0.0:
+        assert (up[0], down[0]) == pytest.approx((-PI, PI), abs=1e-15)
+
+
+def _crossing_cases(rng):
+    """(amps, freqs, centres) batches of unit windows whose runs cross simple
+    zeros: 2000 sin windows at random centres, the simple form at every
+    height of HEIGHTS and sin within 1e-9 of a point of its first sampling;
+    and last, 2000 windows of pairs of zeros, which the closed form
+    refuses."""
+    yield np.array([[-0.5j, 0.5j]] * 2000), [1, -1], rng.uniform(-500.0, 500.0, 2000)
+    yield _zero_windows("simple", rng)[:3]
+    yield _detour_cases("at-a-sample", rng)
+    yield _pair_windows(rng, 2000)
+
+
+def _iv_dq(amps, g, x):
+    """Interval enclosure (re, im) of q'(x) = sum_k i g[k] amps[k] exp(i g[k] x)."""
+    re = im = iv.mpf(0)
+    for a, gk in zip(amps, g):
+        r, i = _iv_q([a], [gk], complex(x))
+        re, im = re - iv.mpf(gk) * i, im + iv.mpf(gk) * r
+    return re, im
+
+
+def _iv_crossing_holds(amps, g, a, b, x):
+    """Whether the closed form's certificate at x holds in interval
+    arithmetic for the run [a, b] of the sum sum_k amps[k] exp(i g[k] s):
+    with e >= |q(x)|, d <= |q'(x)|, rho = 2 e / d, r >= hypot(max(x - a,
+    b - x), delta) and M2 >= sum |a_k| g_k^2 e^{|g_k| r}, m = min(x - a,
+    b - x), inequalities (i) e + M2 r^2 / 2 < d r and (ii) e + M2 rho^2 / 2
+    < d rho of Rouche's theorem, rho <= min(delta, m), and (iii) the angle
+    budget (M2 r / d)^2 + (rho / m)^2 < 1."""
+    delta = iv.mpf(tracker._DELTAS[0])
+    floor = tracker._STEP_FLOOR * float(np.abs(amps).sum())
+    e = iv.mpf((_iv_abs(_iv_q(amps, g, complex(x))) + floor).b)
+    d = iv.mpf(_iv_abs(_iv_dq(amps, g, x)).a)
+    ia, ib, ix = iv.mpf(a), iv.mpf(b), iv.mpf(x)
+    m = iv.mpf(min((ix - ia).a, (ib - ix).a))
+    r = iv.mpf(iv.sqrt(max((ix - ia).b, (ib - ix).b) ** 2 + delta ** 2).b)
+    mods = [_iv_abs((iv.mpf(c.real), iv.mpf(c.imag))) for c in amps]
+    m2 = sum(mk * iv.mpf(gk) ** 2 * iv.exp(abs(iv.mpf(gk)) * r) for mk, gk in zip(mods, g))
+    rho = 2 * e / d
+    return ((e + m2 * r * r / 2).b < (d * r).a
+            and (e + m2 * rho * rho / 2).b < (d * rho).a
+            and rho.b <= min(delta.a, m.a)
+            and ((m2 * r / d) ** 2 + (rho / m) ** 2).b < 1)
+
+
+def test_accepted_crossings_hold_in_interval_arithmetic(sin_sum, monkeypatch):
+    # every run the closed form settles has a certificate that holds in
+    # interval arithmetic, recomputed from the row's own amplitudes at the
+    # engine's x, and its up turn lies in (-2 pi, 0], down = up + 2 pi. The
+    # runs are those of _crossing_cases' unit windows, and of wide rows,
+    # where the rounding of exp(i g x) grows with |x|: the far-sin scan,
+    # seen from its middle, and one window of sin 25,000 wide. Of each
+    # batch, the 300 runs farthest from their row's middle are checked
+    batches, crossings = [], tracker._crossings
+
+    def spy(amps, g, a, b, qa, qb):
+        out = crossings(amps, g, a, b, qa, qb)
+        for r in np.flatnonzero(out[2]):
+            batches[-1].append((amps[r], g, a[r], b[r], qa[r], qb[r], out[0][r], out[1][r]))
+        return out
+
+    monkeypatch.setattr(tracker, "_crossings", spy)
+    for amps, freqs, centers in _crossing_cases(np.random.default_rng(89)):
+        batches.append([])
+        unit_increments(amps, freqs, centers)
+    batches.append([])
+    locate_zeros(sin_sum, (20000.5, 21000.5))
+    batches.append([])
+    unit_increments(np.array([[-0.5j, 0.5j]]), [1, -1], np.array([0.25]), 25000.0)
+    monkeypatch.undo()
+    counts = [len(batch) for batch in batches]
+    assert min(counts[:3]) > 0 and counts[3:] == [0, 318, 7957]
+    for batch in batches:
+        batch.sort(key=lambda run: -max(abs(run[2]), abs(run[3])))
+        for amps, g, a, b, qa, qb, up, down in batch[:300]:
+            chord = a + (b - a) * (qa / (qa - qb))
+            x = float(tracker._newton_point(amps[None], g, np.array([chord]))[0][0])
+            assert _iv_crossing_holds(amps, g.tolist(), a, b, x)
+            assert -2 * PI < up <= 0 and down - up == pytest.approx(2 * PI, abs=1e-15)
+    assert abs(batches[-1][0][2]) > 12490
+
+
+def test_crossings_match_detours(monkeypatch):
+    # with the closed form settling nothing, the +-delta detours give the
+    # same increments to 1e-12 and the same windows done, on every batch of
+    # _crossing_cases: the closed form crosses runs of all but the last
+    cases = list(_crossing_cases(np.random.default_rng(97)))
+    for k, (amps, freqs, centers) in enumerate(cases):
+        crossed, detoured = _crossing_calls(monkeypatch)
+        got = unit_increments(amps, freqs, centers)
+        monkeypatch.undo()
+        _crossing_nothing(monkeypatch)
+        want = unit_increments(amps, freqs, centers)
+        monkeypatch.undo()
+        assert (sum(crossed) > 0) == (k < len(cases) - 1)
+        assert (got[2] == want[2]).all() and got[2].any()
+        assert got[0] == pytest.approx(want[0], abs=1e-12, nan_ok=True)
+        assert got[1] == pytest.approx(want[1], abs=1e-12, nan_ok=True)
