@@ -2,10 +2,10 @@
 
 Subcommands: eval, basis, zeros, track, mm, verify. Every subcommand takes
 --out; all but verify take --poly; zeros, track and mm take --y (0 when
-not given), and zeros and track also --xperp and --interval. mm reports
-both conventions. Machine-readable output (JSON / CSV) goes to stdout or
---out; human diagnostics go to stderr. Exit codes: 0 success, 1
-verification failure, 2 input error.
+not given), and zeros and track also --xperp and --interval. mm and
+track report both conventions. Machine-readable output (JSON / CSV) goes
+to stdout or --out; human diagnostics go to stderr. Exit codes: 0
+success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -110,21 +110,20 @@ def cmd_zeros(args) -> int:
 
 def cmd_track(args) -> int:
     U, interval = _line_inputs(args)
-    plus, minus = arg_increment_pair(U, interval)
-    trace = plus if args.convention == "plus" else minus
+    trace = arg_increment_pair(U, interval)
     if args.trace_csv:
         with open(args.trace_csv, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["s", "phase_radians"])
+            w.writerow(["s", "plus", "minus"])
             w.writerows(trace.samples.tolist())
     _dump_json(
         {
-            "convention": trace.convention,
             "interval": list(trace.interval),
             "zeros": _zeros_json(trace.zeros),
             "smooth_increment": trace.smooth_increment,
             "jump_increment": trace.jump_increment,
-            "total_increment": trace.total_increment,
+            "plus": trace.plus,
+            "minus": trace.minus,
         },
         args.out,
     )
@@ -234,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", parents=[line], help="real zeros of a line restriction")
     p.set_defaults(func=cmd_zeros)
 
-    p = sub.add_parser("track", parents=[line], help="arg branch along a segment")
-    p.add_argument("--convention", choices=["plus", "minus"], default="plus")
+    p = sub.add_parser("track", parents=[line], help="both arg branches along a segment")
     p.add_argument("--trace-csv", default=None)
     p.set_defaults(func=cmd_track)
 

@@ -79,13 +79,17 @@ class Zero:
 
 @dataclass(frozen=True)
 class ArgTrace:
-    convention: str
+    """Both branches of arg U over an interval, from one zero scan: the
+    plus (minus) total is the smooth increment less (plus) the jump, pi
+    times the zeros' multiplicities."""
+
     interval: tuple[float, float]
     zeros: tuple[Zero, ...]
     smooth_increment: float
     jump_increment: float
-    total_increment: float
-    # (n + 1, 2) columns: s on the interval's first sampling, phase there
+    plus: float
+    minus: float
+    # (n + 1, 3) columns: s on the interval's first sampling, arg+ and arg- there
     samples: np.ndarray = field(repr=False, compare=False)
 
 
@@ -264,28 +268,21 @@ def locate_zeros(
 def arg_increment_pair(
     U: UnivariateExpSum,
     interval: tuple[float, float],
-) -> tuple[ArgTrace, ArgTrace]:
+) -> ArgTrace:
     """Increments of the arg+ and arg- branches of U over the interval,
-    (plus, minus), from a single zero scan.
+    from a single zero scan.
 
-    The samples are the branch's phase on the interval's first sampling:
-    each step turns by its certified turn, and each cluster's detour, the
-    one-sided limit past its zeros, goes on its middle step. The smooth
-    increment is the mean of the two branches' totals, and the jumps are
-    -+pi times the zeros' multiplicities.
+    The samples are both branches' phases on the interval's first
+    sampling: each step turns by its certified turn, and each cluster's
+    one-sided limits past its zeros go on its middle step. The smooth
+    increment is the mean of the two branches' totals.
     """
     grid, turns, zeros = _scan(U, interval)
     smooth = float(turns.sum(axis=1).mean())
     jump = math.pi * sum(z.multiplicity for z in zeros)
-    start = np.angle(U(grid[:1]))[0]
-    traces = []
-    for convention, steps, sign in (("plus", turns[0], -1), ("minus", turns[1], 1)):
-        phase = start + np.concatenate([[0.0], np.cumsum(steps)])
-        traces.append(ArgTrace(
-            convention, (float(grid[0]), float(grid[-1])), zeros, smooth, sign * jump,
-            smooth + sign * jump, np.column_stack([grid, phase]),
-        ))
-    return traces[0], traces[1]
+    phase = np.angle(U(grid[:1]))[0] + np.pad(np.cumsum(turns, axis=1), ((0, 0), (1, 0)))
+    return ArgTrace((float(grid[0]), float(grid[-1])), zeros, smooth, jump,
+                    smooth - jump, smooth + jump, np.column_stack([grid, phase.T]))
 
 
 def _step_ok(h, v, m1, m2, floor):
@@ -333,12 +330,10 @@ def _trace(amps, g, t, stop, v=None):
     _certify tests each batch's samples, held steps x rows.
     """
     # |exp(i g z)| is largest where Im z is extreme, at a vertex of the path
+    heights = np.stack([t.imag.min(axis=0), t.imag.max(axis=0)])
+    grow = np.exp(-np.multiply.outer(heights, g)).max(axis=0)
     if t.ndim == 1:
         e = np.exp(1j * np.multiply.outer(g, t))
-        grow = np.abs(e).max(axis=1)
-    else:
-        heights = np.stack([t.imag.min(axis=0), t.imag.max(axis=0)])
-        grow = np.exp(-np.multiply.outer(heights, g)).max(axis=0)
     size, out = max(1, _BATCH_POINTS // len(t)), []
     for lo in range(0, len(amps), size):
         rows = amps[lo : lo + size]

@@ -180,10 +180,10 @@ def test_06_jump_convention_identity():
         a = float(rng.uniform(-4, 4))
         b = a + float(rng.uniform(0.5, 3.0))
         try:
-            plus, minus = arg_increment_pair(U, (a, b))
+            trace = arg_increment_pair(U, (a, b))
         except EndpointZeroError:
             continue
-        gap = minus.total_increment - plus.total_increment
+        gap = trace.minus - trace.plus
         counted = count_zeros_rectangle(U, (a, b, -1e-5, 1e-5))
         ok = ok and abs(gap - 2 * PI * counted) < 1e-6
         done += 1

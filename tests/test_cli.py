@@ -254,33 +254,30 @@ class TestZerosAndTrack:
         assert out["zeros"][0]["location"] == pytest.approx(0.0, abs=1e-8)
         assert out["zeros"][0]["multiplicity"] == 1
 
-    @pytest.mark.parametrize(
-        "convention, total",
-        [("plus", -math.pi), ("minus", math.pi)],
-        ids=["plus", "minus"],
-    )
-    def test_track_with_csv(self, sin_file, capsys, tmp_path, convention, total):
+    def test_track_with_csv(self, sin_file, capsys, tmp_path):
+        # one run reports both branches, and the CSV holds both phases
         trace_path = tmp_path / "trace.csv"
-        code = main(
-            [
-                "track",
-                "--poly",
-                sin_file,
-                "--interval=-0.5,0.5",
-                "--convention",
-                convention,
-                "--trace-csv",
-                str(trace_path),
-            ]
-        )
+        argv = ["track", "--poly", sin_file, "--interval=-0.5,0.5"]
+        code = main([*argv, "--trace-csv", str(trace_path)])
         assert code == EXIT_OK
         out = json.loads(capsys.readouterr().out)
-        assert out["convention"] == convention
-        assert out["total_increment"] == pytest.approx(total, abs=1e-9)
+        assert set(out) == {"interval", "zeros", "smooth_increment", "jump_increment",
+                            "plus", "minus"}
+        assert out["plus"] == pytest.approx(-math.pi, abs=1e-9)
+        assert out["minus"] == pytest.approx(math.pi, abs=1e-9)
+        assert out["jump_increment"] == pytest.approx(math.pi, abs=1e-9)
         with open(trace_path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["s", "phase_radians"]
+        assert rows[0] == ["s", "plus", "minus"]
         assert len(rows) > 10
+        first, last = ([float(v) for v in row[1:]] for row in (rows[1], rows[-1]))
+        turned = [b - a for a, b in zip(first, last)]
+        assert turned == pytest.approx([out["plus"], out["minus"]], abs=1e-9)
+        # the filter flag is gone
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--convention", "plus"])
+        assert exit_.value.code == EXIT_INPUT_ERROR
+        assert "--convention" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["zeros", "--interval=-1,1"],
@@ -311,7 +308,7 @@ class TestZerosAndTrack:
         assert main(["track", *argv]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["smooth_increment"] == pytest.approx(1.5, abs=1e-9)
-        assert out["total_increment"] == pytest.approx(1.5 - math.pi, abs=1e-9)
+        assert out["plus"] == pytest.approx(1.5 - math.pi, abs=1e-9)
 
     @pytest.mark.parametrize("command", ["zeros", "track"])
     def test_transverse_count_is_input_error(self, diff_file, capsys, command):

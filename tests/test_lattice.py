@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from meanmotion import lattice
 from meanmotion.core import ExpPolynomial
-from meanmotion.errors import DegenerateInputError, DimensionError, MembershipError
+from meanmotion.errors import (
+    DegenerateInputError,
+    DimensionError,
+    InternalConsistencyError,
+    MembershipError,
+)
 from meanmotion.io import parse_polynomial
 from meanmotion.lattice import coordinates, group_basis, hnf
 
@@ -172,6 +177,18 @@ class TestGroupBasis:
 
         monkeypatch.setattr(lattice, "coordinates", refuse)
         assert group_basis(exps).coords == ((1, 0), (3, 1), (0, 2))
+
+    def test_wrong_coordinates_are_caught(self, monkeypatch):
+        # the integer check that K . H rebuilds the exponent matrix catches
+        # an HNF whose coordinates are off by one
+        def off_by_one(matrix):
+            h, k = hnf(matrix)
+            k[1][0] += 1
+            return h, k
+
+        monkeypatch.setattr(lattice, "hnf", off_by_one)
+        with pytest.raises(InternalConsistencyError, match=r"\[4, 1\] do not rebuild"):
+            group_basis([fv("1/2", 0), fv("3/2", 1), fv(0, 2)])
 
 
 class TestCoordinates:

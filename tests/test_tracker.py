@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from mpmath import iv
 from scipy.integrate import quad
 
 from meanmotion import tracker
+from meanmotion.cli import main
 from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
 from meanmotion.errors import (
     DegenerateInputError,
@@ -22,6 +24,7 @@ from meanmotion.tracker import (
     unit_increments,
     winding_number,
 )
+from meanmotion.io import write_polynomial_file
 from meanmotion.lattice import group_basis
 from conftest import random_poly
 
@@ -194,9 +197,9 @@ class TestLocateZeros:
         assert len(k) == 318
         assert [z.multiplicity for z in zeros] == [1] * 318
         assert [z.location for z in zeros] == pytest.approx(k * PI, abs=1e-11)
-        plus, minus = arg_increment_pair(sin_sum, interval)
-        assert plus.total_increment == pytest.approx(-318 * PI, abs=1e-9)
-        assert minus.total_increment == pytest.approx(318 * PI, abs=1e-9)
+        trace = arg_increment_pair(sin_sum, interval)
+        assert trace.plus == pytest.approx(-318 * PI, abs=1e-9)
+        assert trace.minus == pytest.approx(318 * PI, abs=1e-9)
 
     def test_endpoint_zero_raises(self, sin_sum):
         with pytest.raises(EndpointZeroError):
@@ -262,29 +265,28 @@ class TestLocateZeros:
 class TestArgIncrement:
     def test_pure_rotation(self):
         U = UnivariateExpSum.from_terms([(1, Fraction(1))])
-        for tr in arg_increment_pair(U, (0, 2 * PI)):
-            assert tr.total_increment == pytest.approx(2 * PI, abs=1e-9)
-            assert tr.zeros == ()
-            assert tr.smooth_increment == pytest.approx(2 * PI, abs=1e-9)
+        tr = arg_increment_pair(U, (0, 2 * PI))
+        assert (tr.plus, tr.minus) == pytest.approx((2 * PI, 2 * PI), abs=1e-9)
+        assert tr.zeros == ()
+        assert tr.smooth_increment == pytest.approx(2 * PI, abs=1e-9)
 
     def test_sin_window_conventions(self, sin_sum):
-        plus, minus = arg_increment_pair(sin_sum, (-0.5, 0.5))
-        assert plus.total_increment == pytest.approx(-PI, abs=1e-10)
-        assert minus.total_increment == pytest.approx(PI, abs=1e-10)
-        assert plus.smooth_increment == pytest.approx(0.0, abs=1e-10)
+        tr = arg_increment_pair(sin_sum, (-0.5, 0.5))
+        assert tr.plus == pytest.approx(-PI, abs=1e-10)
+        assert tr.minus == pytest.approx(PI, abs=1e-10)
+        assert tr.smooth_increment == pytest.approx(0.0, abs=1e-10)
 
     def test_double_jump(self, cos_minus_one):
-        tr = arg_increment_pair(cos_minus_one, (-0.5, 0.5))[0]
-        assert tr.total_increment == pytest.approx(-2 * PI, abs=1e-9)
+        tr = arg_increment_pair(cos_minus_one, (-0.5, 0.5))
+        assert tr.plus == pytest.approx(-2 * PI, abs=1e-9)
         assert tr.smooth_increment == pytest.approx(0.0, abs=1e-9)
 
     def test_trace_invariants(self, sin_sum):
-        tr = arg_increment_pair(sin_sum, (-0.5, 0.5))[1]
-        assert tr.total_increment == pytest.approx(
-            tr.smooth_increment + tr.jump_increment
-        )
+        tr = arg_increment_pair(sin_sum, (-0.5, 0.5))
+        assert tr.plus == pytest.approx(tr.smooth_increment - tr.jump_increment)
+        assert tr.minus == pytest.approx(tr.smooth_increment + tr.jump_increment)
         assert tr.jump_increment == pytest.approx(PI)
-        steps = np.diff(tr.samples[:, 1])
+        steps = np.diff(tr.samples[:, 1:], axis=0)
         # jumps live between spans; within spans steps stay below pi/2
         assert np.all((np.abs(steps) < PI / 2) | (np.abs(steps) > PI / 2 + 0.5))
 
@@ -292,11 +294,11 @@ class TestArgIncrement:
         for _ in range(25):
             U = random_sum(rng)
             try:
-                plus, minus = arg_increment_pair(U, (-1.1, 1.4))
+                tr = arg_increment_pair(U, (-1.1, 1.4))
             except EndpointZeroError:
                 continue
-            gap = minus.total_increment - plus.total_increment
-            mult = sum(z.multiplicity for z in plus.zeros)
+            gap = tr.minus - tr.plus
+            mult = sum(z.multiplicity for z in tr.zeros)
             assert gap == pytest.approx(2 * PI * mult, abs=1e-9)
 
     def test_zero_free_matches_quadrature(self, rng=np.random.default_rng(13)):
@@ -307,12 +309,12 @@ class TestArgIncrement:
             a, b = 0.2, 1.9
             if locate_zeros(U, (a, b)):
                 continue
-            plus, minus = arg_increment_pair(U, (a, b))
-            assert plus.total_increment == minus.total_increment
+            tr = arg_increment_pair(U, (a, b))
+            assert tr.plus == tr.minus
             oracle, _ = quad(
                 lambda s: (U.derivative(s) / U(s)).imag, a, b, limit=200
             )
-            assert plus.total_increment == pytest.approx(oracle, abs=1e-6)
+            assert tr.plus == pytest.approx(oracle, abs=1e-6)
             done += 1
 
     def test_endpoint_zero(self, sin_sum):
@@ -378,10 +380,10 @@ PINNED = [
 def test_pinned_increments(which, interval, plus, minus, zeros,
                            sin_sum, cos_minus_one):
     U, interval = _pinned_window(which, interval, sin_sum, cos_minus_one)
-    tp, tm = arg_increment_pair(U, interval)
-    assert tp.total_increment == pytest.approx(plus, abs=1e-12)
-    assert tm.total_increment == pytest.approx(minus, abs=1e-12)
-    got = [(z.location, z.multiplicity) for z in tp.zeros]
+    tr = arg_increment_pair(U, interval)
+    assert tr.plus == pytest.approx(plus, abs=1e-12)
+    assert tr.minus == pytest.approx(minus, abs=1e-12)
+    got = [(z.location, z.multiplicity) for z in tr.zeros]
     assert [m for _, m in got] == [m for _, m in zeros]
     if which == "double":
         c2 = abs(U.leading_coefficient(zeros[0][0], 2))
@@ -455,15 +457,15 @@ def test_scan_piece_with_a_zero_above_its_end(monkeypatch):
     U = UnivariateExpSum.from_terms([(1, 2.0), (-(1 + r), 1.0), (r, 0.0)])
     calls = _real_grid_traces(monkeypatch)
     zeros = locate_zeros(U, (-0.5, 0.5))
-    plus, minus = arg_increment_pair(U, (-0.5, 0.5))
+    tr = arg_increment_pair(U, (-0.5, 0.5))
     t = np.arange(17) / 16 - 0.5
     assert len(calls) == 2
     for amps, grid in calls:
         np.testing.assert_array_equal(amps, U._amps[None])
         np.testing.assert_array_equal(grid, t)
-    assert [z.multiplicity for z in zeros] == [1] == [z.multiplicity for z in plus.zeros]
+    assert [z.multiplicity for z in zeros] == [1] == [z.multiplicity for z in tr.zeros]
     assert zeros[0].location == pytest.approx(0.0, abs=1e-9)
-    assert minus.total_increment - plus.total_increment == pytest.approx(2 * PI, abs=1e-9)
+    assert tr.minus - tr.plus == pytest.approx(2 * PI, abs=1e-9)
 
 
 def _crossing_calls(monkeypatch):
@@ -513,26 +515,27 @@ def test_no_failing_step_calls_no_detours(sin_sum, monkeypatch):
 @pytest.mark.parametrize("which", ["sin", "double", "triple"])
 def test_track_samples_are_the_first_sampling(which, sin_sum, cos_minus_one):
     # the samples are the interval's first sampling, with no point added,
-    # and the phase on them turns by each branch's total increment
+    # and the phase of each branch on them turns by its total increment
     U = {"sin": sin_sum, "double": cos_minus_one, "triple": _triple()}[which]
     a, b = -4.0, 7.3
     n0 = tracker._first_steps(U.frequency_scale, b - a)
-    for trace in arg_increment_pair(U, (a, b)):
-        s, phase = trace.samples.T
-        np.testing.assert_array_equal(s, np.linspace(a, b, n0 + 1))
-        assert phase[-1] - phase[0] == pytest.approx(trace.total_increment, abs=1e-9)
+    trace = arg_increment_pair(U, (a, b))
+    s, plus, minus = trace.samples.T
+    np.testing.assert_array_equal(s, np.linspace(a, b, n0 + 1))
+    for phase, total in ((plus, trace.plus), (minus, trace.minus)):
+        assert phase[-1] - phase[0] == pytest.approx(total, abs=1e-9)
 
 
 @pytest.mark.parametrize("center", np.append(np.arange(-0.45, 0.45, 0.05), [6.0, 6.5]))
 def test_triple_zero_windows(center):
     # (e^{is} - 1)^3 = (2i sin(s/2))^3 e^{3is/2}: a triple zero at 2 pi k
     # on a smooth motion of 3/2 per unit length
-    plus, minus = arg_increment_pair(_triple(), (center - 0.5, center + 0.5))
-    assert len(plus.zeros) == 1 and plus.zeros[0].multiplicity == 3
+    tr = arg_increment_pair(_triple(), (center - 0.5, center + 0.5))
+    assert len(tr.zeros) == 1 and tr.zeros[0].multiplicity == 3
     k = round(center / (2 * PI))
-    assert plus.zeros[0].location == pytest.approx(2 * PI * k, abs=1e-5)
-    assert plus.total_increment == pytest.approx(1.5 - 3 * PI, abs=1e-9)
-    assert minus.total_increment == pytest.approx(1.5 + 3 * PI, abs=1e-9)
+    assert tr.zeros[0].location == pytest.approx(2 * PI * k, abs=1e-5)
+    assert tr.plus == pytest.approx(1.5 - 3 * PI, abs=1e-9)
+    assert tr.minus == pytest.approx(1.5 + 3 * PI, abs=1e-9)
 
 
 def _unit_rows(U, centers):
@@ -563,12 +566,10 @@ def test_rounding_split_double_zero():
     P = ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])])
     K = lift(P, group_basis(P.exponents))._K
     rows = P.line_rows([0.0], np.array([[5.868768495722669]]) @ K.T)
-    tp, tm = arg_increment_pair(rows.restriction(0), (-0.5, 0.5))
-    assert (tp.total_increment, tm.total_increment) == pytest.approx(
-        (-2 * PI, 2 * PI), abs=1e-12
-    )
-    assert [z.multiplicity for z in tp.zeros] == [2]
-    assert tp.zeros[0].location == pytest.approx(0.41441681, abs=1e-6)
+    tr = arg_increment_pair(rows.restriction(0), (-0.5, 0.5))
+    assert (tr.plus, tr.minus) == pytest.approx((-2 * PI, 2 * PI), abs=1e-12)
+    assert [z.multiplicity for z in tr.zeros] == [2]
+    assert tr.zeros[0].location == pytest.approx(0.41441681, abs=1e-6)
     plus, minus, done = unit_increments(rows.amps, rows.freqs, np.zeros(1))
     assert done[0]
     assert (plus[0], minus[0]) == pytest.approx((-2 * PI, 2 * PI), abs=1e-12)
@@ -1152,10 +1153,12 @@ def _pass_calls(monkeypatch):
     return traces, rounds
 
 
-def _crossing_nothing(monkeypatch):
-    monkeypatch.setattr(tracker, "_crossings", lambda amps, *rest: (
-        np.full(len(amps), math.nan), np.full(len(amps), math.nan),
-        np.zeros(len(amps), dtype=bool)))
+def _settling_nothing(monkeypatch, *names):
+    """Stub the named run settlers, _crossings or _detours, to settle no run."""
+    for name in names:
+        monkeypatch.setattr(tracker, name, lambda amps, *rest: (
+            np.full(len(amps), math.nan), np.full(len(amps), math.nan),
+            np.zeros(len(amps), dtype=bool)))
 
 
 def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
@@ -1174,7 +1177,7 @@ def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
         if not prove:
             _proving_nothing(monkeypatch)
         if not cross:
-            _crossing_nothing(monkeypatch)
+            _settling_nothing(monkeypatch, "_crossings")
         traces, rounds = _pass_calls(monkeypatch)
         plus, minus, done = unit_increments(rows.amps, rows.freqs, centers)
         monkeypatch.undo()
@@ -1208,7 +1211,7 @@ def test_crossings_refuse_what_detours_decide(which, monkeypatch):
     plus, minus, done = unit_increments(amps, freqs, centers)
     monkeypatch.undo()
     assert crossed == [0] and detoured == [1]
-    _crossing_nothing(monkeypatch)
+    _settling_nothing(monkeypatch, "_crossings")
     before = unit_increments(amps, freqs, centers)
     for got, want in zip((plus, minus, done), before):
         assert np.array_equal(got, want, equal_nan=True)
@@ -1219,6 +1222,54 @@ def test_crossings_refuse_what_detours_decide(which, monkeypatch):
     assert done[0] and whole[2][0]
     assert (plus[0], minus[0]) == pytest.approx((whole[0][0], whole[1][0]), abs=1e-12)
     assert round((minus[0] - plus[0]) / (2 * PI)) == 2
+
+
+def test_unsettled_run_fails_the_scan(sin_poly, sin_sum, tmp_path, monkeypatch, capsys):
+    # a run that neither the closed form nor the detours settle is a
+    # TrackingError that names its steps, the two around the zero at 0,
+    # and an input error at the command line
+    _settling_nothing(monkeypatch, "_crossings", "_detours")
+    with pytest.raises(TrackingError, match=r"steps \(-0\.0625, 0\.0625\) of the interval"):
+        locate_zeros(sin_sum, (-0.5, 0.5))
+    path = tmp_path / "sin.json"
+    write_polynomial_file(sin_poly, path)
+    assert main(["zeros", "--poly", str(path), "--interval=-0.5,0.5"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "TrackingError"
+
+
+def test_cluster_turning_a_half_fails_the_scan(sin_sum, monkeypatch):
+    # a cluster's multiplicity is the whole number of turns between its
+    # one-sided limits: down - up = pi is half a turn, and no multiplicity
+    monkeypatch.setattr(tracker, "_crossings", lambda amps, *rest: (
+        np.zeros(len(amps)), np.full(len(amps), PI), np.ones(len(amps), dtype=bool)))
+    with pytest.raises(TrackingError, match=r"clusters turned \[0\.5\] times"):
+        locate_zeros(sin_sum, (-0.5, 0.5))
+
+
+@pytest.mark.parametrize("error", [EndpointZeroError, TrackingError])
+def test_failed_rescan_keeps_the_cluster(error, monkeypatch):
+    # the finer scan of a multiple cluster may fail; the cluster is then
+    # one zero, which Newton's method locates, as where the scan splits
+    # nothing: the triple zero of (e^{is} - 1)^3 at 0
+    U = _triple()
+    want = locate_zeros(U, (-0.5, 0.5))
+    scan, depth, raised = tracker._scan, [], []
+
+    def inner_fails(*args):
+        if depth:
+            raised.append(args[1])
+            raise error("the finer scan failed")
+        depth.append(1)
+        try:
+            return scan(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(tracker, "_scan", inner_fails)
+    zeros = locate_zeros(U, (-0.5, 0.5))
+    assert len(raised) == 1 and zeros == want
+    assert [z.multiplicity for z in zeros] == [3]
+    assert zeros[0].location == pytest.approx(0.0, abs=1e-5)
 
 
 def _pair_windows(rng, n):
@@ -1340,7 +1391,7 @@ def test_crossings_match_detours(monkeypatch):
         crossed, detoured = _crossing_calls(monkeypatch)
         got = unit_increments(amps, freqs, centers)
         monkeypatch.undo()
-        _crossing_nothing(monkeypatch)
+        _settling_nothing(monkeypatch, "_crossings")
         want = unit_increments(amps, freqs, centers)
         monkeypatch.undo()
         assert (sum(crossed) > 0) == (k < len(cases) - 1)
