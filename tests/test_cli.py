@@ -254,8 +254,14 @@ class TestZerosAndTrack:
         assert out["zeros"][0]["location"] == pytest.approx(0.0, abs=1e-8)
         assert out["zeros"][0]["multiplicity"] == 1
 
-    def test_track_with_csv(self, sin_file, capsys, tmp_path):
-        # one run reports both branches, and the CSV holds both phases
+    @pytest.mark.parametrize(
+        "branch, total",
+        [("plus", -math.pi), ("minus", math.pi)],
+        ids=["plus", "minus"],
+    )
+    def test_track_with_csv(self, sin_file, capsys, tmp_path, branch, total):
+        # one run reports both branches; each case reads its own from the
+        # JSON and from its CSV column
         trace_path = tmp_path / "trace.csv"
         argv = ["track", "--poly", sin_file, "--interval=-0.5,0.5"]
         code = main([*argv, "--trace-csv", str(trace_path)])
@@ -263,19 +269,18 @@ class TestZerosAndTrack:
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"interval", "zeros", "smooth_increment", "jump_increment",
                             "plus", "minus"}
-        assert out["plus"] == pytest.approx(-math.pi, abs=1e-9)
-        assert out["minus"] == pytest.approx(math.pi, abs=1e-9)
+        assert out[branch] == pytest.approx(total, abs=1e-9)
         assert out["jump_increment"] == pytest.approx(math.pi, abs=1e-9)
         with open(trace_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["s", "plus", "minus"]
         assert len(rows) > 10
-        first, last = ([float(v) for v in row[1:]] for row in (rows[1], rows[-1]))
-        turned = [b - a for a, b in zip(first, last)]
-        assert turned == pytest.approx([out["plus"], out["minus"]], abs=1e-9)
+        column = rows[0].index(branch)
+        turned = float(rows[-1][column]) - float(rows[1][column])
+        assert turned == pytest.approx(out[branch], abs=1e-9)
         # the filter flag is gone
         with pytest.raises(SystemExit) as exit_:
-            main([*argv, "--convention", "plus"])
+            main([*argv, "--convention", branch])
         assert exit_.value.code == EXIT_INPUT_ERROR
         assert "--convention" in capsys.readouterr().err
 
