@@ -144,9 +144,7 @@ def cmd_mm(args) -> int:
 
 
 def _verify_cases():
-    def poly(p, pairs):
-        return ExpPolynomial.from_pairs(p, pairs)
-
+    poly = ExpPolynomial.from_pairs
     yield ("pure-exp-1", poly(1, [(1.0, ["1"])]), (0.0,), 1.0, 1.0, 1e-6)
     yield ("pure-exp-5/2", poly(1, [(1.0, ["5/2"])]), (0.0,), 2.5, 2.5, 1e-6)
     yield ("pure-exp-neg3", poly(1, [(1.0, ["-3"])]), (0.0,), -3.0, -3.0, 1e-6)

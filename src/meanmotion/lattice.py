@@ -132,12 +132,9 @@ def coordinates(lam: Sequence[Fraction], basis: LatticeBasis) -> tuple[int, ...]
     if len(lam) != basis.dimension:
         raise DimensionError("vector length mismatch")
     v = list(lam)
-    pivots = []
+    ks = []
     for mu in basis.basis_vectors:
         piv = next(i for i, c in enumerate(mu) if c != 0)
-        pivots.append(piv)
-    ks = []
-    for mu, piv in zip(basis.basis_vectors, pivots):
         q = v[piv] / mu[piv]
         if q.denominator != 1:
             raise MembershipError(

@@ -123,7 +123,7 @@ def windowed_increment_pair(P, y, x):
 
 def _spread(per_window) -> float:
     tail = [v for _, v in per_window[-3:]]
-    return float(max(tail) - min(tail)) if tail else 0.0
+    return float(max(tail) - min(tail))
 
 
 def _estimate_pair(y, per_p, per_m, skipped, total):
@@ -134,6 +134,13 @@ def _estimate_pair(y, per_p, per_m, skipped, total):
         )
         for conv, per in (("plus", per_p), ("minus", per_m))
     )
+
+
+def _kept(vp, vm, done):
+    """The increments of the done windows, plus over minus, in C order: the
+    rows of a[:, done] would lie in Fortran order, and a reduction along them
+    would not sum pairwise as np.mean of each does."""
+    return np.array([vp[done], vm[done]])
 
 
 def direct_mean_motion(
@@ -156,18 +163,14 @@ def direct_mean_motion(
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     a1, b1 = box.alpha[0], box.beta[0]
-    if p == 1:
-        perps = np.zeros((1, 0))
-    else:
-        lo = np.array(box.alpha[1:])
-        hi = np.array(box.beta[1:])
-        perps = np.array([rng.uniform(lo, hi) for _ in range(lines)])
+    perps = rng.uniform(box.alpha[1:], box.beta[1:], (lines if p > 1 else 1, p - 1))
     vp, vm, done = unit_increments(*P.line_rows(y, _perp_phases(P, perps)),
                                    np.full(len(perps), 0.5 * (a1 + b1)), b1 - a1)
     if not done.any():
         raise DegenerateInputError("every sampled line was skipped")
     w = float(b1 - a1)
-    per_p, per_m = ([(w, float(np.mean(v[done])) / w)] for v in (vp, vm))
+    means = _kept(vp, vm, done).sum(axis=1) / done.sum()
+    per_p, per_m = ([(w, float(m) / w)] for m in means)
     return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(perps))
 
 
@@ -178,13 +181,6 @@ def _box_rows(P, schedule):
     sizes, n = schedule.sizes, schedule.lines_per_box
     xs = np.concatenate([rng.uniform(-L / 2, L / 2, (n, P.dimension)) for L in sizes])
     return _perp_phases(P, xs[:, 1:]), xs[:, 0]
-
-
-def _kept(vp, vm, done):
-    """The increments of the done windows, plus over minus, in C order: the
-    rows of a[:, done] would lie in Fortran order, and a reduction along them
-    would not sum pairwise as np.mean of each does."""
-    return np.array([vp[done], vm[done]])
 
 
 def _box_average(y, schedule, vp, vm, done):

@@ -360,6 +360,26 @@ class TestMm:
         assert "timestamp" in out
         assert set(out["box"]) == {"plus", "minus"}
 
+    def test_failing_report_exits_1(self, sin_file, tmp_path):
+        # one torus sample, on a window with a zero, reads -+pi with
+        # standard error 0, and the box route 5 of 16 lines on a zero,
+        # -+5 pi / 16 with spread 0 up to rounding: the difference 11 pi / 16
+        # is over the floor 0.05 of the tolerance
+        out = tmp_path / "report.json"
+        code = main(["mm", "--poly", sin_file, "--y", "0", "--windows", "25,50",
+                     "--lines", "16", "--torus-samples", "1", "--seed", "0",
+                     "--out", str(out)])
+        assert code == EXIT_VERIFY_FAILED
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        for conv, sign in (("plus", -1), ("minus", 1)):
+            assert report["torus"][conv]["stderr"] == 0.0
+            assert report["torus"][conv]["value"] == pytest.approx(sign * math.pi, abs=1e-12)
+            assert report["box"][conv]["value"] == pytest.approx(sign * 5 * math.pi / 16,
+                                                                abs=1e-12)
+            assert report["tolerance"][conv] == 0.05
+            assert report["diff"][conv] == pytest.approx(11 * math.pi / 16, abs=1e-12)
+
     def test_single_convention_filter(self, sin_file, capsys):
         # mm always reports both conventions; the filter flag is gone
         argv = ["mm", "--poly", sin_file, "--windows", "25,50", "--lines", "32",

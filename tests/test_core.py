@@ -201,6 +201,18 @@ class TestLineRows:
         assert len(scales) == 1 and scales.pop() > 0
         assert len(rows.restriction(0).terms) == 1
 
+    @pytest.mark.parametrize("y, want", [(1e308, [[0.5j, 0]]), (-1e308, [[0, -0.5j]])])
+    def test_beyond_double_range_rows_match_finite_ones(self, y, want):
+        # sin 10z: at y = +-800 the far term's exp(-16000) is 0, and at
+        # +-1e308, where -<l_j, y> overflows, the pairings scaled back give
+        # the same rows, not merely moduli in the same order
+        P = ExpPolynomial.from_pairs(1, [(-0.5j, ["10"]), (0.5j, ["-10"])])
+        near = P.line_rows([math.copysign(800.0, y)], np.zeros((1, 2)))
+        far = P.line_rows([y], np.zeros((1, 2)))
+        assert far.freqs == near.freqs == (Fraction(-10), Fraction(10))
+        assert np.array_equal(far.amps, near.amps)
+        assert np.array_equal(far.amps, want)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_height_is_an_error(self, bad):
         P = ExpPolynomial.from_pairs(2, [(1.0, ["1", "0"]), (2.0, ["0", "1"])])
@@ -271,6 +283,14 @@ class TestUnivariateExpSum:
     def test_merge_drops_cancelled(self):
         U = UnivariateExpSum.from_terms([(1.0, Fraction(1)), (-1.0, Fraction(1))])
         assert U.is_identically_zero
+
+    def test_merge_tolerance_on_a_one_shot_iterator(self):
+        # restrict_line passes a zip: the largest given amplitude, 2, still
+        # scales the tolerance, so the merged 1e-14 at frequency 1 is dropped
+        pairs = [(1.0, 1), (-1.0 + 1e-14, 1), (2.0, 0)]
+        U = UnivariateExpSum.from_terms(iter(pairs))
+        assert U == UnivariateExpSum.from_terms(pairs)
+        assert U.terms == ((2.0, Fraction(0)),)
 
     def test_float_frequency_merge(self):
         # floats merge by equality, numpy scalars included; no tolerance

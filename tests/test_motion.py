@@ -697,6 +697,33 @@ class TestCompareEstimators:
         assert set(report) == {"y", "box", "torus", "diff", "tolerance", "pass"}
         assert report["box"]["plus"]["total_lines"] == 64
 
+    def test_unreliable_box_route_fails_within_tolerance(self, sin_poly, monkeypatch):
+        # one of 64 box lines skipped is over 1% of them: the report fails
+        # though both differences lie within their tolerances
+        engine = motion.unit_increments
+
+        def skip_first_line(*args):
+            plus, minus, done = engine(*args)
+            plus[0] = minus[0] = math.nan
+            done[0] = False
+            return plus, minus, done
+
+        monkeypatch.setattr(motion, "unit_increments", skip_first_line)
+        sched = WindowSchedule(sizes=(50.0,), lines_per_box=64)
+        report = compare_estimators(sin_poly, [0.0], sched, samples=200)
+        for conv in ("plus", "minus"):
+            assert report["box"][conv]["skipped"] == 1
+            assert not report["box"][conv]["reliable"]
+            assert report["diff"][conv] <= report["tolerance"][conv]
+        assert report["pass"] is False
+
+    @pytest.mark.parametrize("skipped, total, reliable", [
+        (0, 64, True), (1, 200, True), (1, 64, False), (2, 200, False),
+    ])
+    def test_reliable_below_one_percent_skipped(self, skipped, total, reliable):
+        est = MeanMotionEstimate("plus", (0.0,), ((25.0, 0.0),), 0.0, 0.0, skipped, total)
+        assert est.reliable is reliable
+
     @pytest.mark.parametrize("case", ["sin", "dominated", "offaxis", "cancelled"])
     def test_one_engine_call_per_report(self, case, sin_poly, monkeypatch):
         # the report settles both routes' windows in one unit_increments
@@ -826,3 +853,7 @@ def test_golden_reports(sin_poly):
             got_tor = (tor["value"], tor["stderr"], tor["skipped"])
             assert got_box == pytest.approx(want["box"][conv], abs=1e-9)
             assert got_tor == pytest.approx(want["torus"][conv], abs=1e-9)
+            # the tolerance is max(0.05, 3 (box spread + torus stderr))
+            assert rep["tolerance"][conv] == max(0.05, 3.0 * (box["spread"] + tor["stderr"]))
+    assert reports["sin"]["tolerance"] == pytest.approx(
+        {"plus": 1.18673353702605, "minus": 1.18673353702605}, abs=1e-12)

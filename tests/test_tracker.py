@@ -205,6 +205,17 @@ class TestLocateZeros:
         with pytest.raises(EndpointZeroError):
             locate_zeros(sin_sum, (0.0, 1.0))
 
+    def test_end_rule_is_the_zero_threshold(self, sin_sum):
+        # the scan's ends count as zeros at ZERO_THRESHOLD (1e-9) times
+        # sum |a_k|, the engine's at the step floor F (1e-12): |sin 1e-10| is
+        # at the first and over the second, |sin 1e-8| over both
+        with pytest.raises(EndpointZeroError):
+            locate_zeros(sin_sum, (1e-10, 1.0))
+        assert locate_zeros(sin_sum, (1e-8, 1.0)) == []
+        plus, minus, done = _unit_rows(sin_sum, [0.5 + 5e-11], 1.0 - 1e-10)
+        assert done[0]
+        assert (plus[0], minus[0]) == pytest.approx((0.0, 0.0), abs=1e-6)
+
     def test_too_long_interval_is_degenerate(self, sin_sum):
         # 1e8 of sin would take 2.5e8 first-sampling steps, 1.9 GiB
         with pytest.raises(DegenerateInputError, match="steps"):
@@ -538,10 +549,11 @@ def test_triple_zero_windows(center):
     assert tr.minus == pytest.approx(1.5 + 3 * PI, abs=1e-9)
 
 
-def _unit_rows(U, centers):
-    """unit_increments on the unit windows of U at the given centres."""
+def _unit_rows(U, centers, width=1.0):
+    """unit_increments on the windows of U, unit ones unless a width is
+    given, at the given centres."""
     amps = np.array([[a for a, _ in U.terms]] * len(centers))
-    return unit_increments(amps, [g for _, g in U.terms], np.asarray(centers))
+    return unit_increments(amps, [g for _, g in U.terms], np.asarray(centers), width)
 
 
 @pytest.mark.parametrize("which, interval, plus, minus, zeros", [
@@ -695,6 +707,18 @@ class TestUnitIncrements:
         assert done.all()
         assert plus == pytest.approx(np.full(4, 1.5 - 3 * PI), abs=1e-5)
         assert minus == pytest.approx(np.full(4, 1.5 + 3 * PI), abs=1e-5)
+
+    def test_undone_rows_read_nan(self):
+        # an identically-zero row, and the unit window at 0 of a sum with a
+        # real zero at -0.21875 and a complex one 3e-6 above -0.25, on the
+        # vertical leg of every delta's detour of the run of failing steps
+        # that holds the real zero, which the engine cannot yet settle:
+        # neither is done, and both branches of each read nan. The zero
+        # row's nan comes from unit_increments' last rule alone
+        amps, freqs = _two_zero_rows([[-0.25 + 3e-6j, -0.21875]])
+        plus, minus, done = unit_increments(np.vstack([np.zeros(3), amps]), freqs, np.zeros(2))
+        assert not done.any()
+        assert np.isnan(plus).all() and np.isnan(minus).all()
 
 
 def _forced_trace(amps, g, centers):
@@ -1159,6 +1183,27 @@ def _settling_nothing(monkeypatch, *names):
         monkeypatch.setattr(tracker, name, lambda amps, *rest: (
             np.full(len(amps), math.nan), np.full(len(amps), math.nan),
             np.zeros(len(amps), dtype=bool)))
+
+
+def test_step_cap_bounds_the_step_tests(monkeypatch):
+    # 64 unit windows on triple zeros of (e^{is} - 1)^3: a step fails once
+    # its failing pieces in one round outnumber the cap, 4 max(64, steps),
+    # which only bounds cost. With the cap the engine makes about 0.69 million step
+    # tests, without it about 2.9 million, for the same answers
+    tested, step_ok = [0], tracker._step_ok
+
+    def spy(h, *rest):
+        tested[0] += h.size
+        return step_ok(h, *rest)
+
+    monkeypatch.setattr(tracker, "_step_ok", spy)
+    rng = np.random.default_rng(0)
+    centers = 2 * PI * rng.integers(-50, 50, 64) + rng.uniform(-0.45, 0.45, 64)
+    plus, minus, done = _unit_rows(_triple(), centers)
+    assert done.all()
+    assert plus == pytest.approx(np.full(64, 1.5 - 3 * PI), abs=1e-9)
+    assert minus == pytest.approx(np.full(64, 1.5 + 3 * PI), abs=1e-9)
+    assert tested[0] <= 1_000_000
 
 
 def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
