@@ -33,7 +33,6 @@ from .lattice import (
 from .motion import (
     BoxSpec,
     MeanMotionEstimate,
-    SkippedLine,
     TorusMean,
     WindowSchedule,
     box_mean_motion,

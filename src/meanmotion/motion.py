@@ -36,10 +36,6 @@ from .errors import DegenerateInputError, DimensionError
 from .tracker import unit_increments
 
 
-class SkippedLine(Exception):
-    """A line whose restriction could not be tracked; counted, not averaged."""
-
-
 def _check_count(name, value, least=None):
     """TypeError unless value is an int (not a bool); ValueError below least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -104,21 +100,6 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
         raise DimensionError(f"xperp has {len(xperp)} values, not {P.dimension - 1}")
     xperp = np.asarray(xperp, dtype=float)[None]
     return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
-
-
-def windowed_increment_pair(P, y, x):
-    """(plus, minus) unit-window increments of arg P along the line x + iy,
-    the window centred at x; SkippedLine if it cannot be tracked. A point
-    of the wrong length or not finite is an input error."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (P.dimension,):
-        raise DimensionError(f"x has {x.size} values, not {P.dimension}")
-    if not all(map(math.isfinite, x.tolist())):
-        raise DegenerateInputError(f"point x = {x.tolist()} is not finite")
-    vp, vm, done = unit_increments(*P.line_rows(y, _perp_phases(P, x[None, 1:])), x[:1])
-    if not done[0]:
-        raise SkippedLine
-    return float(vp[0]), float(vm[0])
 
 
 def _spread(per_window) -> float:

@@ -65,7 +65,7 @@ _SHIFTS = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 _CUTS = np.linspace(0.0, 1.0, 9)
 # The most steps of a first sampling: it allocates rows x steps arrays.
 _MAX_STEPS = 2**16
-_BATCH_POINTS = 2**14  # the most rows x points that one _trace batch samples
+_BATCH_POINTS = 2**14  # the most rows x points that one _certify batch tests
 # The most samplings of a contour in _winding, each bisecting the failing steps.
 _MAX_REFINEMENTS = 24
 _POINTS_PER_TURN = 64  # least samples on a winding circle
@@ -257,7 +257,8 @@ def locate_zeros(
 
     A run of steps of the interval's first sampling that the certified
     step rule cannot pass is a cluster of zeros: its multiplicity is the
-    winding of the engine's +-delta traces around it. A finer scan of a
+    turn between the run's one-sided limits over 2pi, from its closed-form
+    crossing or its +-delta detours, as in _scan. A finer scan of a
     multiple cluster may split it; a cluster it does not split is one
     zero, which Newton's method locates. A zero at either endpoint is an
     EndpointZeroError; the caller is expected to perturb the window.
@@ -316,35 +317,27 @@ def _step_ok(h, v, m1, m2, floor):
     return ok
 
 
-def _trace(amps, g, t, stop, v=None):
+def _trace(amps, g, t, stop, v):
     """Certified phase change of each step of a polyline z = t, for each
-    row of amps, a sum in z. t is one grid that every row shares, or one
-    path per row, held points x rows, along which the caller has sampled
-    the rows: v. Returns (turn, ok, v): rows x steps, each step's phase
-    change, 0 where it failed, and whether it passed, and points x rows,
-    the samples at t.
+    row of amps, a sum in z, sampled by the caller at t: v. t and v are
+    held points x rows; t may be one column that every row shares.
+    Returns (turn, ok), rows x steps: each step's phase change, 0 where
+    it failed, and whether it passed.
 
-    The rows are taken max(1, _BATCH_POINTS // len(t)) at a time, which
-    bounds the sample arrays of a shared grid and the arrays of the rounds
-    of cuts. The batches of a shared grid share one exp(i g t), and
-    _certify tests each batch's samples, held steps x rows.
+    _certify takes the rows max(1, _BATCH_POINTS // len(t)) at a time,
+    which bounds the arrays of the rounds of cuts, and tests each batch's
+    samples, held steps x rows.
     """
+    t = np.broadcast_to(t, v.shape)
     # |exp(i g z)| is largest where Im z is extreme, at a vertex of the path
     heights = np.stack([t.imag.min(axis=0), t.imag.max(axis=0)])
     grow = np.exp(-np.multiply.outer(heights, g)).max(axis=0)
-    if t.ndim == 1:
-        e = np.exp(1j * np.multiply.outer(g, t))
     size, out = max(1, _BATCH_POINTS // len(t)), []
     for lo in range(0, len(amps), size):
-        rows = amps[lo : lo + size]
-        if t.ndim == 1:
-            s, vb, gb = t[:, None], np.ascontiguousarray((rows @ e).T), grow
-        else:
-            s, vb = (np.ascontiguousarray(a[:, lo : lo + size]) for a in (t, v))
-            gb = grow[lo : lo + size]
-        out.append((*_certify(rows, g, s, vb, gb, stop), vb))
-    turn, ok, v = zip(*out)
-    return np.concatenate(turn), np.concatenate(ok), np.hstack(v)
+        s, vb = (np.ascontiguousarray(a[:, lo : lo + size]) for a in (t, v))
+        out.append(_certify(amps[lo : lo + size], g, s, vb, grow[lo : lo + size], stop))
+    turn, ok = zip(*out)
+    return np.concatenate(turn), np.concatenate(ok)
 
 
 def _certify(amps, g, s, v, grow, stop):
@@ -457,8 +450,9 @@ def unit_increments(
     """Increments (plus, minus, done) of the arg+ and arg- branches of the
     sums q_b(s) = sum_k amps[b, k] exp(i freqs[k] s) over the windows
     (centers[b] - width/2, centers[b] + width/2), each seen from its
-    centre. The rows may be as many as a route has windows: _trace bounds
-    the arrays it samples.
+    centre. The rows may be as many as a route has windows: the real-line
+    pass samples them all at once, and _trace bounds the arrays of the
+    rounds of cuts.
 
     No zero is located. Let F = _STEP_FLOOR sum |a_k| for a row.
     * Dominated rows: when |a_j| - sum_{k != j} |a_k| > F for the largest
@@ -544,7 +538,8 @@ def _passes(shifted, g, t):
     settles the runs that cross one simple zero, and only the others go
     to _detours. No step failing, neither is called."""
     n0 = len(t) - 1
-    turn, ok, v = _trace(shifted, g, t, _AXIS_WIDTH)
+    v = (shifted @ np.exp(1j * np.multiply.outer(g, t))).T
+    turn, ok = _trace(shifted, g, t[:, None], _AXIS_WIDTH, v)
     f = np.flatnonzero(~ok)  # the failing steps, row * n0 + step
     if not len(f):
         return turn, f, f, f, np.zeros(0), np.zeros(0), np.ones(0, dtype=bool)
@@ -639,15 +634,15 @@ def _detours(amps, g, a, b, qa, qb):
             break
         path = np.vstack([a[todo], x[:, todo] + 1j * delta, b[todo]])
         v = [np.vstack([qa[todo], at(todo, side), qb[todo]]) for side in (delta, -delta)]
-        turn, ok, _ = _trace(np.vstack([amps[todo]] * 2), g, np.hstack([path, path.conj()]),
-                             delta / 100, np.hstack(v))
+        turn, ok = _trace(np.vstack([amps[todo]] * 2), g, np.hstack([path, path.conj()]),
+                          delta / 100, np.hstack(v))
         turn, ok = turn.sum(axis=1).reshape(2, -1), ok.all(axis=1).reshape(2, -1).all(axis=0)
         up[todo[ok]], down[todo[ok]] = turn[:, ok]
         todo = todo[~ok]
     if len(todo):
         v = at(todo, 0.0)
         v[0], v[-1] = qa[todo], qb[todo]
-        turn, ok, _ = _trace(amps[todo], g, x[:, todo], _DELTAS[0] / 100, v)
+        turn, ok = _trace(amps[todo], g, x[:, todo], _DELTAS[0] / 100, v)
         ok = ok.all(axis=1)
         up[todo[ok]] = down[todo[ok]] = turn[ok].sum(axis=1)
         todo = todo[~ok]

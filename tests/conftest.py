@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from meanmotion import motion
 from meanmotion.core import ExpPolynomial, UnivariateExpSum
+from meanmotion.tracker import unit_increments
 
 
 @pytest.fixture
@@ -42,3 +45,12 @@ def random_poly(rng, p, s, max_num=3, max_den=3, coeff_scale=1.0):
             c = coeff_scale * (1 + 1j)
         pairs.append((c, exp))
     return ExpPolynomial.from_pairs(p, pairs)
+
+
+def line_increments(P, y, x):
+    """(plus, minus) of the unit window centred at x along the line x + iy
+    of P, through unit_increments on the line's one line_rows row: nan
+    where the engine leaves the window undone."""
+    x = np.asarray(x, dtype=float)
+    plus, minus, _ = unit_increments(*P.line_rows(y, motion._perp_phases(P, x[None, 1:])), x[:1])
+    return float(plus[0]), float(minus[0])

@@ -15,19 +15,17 @@ from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
 from meanmotion.errors import EndpointZeroError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
-    SkippedLine,
     WindowSchedule,
     box_mean_motion,
     compare_estimators,
     torus_mean,
-    windowed_increment_pair,
 )
 from meanmotion.tracker import (
     arg_increment_pair,
     count_zeros_rectangle,
     locate_zeros,
 )
-from conftest import random_poly
+from conftest import line_increments, random_poly
 
 PI = math.pi
 
@@ -235,10 +233,9 @@ def test_08_modulation_shift():
         )
         x = [float(v) for v in rng.uniform(-5, 5, p)]
         y = [float(v) for v in rng.uniform(-0.5, 0.5, p)]
-        try:
-            tp, tm = windowed_increment_pair(P, y, x)
-            sp, sm = windowed_increment_pair(shifted, y, x)
-        except SkippedLine:
+        tp, tm = line_increments(P, y, x)
+        sp, sm = line_increments(shifted, y, x)
+        if math.isnan(tp) or math.isnan(sp):
             continue
         ok = ok and abs((sp - tp) - float(shift[0])) < 1e-9
         ok = ok and abs((sm - tm) - float(shift[0])) < 1e-9

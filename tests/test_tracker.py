@@ -26,6 +26,7 @@ from meanmotion.tracker import (
 )
 from meanmotion.io import write_polynomial_file
 from meanmotion.lattice import group_basis
+from meanmotion.motion import WindowSchedule, compare_estimators
 from conftest import random_poly
 
 PI = math.pi
@@ -423,17 +424,15 @@ def _engine_calls(monkeypatch):
 
 
 def _real_grid_traces(monkeypatch):
-    """The rows and grid of every _trace call on one grid that all rows
-    share, in a list: the real-line passes, not the detours, whose paths
-    are held points x rows."""
-    calls, trace = [], tracker._trace
+    """The rows and grid of every real-line pass, the _passes calls, in a
+    list: the grid is the one that all the pass's rows share."""
+    calls, passes = [], tracker._passes
 
-    def spy(amps, g, t, *rest):
-        if t.ndim == 1:
-            calls.append((amps.copy(), t.copy()))
-        return trace(amps, g, t, *rest)
+    def spy(shifted, g, t):
+        calls.append((shifted.copy(), t.copy()))
+        return passes(shifted, g, t)
 
-    monkeypatch.setattr(tracker, "_trace", spy)
+    monkeypatch.setattr(tracker, "_passes", spy)
     return calls
 
 
@@ -721,13 +720,20 @@ class TestUnitIncrements:
         assert np.isnan(plus).all() and np.isnan(minus).all()
 
 
+def _grid_trace(amps, g, t, stop):
+    """_trace of every row of amps along the one path t that all rows
+    share, sampled here: (turn, ok), rows x steps."""
+    v = (amps @ np.exp(1j * np.multiply.outer(g, t))).T
+    return tracker._trace(amps, g, t[:, None], stop, v)
+
+
 def _forced_trace(amps, g, centers):
     """Every row's real-line pass of its unit window through _trace, as
     unit_increments would make it if no row were dominated: the turn and
     pass flag of each step, rows x steps."""
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
     n0 = tracker._first_steps(float(np.abs(g).sum()), 1.0)
-    return tracker._trace(shifted, g, np.arange(n0 + 1) / n0 - 0.5, tracker._AXIS_WIDTH)[:2]
+    return _grid_trace(shifted, g, np.arange(n0 + 1) / n0 - 0.5, tracker._AXIS_WIDTH)
 
 
 class TestDominatedRows:
@@ -1049,15 +1055,15 @@ def _window_detours(amps, freqs, centers):
     n0 = tracker._first_steps(float(np.abs(g).sum()), 1.0)
     t = np.arange(n0 + 1) / n0 - 0.5
     shifted = amps * np.exp(1j * np.multiply.outer(centers, g))
-    turn, ok, _ = tracker._trace(shifted, g, t, tracker._AXIS_WIDTH)
+    turn, ok = _grid_trace(shifted, g, t, tracker._AXIS_WIDTH)
     plus, minus, done = turn.sum(axis=1), turn.sum(axis=1), ok.all(axis=1)
     for delta in tracker._DELTAS:
         todo = np.flatnonzero(~done)
         if not len(todo):
             break
         detour = np.concatenate([[-0.5], t + 1j * delta, [0.5]])
-        (up, up_ok, _), (down, down_ok, _) = (
-            tracker._trace(shifted[todo], g, path, delta / 100) for path in (detour, detour.conj())
+        (up, up_ok), (down, down_ok) = (
+            _grid_trace(shifted[todo], g, path, delta / 100) for path in (detour, detour.conj())
         )
         ok = up_ok.all(axis=1) & down_ok.all(axis=1)
         plus[todo[ok]], minus[todo[ok]] = up.sum(axis=1)[ok], down.sum(axis=1)[ok]
@@ -1147,13 +1153,16 @@ def test_run_failing_every_delta_retries_its_real_line(monkeypatch):
     calls, trace = [], tracker._trace
 
     def spy(amps, g, t, *rest):
-        calls.append((t.ndim, np.iscomplexobj(t)))
+        calls.append((len(t), np.iscomplexobj(t)))
         return trace(amps, g, t, *rest)
 
     monkeypatch.setattr(tracker, "_trace", spy)
     plus, minus, done = unit_increments(amps, freqs, np.zeros(1))
     monkeypatch.undo()
-    assert calls == [(1, False)] + [(2, True)] * len(tracker._DELTAS) + [(2, False)]
+    # the real line's first sampling, each delta's detours through the
+    # _CUTS points and the run's ends, and the run's real line through them
+    n0, cuts = tracker._first_steps(3.0, 1.0), len(tracker._CUTS)
+    assert calls == [(n0 + 1, False)] + [(cuts + 2, True)] * len(tracker._DELTAS) + [(cuts, False)]
     assert done[0] and plus[0] == minus[0]
     assert minus[0] == pytest.approx(_window_detours(amps, freqs, np.zeros(1))[1][0], abs=1e-12)
 
@@ -1204,6 +1213,54 @@ def test_step_cap_bounds_the_step_tests(monkeypatch):
     assert plus == pytest.approx(np.full(64, 1.5 - 3 * PI), abs=1e-9)
     assert minus == pytest.approx(np.full(64, 1.5 + 3 * PI), abs=1e-9)
     assert tested[0] <= 1_000_000
+
+
+# The engine's work on one seeded report of each kind, box sizes (25, 50,
+# 100) and schedule and torus seed 7: rounds of the step rule, step tests,
+# runs crossed in closed form and runs sent to _detours. Each count is
+# deterministic. The bounds are the counts measured when they were set
+# plus a quarter, rounded down, so a change that adds a round, detours
+# runs that were crossed or multiplies the step tests fails with no
+# timing: with _crossings settling nothing, the sin report makes 2 rounds,
+# 13,432 step tests and 198 detours. A change that moves a bound says so.
+BUDGETS = {
+    # name: (lines per box, torus samples, rounds, step tests, crossed, detoured)
+    "sin": (64, 400, 1, 9472, 198, 0),
+    "strip": (16, 96, 0, 0, 0, 0),
+    "offaxis": (16, 48, 2, 1736, 0, 0),
+    "double": (64, 400, 11, 28204, 0, 93),
+}
+
+
+@pytest.mark.parametrize("which", list(BUDGETS))
+def test_report_work_budgets(which, sin_poly, monkeypatch):
+    # sin at y = 0, whose real zeros cross in closed form; a dominated p = 2
+    # sum, which no trace reaches; an off-axis p = 3 sum at y = (0.1, -0.2,
+    # 0.05); and 2 cos z - 2 at y = 0, whose double zeros are detoured
+    P, y = {
+        "sin": (sin_poly, [0.0]),
+        "strip": (_dominant_poly(np.random.default_rng(0)), [0.0, 0.0]),
+        "offaxis": (random_poly(np.random.default_rng(56), 3, 5, max_num=6), [0.1, -0.2, 0.05]),
+        "double": (ExpPolynomial.from_pairs(1, [(1, ["1"]), (-2, ["0"]), (1, ["-1"])]), [0.0]),
+    }[which]
+    lines, samples, *measured = BUDGETS[which]
+    rounds, tested, step_ok = [0], [0], tracker._step_ok
+
+    def spy(*args):
+        ok = step_ok(*args)
+        rounds[0] += 1
+        tested[0] += ok.size
+        return ok
+
+    monkeypatch.setattr(tracker, "_step_ok", spy)
+    crossed, detoured = _crossing_calls(monkeypatch)
+    report = compare_estimators(P, y, WindowSchedule((25.0, 50.0, 100.0), lines, 7),
+                                samples=samples, seed=7)
+    assert report["pass"]
+    got = (rounds[0], tested[0], sum(crossed), sum(detoured))
+    assert all(g <= int(1.25 * m) for g, m in zip(got, measured)), (got, measured)
+    # the spies see the engine: every report but the dominated one tests steps
+    assert (tested[0] > 0) == (which != "strip")
 
 
 def test_real_zero_rows_leave_in_one_round(sin_poly, monkeypatch):
