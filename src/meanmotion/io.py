@@ -33,7 +33,7 @@ def parse_polynomial(obj: dict) -> ExpPolynomial:
             terms.append(ExpTerm(complex(*map(float, parts)), comps))
         except ZeroDivisionError as e:
             raise PolynomialLoadError(f"term {k}: zero denominator in {t['exponent']}") from e
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise PolynomialLoadError(f"term {k}: invalid ({e})") from e
     try:
         return ExpPolynomial(dimension, tuple(terms))
@@ -43,10 +43,10 @@ def parse_polynomial(obj: dict) -> ExpPolynomial:
 
 def parse_polynomial_file(path) -> ExpPolynomial:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise PolynomialLoadError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise PolynomialLoadError(f"{path} is not valid JSON: {e}") from e
     return parse_polynomial(obj)
 

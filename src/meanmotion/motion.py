@@ -98,22 +98,22 @@ def _line_sum(P: ExpPolynomial, y, xperp) -> UnivariateExpSum:
     divided by a positive constant."""
     if len(xperp) != P.dimension - 1:
         raise DimensionError(f"xperp has {len(xperp)} values, not {P.dimension - 1}")
-    xperp = np.asarray(xperp, dtype=float)[None]
-    return P.line_rows(y, _perp_phases(P, xperp)).restriction(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = _perp_phases(P, np.asarray(xperp, dtype=float)[None])
+    if not np.isfinite(phases).all():
+        raise DegenerateInputError(f"the phases <l_j', x'> at x' = {list(xperp)} are not finite")
+    return P.line_rows(y, phases).restriction(0)
 
 
-def _spread(per_window) -> float:
-    tail = [v for _, v in per_window[-3:]]
-    return float(max(tail) - min(tail))
-
-
-def _estimate_pair(y, per_p, per_m, skipped, total):
+def _estimate_pair(y, sizes, means, skipped, total):
+    """(plus, minus) estimates from the windows x (plus, minus) means of
+    windows of the given sizes: each value is the last window's mean, each
+    spread the range of the last three."""
     yv = tuple(float(v) for v in y)
     return tuple(
-        MeanMotionEstimate(
-            conv, yv, tuple(per), per[-1][1], _spread(per), skipped, total
-        )
-        for conv, per in (("plus", per_p), ("minus", per_m))
+        MeanMotionEstimate(conv, yv, tuple(zip(map(float, sizes), col)), col[-1],
+                           max(col[-3:]) - min(col[-3:]), skipped, total)
+        for conv, col in zip(("plus", "minus"), means.T.tolist())
     )
 
 
@@ -149,10 +149,8 @@ def direct_mean_motion(
                                    np.full(len(perps), 0.5 * (a1 + b1)), b1 - a1)
     if not done.any():
         raise DegenerateInputError("every sampled line was skipped")
-    w = float(b1 - a1)
-    means = _kept(vp, vm, done).sum(axis=1) / done.sum()
-    per_p, per_m = ([(w, float(m) / w)] for m in means)
-    return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(perps))
+    means = _kept(vp, vm, done).sum(axis=1) / done.sum() / (b1 - a1)
+    return _estimate_pair(y, [b1 - a1], means[None], int((~done).sum()), len(perps))
 
 
 def _box_rows(P, schedule):
@@ -173,9 +171,7 @@ def _box_average(y, schedule, vp, vm, done):
     with np.errstate(invalid="ignore"):  # 0 / 0 where a box keeps no line
         means = np.array([v[:, i - k : i].sum(axis=1)
                           for i, k in zip(np.cumsum(kept), kept)]) / kept[:, None]
-    per_p, per_m = ([(float(L), float(m)) for L, m in zip(schedule.sizes, col)]
-                    for col in means.T)
-    return _estimate_pair(y, per_p, per_m, int((~done).sum()), len(done))
+    return _estimate_pair(y, schedule.sizes, means, int((~done).sum()), len(done))
 
 
 def box_mean_motion(
@@ -278,23 +274,12 @@ def compare_estimators(
         np.concatenate([box_centres, torus_centres]),
     )
     n = len(box_centres)
-    box_p, box_m = _box_average(y, schedule, vp[:n], vm[:n], done[:n])
-    tp, sp, tm, sm, t_n, t_skipped = _torus_average(vp[n:], vm[n:], done[n:])
-    report = {
-        "y": [float(v) for v in y],
-        "box": {},
-        "torus": {
-            "plus": {"value": tp, "stderr": sp, "samples": t_n, "skipped": t_skipped},
-            "minus": {"value": tm, "stderr": sm, "samples": t_n, "skipped": t_skipped},
-        },
-        "diff": {},
-        "tolerance": {},
-    }
+    box = _box_average(y, schedule, vp[:n], vm[:n], done[:n])
+    torus = _torus_average(vp[n:], vm[n:], done[n:])
+    report = {"y": [float(v) for v in y], "box": {}, "torus": {}, "diff": {}, "tolerance": {}}
     ok = True
-    for conv, est, tval, terr in (
-        ("plus", box_p, tp, sp),
-        ("minus", box_m, tm, sm),
-    ):
+    for est, (tval, terr) in zip(box, (torus[0:2], torus[2:4])):
+        conv = est.convention
         report["box"][conv] = {
             "per_window": [[L, v] for L, v in est.per_window],
             "value": est.value,
@@ -303,10 +288,10 @@ def compare_estimators(
             "total_lines": est.total_lines,
             "reliable": est.reliable,
         }
-        diff = abs(est.value - tval)
-        tol = max(0.05, 3.0 * (est.spread + terr))
-        report["diff"][conv] = diff
-        report["tolerance"][conv] = tol
+        report["torus"][conv] = {"value": tval, "stderr": terr,
+                                 "samples": torus.samples, "skipped": torus.skipped}
+        report["diff"][conv] = diff = abs(est.value - tval)
+        report["tolerance"][conv] = tol = max(0.05, 3.0 * (est.spread + terr))
         ok = ok and diff <= tol and est.reliable
-    report["pass"] = bool(ok)
+    report["pass"] = ok
     return report

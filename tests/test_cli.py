@@ -25,6 +25,22 @@ from meanmotion.io import (
 from meanmotion.motion import compare_estimators
 
 
+# files the JSON decoder cannot read: nested beyond its recursion limit,
+# and UTF-16 with a byte-order mark
+UNREADABLE = pytest.mark.parametrize("raw", [
+    b"[" * 200000 + b"]" * 200000,
+    b'\xff\xfe{\x00"\x00d\x00"\x00}\x00',
+], ids=["deep-nesting", "not-utf8"])
+# every command that loads a polynomial file, with its other arguments
+POLY_COMMANDS = pytest.mark.parametrize("argv", [
+    ["eval", "--z", "0"],
+    ["basis"],
+    ["zeros", "--interval=0.5,1"],
+    ["track", "--interval=0.5,1"],
+    ["mm", "--torus-samples", "20"],
+], ids=lambda argv: argv[0])
+
+
 @pytest.fixture
 def sin_file(tmp_path, sin_poly):
     path = tmp_path / "sin.json"
@@ -99,6 +115,7 @@ class TestIo:
         ("exponent", "1", "term 0"),
         ("re", True, "term 0"),
         ("im", "2", "term 0"),
+        pytest.param("re", 10**400, "term 0", id="re-int-beyond-double"),
     ])
     def test_malformed_types_rejected(self, field, value, match):
         # no silent truncation or conversion, and no TypeError from
@@ -108,6 +125,15 @@ class TestIo:
         (obj if field in obj else term)[field] = value
         with pytest.raises(PolynomialLoadError, match=match):
             parse_polynomial(obj)
+
+    @UNREADABLE
+    def test_unreadable_json_is_load_error(self, tmp_path, raw):
+        # a RecursionError or UnicodeDecodeError from the decoder is a load
+        # error like any other malformed file
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(PolynomialLoadError, match="is not valid JSON"):
+            parse_polynomial_file(path)
 
     def test_dict_form_uses_exact_strings(self, sin_poly):
         d = polynomial_to_dict(sin_poly)
@@ -152,14 +178,28 @@ class TestEval:
         '{"dimension": 1, "terms": [{"re": true, "im": "2", "exponent": ["1"]}]}',
         '[]',
         '{"dimension": 1,',
+        '{"dimension": 1, "terms": [{"re": 1%s, "im": 0, "exponent": ["1"]}]}' % ("0" * 400),
     ], ids=["float-dimension", "bool-dimension", "int-terms", "null-terms",
-            "string-exponent", "bool-and-string-coefficient", "list", "not-json"])
+            "string-exponent", "bool-and-string-coefficient", "list", "not-json",
+            "int-beyond-double-coefficient"])
     def test_malformed_file_is_input_error(self, tmp_path, capsys, body):
         path = tmp_path / "bad.json"
         path.write_text(body)
         code = main(["eval", "--poly", str(path), "--z", "0"])
         assert code == EXIT_INPUT_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "PolynomialLoadError"
+
+    @UNREADABLE
+    @POLY_COMMANDS
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys, raw, argv):
+        # exit 2 with the error JSON, not a traceback with the
+        # verification-failure code 1 or a UnicodeDecodeError
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main([argv[0], "--poly", str(path), *argv[1:]]) == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "PolynomialLoadError"
+        assert out["message"].startswith(f"{path} is not valid JSON")
 
     def test_zero_denominator_named(self, tmp_path, capsys):
         # the message says what is wrong and shows the exponent as given
@@ -184,13 +224,7 @@ class TestEval:
         assert out["error"] == "PolynomialLoadError"
         assert "term 0" in out["message"]
 
-    @pytest.mark.parametrize("argv", [
-        ["eval", "--z", "0"],
-        ["basis"],
-        ["zeros", "--interval=0.5,1"],
-        ["track", "--interval=0.5,1"],
-        ["mm", "--torus-samples", "20"],
-    ], ids=lambda argv: argv[0])
+    @POLY_COMMANDS
     def test_exponent_beyond_double_range(self, tmp_path, capsys, argv):
         # "1e400" is an exact rational but no double: an input error, not
         # an OverflowError traceback with the verification-failure code
@@ -322,6 +356,19 @@ class TestZerosAndTrack:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "DimensionError"
         assert out["message"] == "xperp has 2 values, not 1"
+
+    @pytest.mark.parametrize("command", ["zeros", "track"])
+    def test_overflowing_transverse_phase_is_input_error(self, tmp_path, capsys, command):
+        # <l', x'> = 2e308 and 3e308 overflow: an input error naming the
+        # point, with no overflow warning and no TrackingError on NaN rows
+        path = tmp_path / "p2.json"
+        write_polynomial_file(ExpPolynomial.from_pairs(
+            2, [(1, ["1", "2"]), (-0.5, ["0", "0"]), (0.3 + 0.1j, ["-1", "3"])]), path)
+        code = main([command, "--poly", str(path), "--xperp=1e308", "--interval=0,3"])
+        assert code == EXIT_INPUT_ERROR
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DegenerateInputError"
+        assert "x' = [1e+308]" in out["message"]
 
     @pytest.mark.parametrize("interval", ["1,2,3", "1"])
     def test_interval_needs_two_numbers(self, sin_file, capsys, interval):

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanmotion import core, motion, tracker
-from meanmotion.core import ExpPolynomial, UnivariateExpSum, lift
+from meanmotion.core import ExpPolynomial, ExpTerm, UnivariateExpSum, lift
 from meanmotion.errors import DegenerateInputError
 from meanmotion.lattice import group_basis
 from meanmotion.motion import (
@@ -843,3 +845,42 @@ def test_golden_reports(sin_poly):
             assert rep["tolerance"][conv] == max(0.05, 3.0 * (box["spread"] + tor["stderr"]))
     assert reports["sin"]["tolerance"] == pytest.approx(
         {"plus": 1.18673353702605, "minus": 1.18673353702605}, abs=1e-12)
+
+
+def _leaves(report, path=()):
+    """(path, value) of every number and flag in a report, in key order."""
+    if isinstance(report, dict):
+        return [leaf for k in report for leaf in _leaves(report[k], (*path, k))]
+    if isinstance(report, list):
+        return [leaf for k, v in enumerate(report) for leaf in _leaves(v, (*path, k))]
+    return [(path, report)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    terms=st.integers(2, 5),
+    log_modulus=st.floats(-3, 3),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_constant_factor_leaves_the_report(seed, p, terms, log_modulus, phase):
+    # c P has the zeros and the argument increments of P, so every value
+    # of the report stays within rounding, every skip count and the pass
+    # flag exactly. The engine's floors and the dominated rule's ratio
+    # q / (a_j e^{i g_j s}) are relative to the amplitudes; a rule that
+    # left a_j out would wrap at the branch cut as arg(c a_j) turns
+    rng = np.random.default_rng(seed)
+    P = random_poly(rng, p, terms)
+    c = 10.0**log_modulus * complex(math.cos(phase), math.sin(phase))
+    cP = ExpPolynomial(p, tuple(ExpTerm(c * t.coefficient, t.exponent) for t in P.terms))
+    y = rng.uniform(-0.5, 0.5, p).tolist()
+    sched = WindowSchedule((10.0, 20.0, 40.0), 16, seed % 1000)
+    want, got = (_leaves(compare_estimators(Q, y, sched, samples=48, seed=seed % 1000))
+                 for Q in (P, cP))
+    assert [path for path, _ in got] == [path for path, _ in want]
+    for (path, g), (_, w) in zip(got, want):
+        if isinstance(w, float):
+            assert abs(g - w) <= 1e-12, path
+        else:  # skip and line counts, reliable and pass
+            assert g == w, path
